@@ -38,7 +38,7 @@ from .inversion import (
     inverse_residual,
     neumann_inverse,
 )
-from .kernels import Envelope, Kernel, TestVector, operator_norm, section_operator_norm
+from .kernels import Envelope, Kernel, TestVector, operator_norm, operator_norms, section_operator_norm
 
 __all__ = [
     "CovarianceElement",
@@ -73,6 +73,7 @@ __all__ = [
     "neumann_inverse",
     "operator_matrix",
     "operator_norm",
+    "operator_norms",
     "parse_group",
     "pi_matrix",
     "pi_regular",

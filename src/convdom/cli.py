@@ -31,7 +31,7 @@ import numpy as np
 
 from . import io as formats
 from .covariance import R_inverse
-from .generate import Profile, generate_kernel, shift_kernel
+from .generate import Profile, generate_kernel, generate_kernel_from_envelope, shift_kernel
 from .groups import Group, parse_group
 from .inversion import (
     ContourNodeError,
@@ -148,6 +148,8 @@ def _parse_profile(data: dict | None):
 
 def _kernel_from_profile(params: dict, group: Group, dim: int) -> Kernel:
     parsed = _parse_profile(params["profile"])
+    if parsed is None:
+        raise ConfigError("no profile given")
     if isinstance(parsed, tuple):
         envelope, t_radius = parsed
         if envelope.group != group:
@@ -171,8 +173,7 @@ def _parse_complex(value) -> complex:
 def _preset_kernel(params: dict, group: Group, dim: int, window: int) -> Kernel:
     preset = params.get("preset")
     if params.get("profile") is not None:
-        kernel, _ = generate_kernel(group, dim, params["seed"], _parse_profile(params["profile"]))
-        return kernel
+        return _kernel_from_profile(params, group, dim)
     if preset == "shift":
         return shift_kernel(group, dim, params["weight"], t_radius=window)
     if preset == "hermitian_band":
@@ -314,7 +315,7 @@ def task_contour(params: dict, out: Path | None) -> tuple[int, list[str]]:
     if not group.is_finite:
         raise ConfigError("the contour task uses a finite group so z=0 sections are exact")
     dim = params["dim"]
-    window = _diameter(group)
+    window = group.diameter()
     kernel = Kernel.identity(group, dim).scale(params["scalar"])
     if params["weight"]:
         kernel = kernel + shift_kernel(group, dim, params["weight"])
@@ -335,8 +336,7 @@ def task_kernel_io(params: dict, out: Path | None) -> tuple[int, list[str]]:
     if params["input"] is not None:
         kernel = formats.read_kernel(params["input"])
     else:
-        group = parse_group(params["group"])
-        kernel, _ = generate_kernel(group, params["dim"], params["seed"], _parse_profile(params["profile"]))
+        kernel = _kernel_from_profile(params, parse_group(params["group"]), params["dim"])
     formats.write_kernel(out / "kernel.json", kernel)
     formats.write_envelope(out / "envelope.json", kernel.min_envelope())
     formats.write_covariance(out / "covariance.json", R_inverse(kernel))
@@ -349,10 +349,6 @@ def task_kernel_io(params: dict, out: Path | None) -> tuple[int, list[str]]:
         CheckResult("covariance_round_trip_exact", cov_gap, 0.0),
     ]
     return _check_lines(results)
-
-
-def _diameter(group: Group) -> int:
-    return max(group.word_length(p) for p in group.elements())
 
 
 TASKS = {

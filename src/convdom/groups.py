@@ -5,11 +5,16 @@ group law, a fixed symmetric generating set, word lengths for the induced
 word metric, and breadth-first ball enumeration.  Balls are the truncation
 windows used by every finite-section computation downstream, so their
 ordering is deterministic: sorted by word length, then lexicographically.
+
+The ``*_many`` methods apply the same law row by row to ``(n, coord_len)``
+int64 arrays of points; the array-backed kernel store runs on them.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 Point = tuple[int, ...]
 
@@ -82,6 +87,37 @@ class Group:
         """a * x * a^{-1}."""
         return self.multiply(self.multiply(a, x), self.inverse(a))
 
+    # -- batched group law on (n, coord_len) int64 arrays ------------------------
+
+    def _product_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _reduce_many(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def canonical_many(self, points) -> np.ndarray:
+        """Canonical ``(n, coord_len)`` int64 array of a sequence or array of points."""
+        arr = np.asarray(points, dtype=np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, self.coord_len)
+        if arr.ndim != 2 or arr.shape[1] != self.coord_len:
+            raise ValueError(f"{self.name}: point array has shape {arr.shape}, expected (n, {self.coord_len})")
+        return self._reduce_many(arr)
+
+    def multiply_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Row-wise products of canonical point arrays; a single row broadcasts."""
+        return self._reduce_many(self._product_many(x, y))
+
+    def inverse_many(self, x: np.ndarray) -> np.ndarray:
+        """Row-wise inverses of a canonical point array."""
+        raise NotImplementedError
+
+    def word_length_many(self, x: np.ndarray) -> np.ndarray:
+        """Word lengths of a canonical point array, read from the BFS layers."""
+        return np.fromiter(
+            (self._bfs_length(p) for p in map(tuple, x.tolist())), dtype=np.int64, count=len(x)
+        )
+
     # -- word metric ----------------------------------------------------------
 
     def _expand_layers(self, radius: int) -> None:
@@ -104,7 +140,9 @@ class Group:
 
     def word_length(self, x: Point) -> int:
         """Length of the shortest generator word equal to ``x``."""
-        x = self.canonical(x)
+        return self._bfs_length(self.canonical(x))
+
+    def _bfs_length(self, x: Point) -> int:
         r = len(self._layers) - 1
         while x not in self._dist:
             if self._exhausted:
@@ -137,6 +175,11 @@ class Group:
             r += 1
             self._expand_layers(r)
         return self.ball(len(self._layers) - 1)
+
+    def diameter(self) -> int:
+        """Largest word length in a finite group: the radius whose ball is the group."""
+        self.elements()
+        return len(self._layers) - 1
 
     # -- value semantics ------------------------------------------------------
 
@@ -185,6 +228,15 @@ class IntegerLattice(Group):
     def word_length(self, x: Point) -> int:
         return sum(abs(a) for a in self.canonical(x))
 
+    def _product_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x + y
+
+    def inverse_many(self, x: np.ndarray) -> np.ndarray:
+        return -x
+
+    def word_length_many(self, x: np.ndarray) -> np.ndarray:
+        return np.abs(x).sum(axis=1)
+
 
 class Cyclic(Group):
     """Z/n with addition mod n and generators +-1."""
@@ -223,6 +275,18 @@ class Cyclic(Group):
         k = self.canonical(x)[0]
         return min(k, self.modulus - k)
 
+    def _reduce_many(self, x: np.ndarray) -> np.ndarray:
+        return x % self.modulus
+
+    def _product_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x + y
+
+    def inverse_many(self, x: np.ndarray) -> np.ndarray:
+        return -x % self.modulus
+
+    def word_length_many(self, x: np.ndarray) -> np.ndarray:
+        return np.minimum(x[:, 0], self.modulus - x[:, 0])
+
 
 class _HeisenbergLaw:
     """Shared multiplication law (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')."""
@@ -235,6 +299,16 @@ class _HeisenbergLaw:
     def _raw_inverse(self, x: Point) -> Point:
         # Solve (a,b,c)(a',b',c') = identity: a' = -a, b' = -b, c' = ab - c.
         return (-x[0], -x[1], x[0] * x[1] - x[2])
+
+    def _product_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x + y
+        out[:, 2] += x[:, 0] * y[:, 1]
+        return out
+
+    def inverse_many(self, x: np.ndarray) -> np.ndarray:
+        out = -x
+        out[:, 2] = x[:, 0] * x[:, 1] - x[:, 2]
+        return self._reduce_many(out)
 
 
 class DiscreteHeisenberg(_HeisenbergLaw, Group):
@@ -274,6 +348,9 @@ class HeisenbergMod(_HeisenbergLaw, Group):
     def _reduce(self, x: Point) -> Point:
         p = self.prime
         return (x[0] % p, x[1] % p, x[2] % p)
+
+    def _reduce_many(self, x: np.ndarray) -> np.ndarray:
+        return x % self.prime
 
     def inverse(self, x: Point) -> Point:
         return self._reduce(self._raw_inverse(self.canonical(x)))

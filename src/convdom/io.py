@@ -33,12 +33,15 @@ def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
 
 
 def kernel_to_dict(kernel: Kernel) -> dict:
+    s, t, blocks = kernel.arrays
+    n, d = len(blocks), kernel.dim
+    # Row-major [re, im] pairs per block, read straight off the block stack.
+    pairs = blocks.reshape(n, d * d).view(np.float64).reshape(n, d * d, 2)
     return {
         "group": kernel.group.name,
-        "dim": kernel.dim,
+        "dim": d,
         "entries": [
-            {"s": list(s), "t": list(t), "matrix": _matrix_to_pairs(mat)}
-            for (s, t), mat in kernel.entries.items()
+            {"s": si, "t": ti, "matrix": mi} for si, ti, mi in zip(s.tolist(), t.tolist(), pairs.tolist())
         ],
     }
 

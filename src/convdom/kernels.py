@@ -3,14 +3,24 @@
 A kernel maps group pairs (x, y) to d x d complex matrices and is stored in
 convolution coordinates (s, t) with s = x * y^-1 and t = y, so that the
 envelope (the dominating function of the off-diagonal decay) lives on the
-single variable s.  All supports are finite; composition, involution and the
-action on square-summable vectors are exact finite sums evaluated in sorted
-support order, which makes every operation bit-reproducible.
+single variable s.  All supports are finite.
+
+A :class:`Kernel` is a structure of arrays: int64 coordinate arrays for s
+and t, each ``(nnz, coord_len)``, and a read-only ``(nnz, d, d)`` complex
+block stack, with rows in lexicographic (s, t) order.  Every operation runs
+on whole arrays through the batched group law: composition is a join on the
+row point s*t, one batched matrix product and a segment sum; envelopes are
+batched operator norms and a segment max; dense sections are fancy indexing.
+Sums over equal keys are taken front to back in the order the per-entry
+definition lists their terms (``np.add.reduceat`` would pair them
+differently), so every operation is bit-reproducible and equal, bit for bit,
+to its entry-by-entry definition.
 """
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,6 +33,115 @@ def operator_norm(mat: np.ndarray) -> float:
     if mat.shape == (1, 1):
         return abs(complex(mat[0, 0]))
     return float(np.linalg.norm(mat, 2))
+
+
+def operator_norms(blocks: np.ndarray) -> np.ndarray:
+    """:func:`operator_norm` of every block of an ``(n, d, d)`` stack, bit for bit."""
+    if blocks.shape[1] == 1:
+        # abs(complex) is hypot(re, im); np.abs rounds differently.
+        return np.hypot(blocks[:, 0, 0].real, blocks[:, 0, 0].imag)
+    if not len(blocks):
+        return np.zeros(0)
+    return np.linalg.norm(blocks, 2, axis=(1, 2))
+
+
+def _row_codes(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Int64 codes of the rows of integer arrays of equal width, one array of codes each.
+
+    Equal rows get equal codes across all arrays, and codes order as the rows
+    order lexicographically, so sorts and joins on codes are sorts and joins
+    on points.
+    """
+    rows = np.concatenate(arrays)
+    if not len(rows):
+        return [np.zeros(0, dtype=np.int64) for _ in arrays]
+    lo = rows.min(axis=0)
+    span = rows.max(axis=0) - lo + 1
+    if math.prod(span.tolist()) < 2**62:
+        # Mixed radix, first column most significant.
+        weights = np.append(np.cumprod(span[:0:-1])[::-1], 1)
+        codes = (rows - lo) @ weights
+    else:
+        codes = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    return np.split(codes, np.cumsum([len(a) for a in arrays[:-1]], dtype=np.int64))
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (i, j) with ``left[i] == right[j]``, ordered by i, then by j."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, "left")
+    counts = np.searchsorted(ordered, left, "right") - lo
+    i = np.repeat(np.arange(len(left)), counts)
+    # Position of each pair within the sorted right side: its run start plus
+    # its offset inside the run.
+    offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return i, order[np.arange(len(i)) + offsets]
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values (or rows) in a sorted array."""
+    new = np.ones(len(ordered), dtype=bool)
+    differs = ordered[1:] != ordered[:-1]
+    new[1:] = differs if differs.ndim == 1 else differs.any(axis=1)
+    return np.flatnonzero(new)
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct codes; ``np.unique`` would import ``numpy.ma`` (2 MB)."""
+    ordered = codes[np.argsort(codes, kind="stable")]
+    return ordered[_run_starts(ordered)]
+
+
+def _sum_by_key(codes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the rows of ``values`` that share a code, in ascending code order.
+
+    Each sum runs front to back in row order, as ``acc += value`` over the
+    rows would.  Returns the first row of each code and the sums.
+    """
+    order = np.argsort(codes, kind="stable")
+    starts = _run_starts(codes[order])
+    sums = values[order[starts]]
+    lengths = np.diff(starts, append=len(codes))
+    for k in range(1, lengths.max(initial=1)):
+        live = lengths > k
+        sums[live] += values[order[starts[live] + k]]
+    return order[starts], sums
+
+
+def _key_arrays(group: Group, keys: list) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) keys as two ``(n, coord_len)`` int64 arrays, not yet reduced."""
+    shape = (len(keys), 2, group.coord_len)
+    if not keys:
+        pairs = np.zeros(shape, dtype=np.int64)
+    else:
+        try:
+            pairs = np.array(keys, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            pairs = None
+        if pairs is None or pairs.shape != shape:
+            for s, t in keys:  # name the offending point
+                group.canonical(s)
+                group.canonical(t)
+            raise ValueError(f"{group.name}: kernel keys must be (s, t) pairs of int64 points")
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _block_stack(keys: list, values: list, dim: int) -> np.ndarray:
+    """Mapping values as an ``(n, dim, dim)`` complex stack."""
+    if not values:
+        return np.zeros((0, dim, dim), dtype=complex)
+    try:
+        stack = np.array(values, dtype=complex)
+        if stack.shape == (len(values), dim, dim):
+            return stack
+    except ValueError:
+        pass
+    for key, mat in zip(keys, values):  # name the offending entry
+        arr = np.asarray(mat, dtype=complex)
+        if arr.shape != (dim, dim):
+            raise ValueError(f"entry at {key!r} has shape {arr.shape}, expected {(dim, dim)}")
+    raise ValueError("entry matrices do not stack")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -121,26 +240,54 @@ class Kernel:
     """Finitely supported kernel (x, y) -> d x d matrix in (s, t) storage.
 
     The value at (x, y) is ``entries[(x*y^-1, y)]``; missing entries are zero.
-    Instances are immutable: stored matrices are read-only copies.
+    Instances are immutable: the coordinate arrays and the block stack are
+    read-only.
     """
 
     def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
+        """Kernel from a mapping (s, t) -> d x d matrix.
+
+        All-zero matrices are dropped, keys are made canonical, and matrices
+        whose keys coincide are summed in the mapping's order; a sum that
+        cancels to zero is kept.
+        """
+        keys = list(entries)
+        blocks = _block_stack(keys, list(entries.values()), dim)
+        live = blocks.any(axis=(1, 2))
+        if not live.all():
+            keys = [k for k, keep in zip(keys, live.tolist()) if keep]
+            blocks = blocks[live]
+        s, t = _key_arrays(group, keys)
+        self._set(group, dim, s, t, blocks, keep_cancelled=True)
+
+    @classmethod
+    def _from_arrays(cls, group: Group, dim: int, s: np.ndarray, t: np.ndarray, blocks: np.ndarray) -> "Kernel":
+        """Kernel from coordinate arrays and blocks in any order.
+
+        Blocks with equal keys are summed in row order, and blocks that are
+        or sum to zero are dropped.
+        """
+        kernel = cls.__new__(cls)
+        kernel._set(group, dim, s, t, blocks, keep_cancelled=False)
+        return kernel
+
+    def _set(self, group: Group, dim: int, s, t, blocks, keep_cancelled: bool) -> None:
+        """Store canonical, sorted, duplicate-free arrays: the one normalisation."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        s, t = group.canonical_many(s), group.canonical_many(t)
+        (codes,) = _row_codes(np.hstack([s, t]))
+        rows, blocks = _sum_by_key(codes, np.asarray(blocks, dtype=complex))
+        s, t = s[rows], t[rows]
+        if not keep_cancelled:
+            live = blocks.any(axis=(1, 2))
+            s, t, blocks = s[live], t[live], blocks[live]
+        for arr in (s, t, blocks):
+            arr.setflags(write=False)
         self.group = group
         self.dim = dim
-        cleaned: dict[tuple[Point, Point], np.ndarray] = {}
-        for (s, t), mat in entries.items():
-            arr = np.asarray(mat, dtype=complex)
-            if arr.shape != (dim, dim):
-                raise ValueError(f"entry at {(s, t)!r} has shape {arr.shape}, expected {(dim, dim)}")
-            if not np.count_nonzero(arr):
-                continue
-            key = (group.canonical(s), group.canonical(t))
-            if key in cleaned:
-                arr = cleaned[key] + arr
-            cleaned[key] = arr
-        self._entries = {k: _freeze(v) for k, v in sorted(cleaned.items())}
+        self._s, self._t, self._blocks = s, t, blocks
+        self._entries: Mapping | None = None
         self._zero = _freeze(np.zeros((dim, dim)))
         self._envelope: Envelope | None = None
 
@@ -163,35 +310,45 @@ class Kernel:
             window = group.elements()
         else:
             window = group.ball(window_radius)
-        eye = np.eye(dim, dtype=complex)
-        e = group.identity
-        return cls(group, dim, {(e, t): eye for t in window})
+        t = group.canonical_many(window)
+        eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(t), dim, dim))
+        return cls._from_arrays(group, dim, np.zeros_like(t), t, eye)
 
     # -- basic access -----------------------------------------------------------
 
     @property
-    def entries(self) -> dict[tuple[Point, Point], np.ndarray]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only store: s and t coordinates and the block stack, in (s, t) order."""
+        return self._s, self._t, self._blocks
+
+    @property
+    def entries(self) -> Mapping[tuple[Point, Point], np.ndarray]:
+        """Read-only mapping (s, t) -> block in sorted key order, built on first use."""
+        if self._entries is None:
+            keys = zip(map(tuple, self._s.tolist()), map(tuple, self._t.tolist()))
+            self._entries = MappingProxyType(dict(zip(keys, self._blocks)))
         return self._entries
 
     def support(self) -> list[tuple[Point, Point]]:
-        return list(self._entries)
+        return list(self.entries)
 
     def kernel_at(self, x: Point, y: Point) -> np.ndarray:
         """Value at the pair (x, y); read-only zero matrix off the support."""
         g = self.group
         y = g.canonical(y)
         s = g.multiply(x, g.inverse(y))
-        return self._entries.get((s, y), self._zero)
+        return self.entries.get((s, y), self._zero)
 
     def min_envelope(self) -> Envelope:
         """Smallest dominating envelope: beta(s) = max_t |entries[(s,t)]|_op."""
         if self._envelope is None:
-            best: dict[Point, float] = {}
-            for (s, _t), mat in self._entries.items():
-                v = operator_norm(mat)
-                if v > best.get(s, 0.0):
-                    best[s] = v
-            self._envelope = Envelope(self.group, best)
+            s = self._s
+            starts = _run_starts(s)
+            # fmax skips NaN norms: a NaN block never sets the envelope.
+            best = np.fmax.reduceat(operator_norms(self._blocks), starts) if len(s) else np.zeros(0)
+            keep = best > 0.0
+            cosets = map(tuple, s[starts[keep]].tolist())
+            self._envelope = Envelope(self.group, dict(zip(cosets, best[keep].tolist())))
         return self._envelope
 
     def envelope_norm(self) -> float:
@@ -206,70 +363,61 @@ class Kernel:
             raise ValueError(f"kernel dims differ: {self.dim} vs {other.dim}")
 
     def compose(self, other: "Kernel") -> "Kernel":
-        """Kernel product (K1 * K2)(x, z) = sum_y K1(x, y) K2(y, z)."""
+        """Kernel product (K1 * K2)(x, z) = sum_y K1(x, y) K2(y, z).
+
+        Each entry (s1, t1) of the left factor meets the right entries whose
+        row point s2*t2 is t1, in storage order; the product lands at
+        (s1*s2, t2), and products landing on one key are summed in that order.
+        """
         self._require_compatible(other)
         g = self.group
-        # Index the right factor by its row point y = s*t.
-        by_row: dict[Point, list[tuple[Point, Point, np.ndarray]]] = {}
-        for (s2, t2), m2 in other._entries.items():
-            by_row.setdefault(g.multiply(s2, t2), []).append((s2, t2, m2))
-        out: dict[tuple[Point, Point], np.ndarray] = {}
-        for (s1, t1), m1 in self._entries.items():
-            for s2, t2, m2 in by_row.get(t1, ()):
-                key = (g.multiply(s1, s2), t2)
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = m1 @ m2
-                else:
-                    acc += m1 @ m2
-        return Kernel(g, self.dim, out)
+        cols, rows = _row_codes(self._t, g.multiply_many(other._s, other._t))
+        i, j = _join(cols, rows)
+        products = np.matmul(self._blocks[i], other._blocks[j])
+        return Kernel._from_arrays(g, self.dim, g.multiply_many(self._s[i], other._s[j]), other._t[j], products)
 
     def involution(self) -> "Kernel":
         """Adjoint kernel K*(x, y) = K(y, x)^H."""
         g = self.group
-        out = {}
-        for (s, t), mat in self._entries.items():
-            out[(g.inverse(s), g.multiply(s, t))] = mat.conj().T
-        return Kernel(g, self.dim, out)
+        s, t = g.inverse_many(self._s), g.multiply_many(self._s, self._t)
+        return Kernel._from_arrays(g, self.dim, s, t, self._blocks.conj().transpose(0, 2, 1))
 
     def apply(self, vec: "TestVector") -> "TestVector":
         """Integral operator action (T_K f)(x) = sum_y K(x, y) f(y)."""
         if vec.doubled:
             raise ValueError("apply expects a single-variable test vector")
-        self._require_vector(vec)
-        g = self.group
-        out: dict[Point, np.ndarray] = {}
-        for (s, t), mat in self._entries.items():
-            fy = vec._values.get(t)
-            if fy is None:
-                continue
-            key = g.multiply(s, t)
-            contrib = mat @ fy
-            if key in out:
-                out[key] = out[key] + contrib
-            else:
-                out[key] = contrib
-        return TestVector(g, self.dim, out)
+        return self._act(vec)
 
     def apply_tensor(self, xi: "TestVector") -> "TestVector":
         """Act in the first variable of a doubled vector: (T_K x id) xi."""
         if not xi.doubled:
             raise ValueError("apply_tensor expects a doubled test vector")
-        self._require_vector(xi)
-        g = self.group
-        by_first: dict[Point, list[tuple[Point, np.ndarray]]] = {}
-        for (y, u), val in xi._values.items():
-            by_first.setdefault(y, []).append((u, val))
-        out: dict[tuple[Point, Point], np.ndarray] = {}
-        for (s, t), mat in self._entries.items():
-            for u, val in by_first.get(t, ()):
-                key = (g.multiply(s, t), u)
-                contrib = mat @ val
-                if key in out:
-                    out[key] = out[key] + contrib
-                else:
-                    out[key] = contrib
-        return TestVector(g, self.dim, out, doubled=True)
+        return self._act(xi)
+
+    def _act(self, vec: "TestVector") -> "TestVector":
+        """Sum K(x, y) v over vector entries v at (y, *rest), keyed by (x, *rest).
+
+        Terms are summed per key in the order of the kernel's entries, then of
+        the vector's.
+        """
+        self._require_vector(vec)
+        g, d, n = self.group, self.dim, len(vec.values)
+        arity = 2 if vec.doubled else 1
+        keys = np.array(list(vec.values), dtype=np.int64).reshape(n, arity, g.coord_len)
+        values = np.array(list(vec.values.values()), dtype=complex).reshape(n, d)
+        cols, firsts = _row_codes(self._t, keys[:, 0])
+        i, j = _join(cols, firsts)
+        terms = np.matmul(self._blocks[i], values[j, :, None])[:, :, 0]
+        rest = keys[j, 1:].reshape(len(j), (arity - 1) * g.coord_len)
+        out = np.hstack([g.multiply_many(self._s[i], self._t[i]), rest])
+        (codes,) = _row_codes(out)
+        rows, sums = _sum_by_key(codes, terms)
+        points = out[rows].reshape(len(rows), arity, g.coord_len).tolist()
+        if vec.doubled:
+            keyed = {(tuple(x), tuple(u)): v for (x, u), v in zip(points, sums)}
+        else:
+            keyed = {tuple(x): v for (x,), v in zip(points, sums)}
+        return TestVector(g, d, keyed, doubled=vec.doubled)
 
     def conjugate_by_translation(self, a: Point, side: str) -> "Kernel":
         """Translate both kernel arguments by a group element.
@@ -278,18 +426,14 @@ class Kernel:
         K(a^-1*x, a^-1*y).  Both are isometric *-automorphisms of the algebra.
         """
         g = self.group
-        a = g.canonical(a)
-        out = {}
+        a = g.canonical_many([a])
         if side == "right":
-            a_inv = g.inverse(a)
-            for (s, t), mat in self._entries.items():
-                out[(s, g.multiply(t, a_inv))] = mat
+            s, t = self._s, g.multiply_many(self._t, g.inverse_many(a))
         elif side == "left":
-            for (s, t), mat in self._entries.items():
-                out[(g.conjugate(a, s), g.multiply(a, t))] = mat
+            s, t = g.multiply_many(g.multiply_many(a, self._s), g.inverse_many(a)), g.multiply_many(a, self._t)
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return Kernel(g, self.dim, out)
+        return Kernel._from_arrays(g, self.dim, s, t, self._blocks)
 
     def _require_vector(self, vec: "TestVector") -> None:
         if vec.group != self.group:
@@ -300,14 +444,12 @@ class Kernel:
     # -- linear structure ---------------------------------------------------------
 
     def scale(self, c: complex) -> "Kernel":
-        return Kernel(self.group, self.dim, {k: c * v for k, v in self._entries.items()})
+        return Kernel._from_arrays(self.group, self.dim, self._s, self._t, c * self._blocks)
 
     def __add__(self, other: "Kernel") -> "Kernel":
         self._require_compatible(other)
-        out = dict(self._entries)
-        for k, v in other._entries.items():
-            out[k] = out[k] + v if k in out else v
-        return Kernel(self.group, self.dim, out)
+        s, t, blocks = (np.concatenate(pair) for pair in zip(self.arrays, other.arrays))
+        return Kernel._from_arrays(self.group, self.dim, s, t, blocks)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
         return self + other.scale(-1.0)
@@ -322,59 +464,55 @@ class Kernel:
     def restrict_to_ball(self, radius: int) -> "Kernel":
         """Keep entries whose pair (x, y) lies in the ball of the given radius."""
         g = self.group
-        keep = {}
-        for (s, t), mat in self._entries.items():
-            if g.word_length(t) <= radius and g.word_length(g.multiply(s, t)) <= radius:
-                keep[(s, t)] = mat
-        return Kernel(g, self.dim, keep)
+        # Test t first: the BFS word metric then grows only as far as points
+        # x = s*t of columns inside the ball.
+        near = g.word_length_many(self._t) <= radius
+        s, t, blocks = self._s[near], self._t[near], self._blocks[near]
+        keep = g.word_length_many(g.multiply_many(s, t)) <= radius
+        return Kernel._from_arrays(g, self.dim, s[keep], t[keep], blocks[keep])
 
     def to_dense(self, points: Iterable[Point]) -> np.ndarray:
         """Dense section matrix [K(x, y)] over an ordered list of points."""
-        pts = [self.group.canonical(p) for p in points]
-        index = {p: i for i, p in enumerate(pts)}
-        if len(index) != len(pts):
+        g, d = self.group, self.dim
+        pts = g.canonical_many(list(points))
+        n = len(pts)
+        index, cols, rows = _row_codes(pts, self._t, g.multiply_many(self._s, self._t))
+        if len(_distinct(index)) != n:
             raise ValueError("section points must be distinct")
-        d = self.dim
-        g = self.group
-        mat = np.zeros((len(pts) * d, len(pts) * d), dtype=complex)
-        for (s, t), block in self._entries.items():
-            j = index.get(t)
-            if j is None:
-                continue
-            i = index.get(g.multiply(s, t))
-            if i is None:
-                continue
-            mat[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-        return mat
+        entry, j = _join(cols, index)
+        at_row, i = _join(rows[entry], index)
+        mat = np.zeros((n, d, n, d), dtype=complex)
+        mat[i, :, j[at_row], :] = self._blocks[entry[at_row]]
+        return mat.reshape(n * d, n * d)
 
     @classmethod
     def from_dense(cls, group: Group, dim: int, mat: np.ndarray, points: Iterable[Point]) -> "Kernel":
         """Inverse of :meth:`to_dense`: read blocks back into (s, t) storage."""
-        pts = [group.canonical(p) for p in points]
+        pts = group.canonical_many(list(points))
         n = len(pts)
         if mat.shape != (n * dim, n * dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {n} points of dim {dim}")
-        entries = {}
-        for i, x in enumerate(pts):
-            for j, y in enumerate(pts):
-                block = mat[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim]
-                if np.count_nonzero(block):
-                    entries[(group.multiply(x, group.inverse(y)), y)] = block
-        return cls(group, dim, entries)
+        if len(_distinct(_row_codes(pts)[0])) != n:
+            raise ValueError("section points must be distinct")
+        blocks = mat.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
+        i, j = np.nonzero(blocks.any(axis=(2, 3)))
+        s = group.multiply_many(pts[i], group.inverse_many(pts[j]))
+        return cls._from_arrays(group, dim, s, pts[j], blocks[i, j])
 
     def max_block_difference(self, other: "Kernel") -> float:
         """Max operator-norm difference between matching entries."""
         self._require_compatible(other)
-        keys = set(self._entries) | set(other._entries)
-        worst = 0.0
-        for k in sorted(keys):
-            a = self._entries.get(k, self._zero)
-            b = other._entries.get(k, other._zero)
-            worst = max(worst, operator_norm(a - b))
-        return worst
+        mine, theirs = _row_codes(np.hstack([self._s, self._t]), np.hstack([other._s, other._t]))
+        keys = _distinct(np.concatenate([mine, theirs]))
+        a = np.zeros((len(keys), self.dim, self.dim), dtype=complex)
+        b = np.zeros_like(a)
+        a[np.searchsorted(keys, mine)] = self._blocks
+        b[np.searchsorted(keys, theirs)] = other._blocks
+        # fmax skips NaN: a NaN difference never sets the maximum.
+        return float(np.fmax.reduce(operator_norms(a - b), initial=0.0))
 
     def __repr__(self) -> str:
-        return f"Kernel({self.group.name}, dim={self.dim}, {len(self._entries)} entries)"
+        return f"Kernel({self.group.name}, dim={self.dim}, {len(self._blocks)} entries)"
 
 
 def section_operator_norm(kernel: Kernel, radius: int, iterations: int = 200) -> float:

@@ -156,8 +156,8 @@ def covariance_suite(
         seeds = ss.spawn(5)
         f = random_covariance(group, dim, seeds[0])
         h = random_covariance(group, dim, seeds[1])
-        xi = random_test_vector(group, dim, seeds[2], radius=_full_radius(group), doubled=True)
-        eta = random_test_vector(group, dim, seeds[3], radius=_full_radius(group), doubled=True)
+        xi = random_test_vector(group, dim, seeds[2], radius=group.diameter(), doubled=True)
+        eta = random_test_vector(group, dim, seeds[3], radius=group.diameter(), doubled=True)
         nf, nh = f.l1_norm(), h.l1_norm()
         fh = f.product(h)
 
@@ -211,12 +211,6 @@ def covariance_suite(
     tol = {name: tolerance for name in worst}
     tol["R_round_trip"] = 0.0
     return [CheckResult(name, worst[name], tol[name]) for name in worst]
-
-
-def _full_radius(group: Group) -> int:
-    """Word-length radius covering a whole finite group."""
-    elements = group.elements()
-    return max(group.word_length(p) for p in elements)
 
 
 def symmetry_suite(

@@ -110,3 +110,27 @@ def test_missing_subcommand_is_exit_2():
     with pytest.raises(SystemExit) as info:
         run([])
     assert info.value.code == 2
+
+
+def test_file_profile_runs_in_every_task(tmp_path):
+    envelope = tmp_path / "envelope.json"
+    values = [{"s": [1], "value": 0.25}, {"s": [-1], "value": 0.125}]
+    envelope.write_text(json.dumps({"group": "Z", "values": values}))
+    profile = {"kind": "file", "path": str(envelope), "t_radius": 10}
+    tasks = {"invert": {"radii": [10, 20]}, "decay": {"radii": [10, 20]}, "kernel-io": {"group": "Z", "dim": 1}}
+    for task, extra in tasks.items():
+        config = tmp_path / f"{task}.json"
+        config.write_text(json.dumps({"profile": profile, **extra}))
+        assert run([task, "--config", config, "--out", tmp_path / task]) in (0, 1), task
+    written = json.loads((tmp_path / "kernel-io" / "envelope.json").read_text())
+    assert [rec["s"] for rec in written["values"]] == [[-1], [1]]
+
+
+def test_unusable_profile_is_exit_2(tmp_path):
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text(json.dumps({"group": "Z^2", "values": [{"s": [1, 0], "value": 0.25}]}))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"profile": {"kind": "file", "path": str(envelope)}, "radii": [4]}))
+    assert run(["invert", "--config", config]) == 2
+    config.write_text(json.dumps({"profile": None}))
+    assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2

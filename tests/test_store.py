@@ -1,0 +1,183 @@
+"""The array-backed kernel store against entry-by-entry references, exactly."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from convdom import (
+    Cyclic,
+    DiscreteHeisenberg,
+    HeisenbergMod,
+    IntegerLattice,
+    Kernel,
+    operator_norm,
+    operator_norms,
+)
+from convdom.generate import Profile, generate_kernel
+
+Z2 = IntegerLattice(2)
+Z7 = Cyclic(7)
+
+
+def seeded_kernel(group, dim, seed, radius=1, t_radius=2):
+    kernel, _ = generate_kernel(group, dim, seed, Profile.exponential(0.5, radius, t_radius))
+    return kernel
+
+
+def compose_loop(k1, k2):
+    """The per-entry product: sums run in left-entry order, then right-entry order."""
+    g = k1.group
+    by_row = {}
+    for (s2, t2), m2 in k2.entries.items():
+        by_row.setdefault(g.multiply(s2, t2), []).append((s2, t2, m2))
+    out = {}
+    for (s1, t1), m1 in k1.entries.items():
+        for s2, t2, m2 in by_row.get(t1, ()):
+            key = (g.multiply(s1, s2), t2)
+            out[key] = out[key] + m1 @ m2 if key in out else m1 @ m2
+    return {k: v for k, v in sorted(out.items()) if np.count_nonzero(v)}
+
+
+def assert_entries_equal(kernel, expected):
+    assert list(kernel.entries) == list(expected)
+    for key, mat in expected.items():
+        assert np.array_equal(kernel.entries[key], mat), key
+
+
+# -- batched norms -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_norms_equal_operator_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    stack = rng.normal(size=(4000, dim, dim)) + 1j * rng.normal(size=(4000, dim, dim))
+    expected = np.array([operator_norm(block) for block in stack])
+    assert np.array_equal(operator_norms(stack), expected)
+    if dim == 1:
+        # The trap the 1x1 path avoids: np.abs rounds differently from abs(complex).
+        assert not np.array_equal(np.abs(stack[:, 0, 0]), expected)
+
+
+@pytest.mark.parametrize("group,dim", [(Z2, 1), (Z2, 2), (HeisenbergMod(3), 3)])
+def test_min_envelope_equals_per_entry_max(group, dim):
+    kernel = seeded_kernel(group, dim, seed=5, t_radius=3)
+    best = {}
+    for (s, _t), mat in kernel.entries.items():
+        best[s] = max(best.get(s, 0.0), operator_norm(mat))
+    assert kernel.min_envelope().values == best
+
+
+# -- constructor normalisation -----------------------------------------------------------
+
+
+def test_duplicate_keys_sum_in_input_order():
+    a, b, c = (np.array([[v]]) for v in (1e16, -1e16, 1.0))
+    assert (a + b) + c != a + (b + c)
+    # (1,), (8,) and (15,) are one point of Z/7.
+    kernel = Kernel(Z7, 1, {((1,), (0,)): a, ((8,), (0,)): b, ((15,), (7,)): c})
+    assert_entries_equal(kernel, {((1,), (0,)): (a + b) + c})
+    reordered = Kernel(Z7, 1, {((15,), (7,)): c, ((1,), (0,)): a, ((8,), (0,)): b})
+    assert_entries_equal(reordered, {((1,), (0,)): (c + a) + b})
+
+
+def test_zero_blocks_dropped_where_they_were():
+    one = np.array([[1.0 + 2.0j]])
+    zero = np.zeros((1, 1))
+    # Zero inputs are dropped before their keys are even read.
+    kernel = Kernel(Z7, 1, {((2,), (1,)): one, ((3,), (1,)): zero, ("not", "a point"): zero})
+    assert kernel.support() == [((2,), (1,))]
+    # A sum of inputs that cancels is kept by the constructor...
+    cancelled = Kernel(Z7, 1, {((2,), (1,)): one, ((9,), (1,)): -one})
+    assert cancelled.support() == [((2,), (1,))]
+    assert not np.count_nonzero(cancelled.entries[((2,), (1,))])
+    # ...but derived kernels drop sums and blocks that are zero.
+    assert (kernel - kernel).support() == []
+    assert cancelled.scale(2.0).support() == []
+    assert kernel.scale(0.0).support() == []
+
+
+def test_constructor_rejects_bad_keys_and_shapes():
+    with pytest.raises(ValueError, match="coordinates"):
+        Kernel(Z2, 1, {((1,), (0, 0)): np.ones((1, 1))})
+    with pytest.raises(ValueError, match="shape"):
+        Kernel(Z2, 2, {((1, 0), (0, 0)): np.ones((2, 2)), ((0, 0), (0, 0)): np.ones((1, 2))})
+
+
+def test_rows_sort_like_tuples_at_any_coordinate_range():
+    big = 2**40
+    keys = [((big, -big), (0, 1)), ((-big, big), (5, 5)), ((-big, big), (-5, 5)), ((0, 0), (big, 0))]
+    kernel = Kernel(Z2, 1, {key: np.array([[k + 1.0]]) for k, key in enumerate(keys)})
+    assert kernel.support() == sorted(keys)
+    twice = kernel.involution().involution()
+    assert twice.support() == sorted(keys)
+    assert twice.max_block_difference(kernel) == 0.0
+
+
+# -- operations against their per-entry definitions ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "group,dim", [(Z2, 2), (Z7, 3), (DiscreteHeisenberg(), 2), (HeisenbergMod(3), 1)], ids=str
+)
+def test_compose_equals_per_entry_loop_bit_for_bit(group, dim):
+    k1 = seeded_kernel(group, dim, seed=11)
+    k2 = seeded_kernel(group, dim, seed=12)
+    assert_entries_equal(k1.compose(k2), compose_loop(k1, k2))
+    k12 = k1 + k2
+    assert_entries_equal(k12.compose(k12), compose_loop(k12, k12))
+
+
+@pytest.mark.parametrize("group,radius", [(Z7, 3), (Z2, 3)], ids=str)
+def test_dense_round_trip(group, radius):
+    # On Z^2 the kernel is cut to the window first, so every pair lies inside it.
+    kernel = seeded_kernel(group, 2, seed=3, radius=2, t_radius=3).restrict_to_ball(radius)
+    points = group.ball(radius)
+    back = Kernel.from_dense(group, 2, kernel.to_dense(points), points)
+    assert_entries_equal(back, dict(kernel.entries))
+    assert back.max_block_difference(kernel) == 0.0
+
+
+def test_dense_section_points_must_be_distinct():
+    kernel = seeded_kernel(Z2, 1, seed=4)
+    points = [(0, 0), (1, 0), (0, 0)]
+    with pytest.raises(ValueError, match="distinct"):
+        kernel.to_dense(points)
+    with pytest.raises(ValueError, match="distinct"):
+        Kernel.from_dense(Z2, 1, np.eye(3), points)
+
+
+# -- batched group law ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "group,radius", [(Z2, 3), (Z7, 3), (DiscreteHeisenberg(), 3), (HeisenbergMod(3), 3)], ids=str
+)
+def test_batched_group_law_matches_scalar(group, radius):
+    ball = group.ball(radius)
+    pairs = list(itertools.product(ball, repeat=2))
+    xs = group.canonical_many([x for x, _ in pairs])
+    ys = group.canonical_many([y for _, y in pairs])
+    assert group.multiply_many(xs, ys).tolist() == [list(group.multiply(x, y)) for x, y in pairs]
+    pts = group.canonical_many(ball)
+    assert group.inverse_many(pts).tolist() == [list(group.inverse(x)) for x in ball]
+    assert group.word_length_many(pts).tolist() == [group.word_length(x) for x in ball]
+    # A single row broadcasts against the array, on either side.
+    a = group.canonical_many([ball[-1]])
+    assert group.multiply_many(a, pts).tolist() == [list(group.multiply(ball[-1], x)) for x in ball]
+    assert group.multiply_many(pts, a).tolist() == [list(group.multiply(x, ball[-1])) for x in ball]
+    if group.is_finite:
+        shifted = [tuple(c + 3 * group.order for c in x) for x in ball]
+        assert group.canonical_many(shifted).tolist() == [list(x) for x in ball]
+    with pytest.raises(ValueError, match="shape"):
+        group.canonical_many([(0,) * (group.coord_len + 1)])
+
+
+@pytest.mark.parametrize("group", [Cyclic(1), Z7, Cyclic(8), HeisenbergMod(2), HeisenbergMod(3)], ids=str)
+def test_diameter_is_the_largest_word_length(group):
+    assert group.diameter() == max(group.word_length(p) for p in group.elements())
+
+
+def test_diameter_needs_a_finite_group():
+    with pytest.raises(ValueError):
+        Z2.diameter()
