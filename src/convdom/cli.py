@@ -56,44 +56,28 @@ class ConfigError(Exception):
     pass
 
 
+_INVERT_DEFAULTS = {
+    "group": "Z",
+    "dim": 1,
+    "seed": 7,
+    "preset": "shift",
+    "weight": 0.5,
+    "diag": 0.0,
+    "profile": None,
+    "z": 1.0,
+    "radii": [10, 20, 30, 40],
+    "inner_ratio": 0.5,
+    "stabilization_tol": 1e-8,
+    "condition_cap": 1e12,
+    "residual_tol": 1e-6,
+}
+
 TASK_DEFAULTS: dict[str, dict] = {
     "axioms": {"group": "Z^2", "dim": 2, "seed": 7, "trials": 25, "tolerance": 1e-12},
     "covariance-check": {"group": "Z/5", "dim": 2, "seed": 7, "trials": 10, "tolerance": 1e-12},
     "symmetry-check": {"group": "Z/3", "dim": 2, "seed": 7, "trials": 25, "tolerance": 1e-9},
-    "invert": {
-        "group": "Z",
-        "dim": 1,
-        "seed": 7,
-        "preset": "shift",
-        "weight": 0.5,
-        "diag": 0.0,
-        "profile": None,
-        "z": 1.0,
-        "radii": [10, 20, 30, 40],
-        "inner_ratio": 0.5,
-        "stabilization_tol": 1e-8,
-        "condition_cap": 1e12,
-        "residual_tol": 1e-6,
-    },
-    "decay": {
-        "group": "Z",
-        "dim": 1,
-        "seed": 7,
-        "preset": "shift",
-        "weight": 0.5,
-        "diag": 0.0,
-        "profile": None,
-        "z": 1.0,
-        "radii": [10, 20, 30, 40],
-        "inner_ratio": 0.5,
-        "stabilization_tol": 1e-8,
-        "condition_cap": 1e12,
-        "residual_tol": 1e-6,
-        "expected_rate": None,
-        "rate_tol": 0.02,
-        "r2_min": 0.99,
-        "neumann_terms": 60,
-    },
+    "invert": _INVERT_DEFAULTS,
+    "decay": {**_INVERT_DEFAULTS, "expected_rate": None, "rate_tol": 0.02, "r2_min": 0.99, "neumann_terms": 60},
     "ideal-approx": {
         "group": "Z",
         "dim": 1,
@@ -230,28 +214,32 @@ def _run_inversion(params: dict) -> tuple[Kernel, Kernel, "InversionConfig", obj
     return kernel, inverse, cfg, report
 
 
-def task_invert(params: dict, out: Path | None) -> tuple[int, list[str]]:
-    kernel, inverse, cfg, report = _run_inversion(params)
+def _inversion_outcome(
+    params: dict, inverse: Kernel, report, out: Path | None, more: list[CheckResult]
+) -> tuple[int, list[str]]:
+    """Check lines of an inversion task, led by its two shared checks; writes its reports."""
     results = [
         CheckResult("sections_stabilized", 0.0 if report.stabilized else 1.0, 0.0),
         CheckResult("inverse_residual", report.residual, params["residual_tol"]),
+        *more,
     ]
-    status, lines = _check_lines(results)
-    lines.insert(0, f"inverted z={cfg.z} plus kernel with envelope norm {kernel.envelope_norm()!r}")
     if out is not None:
         formats.write_kernel(out / "inverse_kernel.json", inverse)
         formats.write_decay_csv(out / "decay.csv", report)
         formats.write_report_summary(out / "summary.json", report)
-    return status, lines
+    return _check_lines(results)
+
+
+def task_invert(params: dict, out: Path | None) -> tuple[int, list[str]]:
+    kernel, inverse, cfg, report = _run_inversion(params)
+    header = f"inverted z={cfg.z} plus kernel with envelope norm {kernel.envelope_norm()!r}"
+    status, lines = _inversion_outcome(params, inverse, report, out, [])
+    return status, [header, *lines]
 
 
 def task_decay(params: dict, out: Path | None) -> tuple[int, list[str]]:
     kernel, inverse, cfg, report = _run_inversion(params)
-    results = [
-        CheckResult("sections_stabilized", 0.0 if report.stabilized else 1.0, 0.0),
-        CheckResult("inverse_residual", report.residual, params["residual_tol"]),
-        CheckResult("decay_fit_available", 0.0 if report.fitted_rate is not None else 1.0, 0.0),
-    ]
+    results = [CheckResult("decay_fit_available", 0.0 if report.fitted_rate is not None else 1.0, 0.0)]
     lines_extra = []
     if report.fitted_rate is not None:
         lines_extra.append(f"fitted_rate={report.fitted_rate!r} r2={report.fit_r2!r}")
@@ -267,13 +255,8 @@ def task_decay(params: dict, out: Path | None) -> tuple[int, list[str]]:
         gap = (inverse - oracle).restrict_to_ball(window).envelope_norm()
         results.append(CheckResult("neumann_cross_check", gap, bound + cfg.stabilization_tol))
         lines_extra.append(f"neumann q={q!r} tail_bound={bound!r}")
-    status, lines = _check_lines(results)
-    lines = lines_extra + lines
-    if out is not None:
-        formats.write_kernel(out / "inverse_kernel.json", inverse)
-        formats.write_decay_csv(out / "decay.csv", report)
-        formats.write_report_summary(out / "summary.json", report)
-    return status, lines
+    status, lines = _inversion_outcome(params, inverse, report, out, results)
+    return status, lines_extra + lines
 
 
 def task_ideal_approx(params: dict, out: Path | None) -> tuple[int, list[str]]:

@@ -7,6 +7,12 @@ isometric *-isomorphism on discrete groups), the regular representation on
 doubled test vectors, the unitary that intertwines it with the kernel action,
 an isometric embedding into a trivial-action convolution algebra of matrix
 functions (finite groups), and spectral tests for symmetry of the algebra.
+
+Elements and test vectors live in the block store of :mod:`convdom.kernels`,
+as kernels do.  The coordinate change and the intertwiner are remaps of its
+coordinate arrays.  The twisted product and the regular representation are
+joins of their own, not routed through kernel composition or action, so
+they remain independent checks of R and of the intertwiner.
 """
 
 from __future__ import annotations
@@ -17,7 +23,23 @@ from typing import Mapping
 import numpy as np
 
 from .groups import Group, Point
-from .kernels import Kernel, TestVector, _freeze, operator_norm
+from .kernels import (
+    Kernel,
+    TestVector,
+    _fibre_sups,
+    _from_arrays,
+    _join,
+    _mapping_view,
+    _max_block_difference,
+    _parse_mapping,
+    _require_compatible,
+    _row_codes,
+    _run_starts,
+    _set_store,
+    _stores_sum,
+    _sum_by_key,
+    operator_norm,
+)
 
 
 class CovarianceElement:
@@ -25,27 +47,18 @@ class CovarianceElement:
 
     The l1 norm sums, over x, the sup over y of the operator norm of
     f(x, y); it is the norm under which the product is submultiplicative and
-    the involution isometric.
+    the involution isometric.  Stored in the kernels' block store, keyed by
+    (x, y).
     """
 
     def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.group = group
-        self.dim = dim
-        cleaned: dict[tuple[Point, Point], np.ndarray] = {}
-        for (x, y), mat in entries.items():
-            arr = np.asarray(mat, dtype=complex)
-            if arr.shape != (dim, dim):
-                raise ValueError(f"entry at {(x, y)!r} has shape {arr.shape}, expected {(dim, dim)}")
-            if not np.count_nonzero(arr):
-                continue
-            key = (group.canonical(x), group.canonical(y))
-            if key in cleaned:
-                arr = cleaned[key] + arr
-            cleaned[key] = arr
-        self._entries = {k: _freeze(v) for k, v in sorted(cleaned.items())}
-        self._zero = _freeze(np.zeros((dim, dim)))
+        """Element from a mapping (x, y) -> d x d matrix.
+
+        All-zero matrices are dropped, keys are made canonical, and matrices
+        whose keys coincide are summed in the mapping's order; a sum that
+        cancels to zero is kept.
+        """
+        _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)), keep_cancelled=True)
 
     @classmethod
     def unit(cls, group: Group, dim: int) -> "CovarianceElement":
@@ -55,84 +68,68 @@ class CovarianceElement:
         return cls(group, dim, {(e, y): eye for y in group.elements()})
 
     @property
-    def entries(self) -> dict[tuple[Point, Point], np.ndarray]:
-        return self._entries
+    def entries(self) -> Mapping[tuple[Point, Point], np.ndarray]:
+        """Read-only mapping (x, y) -> block in sorted key order, built on first use."""
+        return _mapping_view(self)
 
     def support(self) -> list[tuple[Point, Point]]:
-        return list(self._entries)
+        return list(self.entries)
 
     def value_at(self, x: Point, y: Point) -> np.ndarray:
         key = (self.group.canonical(x), self.group.canonical(y))
-        return self._entries.get(key, self._zero)
+        return self.entries.get(key, np.broadcast_to(0j, (self.dim, self.dim)))
 
     def l1_norm(self) -> float:
-        fiber_sup: dict[Point, float] = {}
-        for (x, _y), mat in self._entries.items():
-            v = operator_norm(mat)
-            if v > fiber_sup.get(x, 0.0):
-                fiber_sup[x] = v
-        return math.fsum(fiber_sup.values())
-
-    def _require_compatible(self, other: "CovarianceElement") -> None:
-        if self.group != other.group:
-            raise ValueError("covariance elements live over different groups")
-        if self.dim != other.dim:
-            raise ValueError("covariance elements have different dims")
+        best = _fibre_sups(self)[1]
+        return math.fsum(best[best > 0.0].tolist())
 
     def product(self, other: "CovarianceElement") -> "CovarianceElement":
-        """Twisted convolution (f * h)(x, z) = sum_y f(y, z) h(y^-1 x, y^-1 z)."""
-        self._require_compatible(other)
-        g = self.group
-        # Index the right factor by its second coordinate.
-        by_second: dict[Point, list[tuple[Point, np.ndarray]]] = {}
-        for (x2, y2), m2 in other._entries.items():
-            by_second.setdefault(y2, []).append((x2, m2))
-        out: dict[tuple[Point, Point], np.ndarray] = {}
-        for (y, z), m1 in self._entries.items():
-            y_inv_z = g.multiply(g.inverse(y), z)
-            for x2, m2 in by_second.get(y_inv_z, ()):
-                key = (g.multiply(y, x2), z)
-                block = m1 @ m2
-                if key in out:
-                    out[key] = out[key] + block
-                else:
-                    out[key] = block
-        return CovarianceElement(g, self.dim, out)
+        """Twisted convolution (f * h)(x, z) = sum_y f(y, z) h(y^-1 x, y^-1 z).
+
+        Each entry (y, z) of f meets the entries (x2, y2) of h with
+        y2 = y^-1 z, in storage order, and adds f(y, z) h(x2, y2) at
+        (y x2, z).  The join runs one first coordinate y at a time, in sorted
+        order.  Within one y the keys (y x2, z) are distinct, so each key's
+        terms are summed in the order of the entry-by-entry loop, while only
+        one y's block products are held at a time.
+        """
+        _require_compatible(self, other)
+        g, (y, z), (x2, y2) = self.group, self._coords, other._coords
+        left, right = _row_codes(g.multiply_many(g.inverse_many(y), z), y2)
+        keys = np.zeros((0, 2 * g.coord_len), dtype=np.int64)
+        sums = np.zeros((0, self.dim, self.dim), dtype=complex)
+        starts = _run_starts(y)
+        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(y)]):
+            i, j = _join(left[lo:hi], right)
+            i += lo
+            keys = np.concatenate([keys, np.hstack([g.multiply_many(y[i], x2[j]), z[i]])])
+            blocks = np.concatenate([sums, np.matmul(self._stack[i], other._stack[j])])
+            rows, sums = _sum_by_key(_row_codes(keys)[0], blocks)
+            keys = keys[rows]
+        coords = np.hsplit(keys, 2)
+        return _from_arrays(CovarianceElement, g, self.dim, coords, sums)
 
     def involution(self) -> "CovarianceElement":
         """f*(x, y) = f(x^-1, x^-1 y)^H; unimodular discrete form."""
-        g = self.group
-        out = {}
-        for (x, y), mat in self._entries.items():
-            x_inv = g.inverse(x)
-            out[(x_inv, g.multiply(x_inv, y))] = mat.conj().T
-        return CovarianceElement(g, self.dim, out)
+        g, (x, y) = self.group, self._coords
+        x_inv = g.inverse_many(x)
+        coords = (x_inv, g.multiply_many(x_inv, y))
+        return _from_arrays(CovarianceElement, g, self.dim, coords, self._stack.conj().transpose(0, 2, 1))
 
     def scale(self, c: complex) -> "CovarianceElement":
-        return CovarianceElement(self.group, self.dim, {k: c * v for k, v in self._entries.items()})
+        return _from_arrays(CovarianceElement, self.group, self.dim, self._coords, c * self._stack)
 
     def __add__(self, other: "CovarianceElement") -> "CovarianceElement":
-        self._require_compatible(other)
-        out = dict(self._entries)
-        for k, v in other._entries.items():
-            out[k] = out[k] + v if k in out else v
-        return CovarianceElement(self.group, self.dim, out)
+        return _stores_sum(self, other)
 
     def __sub__(self, other: "CovarianceElement") -> "CovarianceElement":
         return self + other.scale(-1.0)
 
     def max_block_difference(self, other: "CovarianceElement") -> float:
-        self._require_compatible(other)
-        keys = set(self._entries) | set(other._entries)
-        worst = 0.0
-        for k in sorted(keys):
-            a = self._entries.get(k, self._zero)
-            b = other._entries.get(k, other._zero)
-            worst = max(worst, operator_norm(a - b))
-        return worst
+        return _max_block_difference(self, other)
 
     def __repr__(self) -> str:
-        return f"CovarianceElement({self.group.name}, dim={self.dim}, {len(self._entries)} entries)"
+        return f"CovarianceElement({self.group.name}, dim={self.dim}, {len(self._stack)} entries)"
 
 
 # -- coordinate change to and from kernels --------------------------------------
@@ -144,20 +141,14 @@ def R_map(f: CovarianceElement) -> Kernel:
     In (s, t) storage this reads entries[(s, t)] = f(s, s t); the map is an
     isometric *-isomorphism onto kernels for discrete groups.
     """
-    g = f.group
-    out = {}
-    for (x, y), mat in f.entries.items():
-        out[(x, g.multiply(g.inverse(x), y))] = mat
-    return Kernel(g, f.dim, out)
+    g, (x, y) = f.group, f._coords
+    return _from_arrays(Kernel, g, f.dim, (x, g.multiply_many(g.inverse_many(x), y)), f._stack)
 
 
 def R_inverse(kernel: Kernel) -> CovarianceElement:
     """Inverse coordinate change: (R^-1 K)(x, y) = K(y, x^-1 y)."""
-    g = kernel.group
-    out = {}
-    for (s, t), mat in kernel.entries.items():
-        out[(s, g.multiply(s, t))] = mat
-    return CovarianceElement(g, kernel.dim, out)
+    g, (s, t) = kernel.group, kernel._coords
+    return _from_arrays(CovarianceElement, g, kernel.dim, (s, g.multiply_many(s, t)), kernel._stack)
 
 
 # -- regular representation and intertwiner --------------------------------------
@@ -165,47 +156,36 @@ def R_inverse(kernel: Kernel) -> CovarianceElement:
 
 def pi_regular(f: CovarianceElement, xi: TestVector) -> TestVector:
     """Regular representation on doubled vectors:
-    (Pi(f) xi)(x, z) = sum_y f(y, x z) xi(y^-1 x, z)."""
+    (Pi(f) xi)(x, z) = sum_y f(y, x z) xi(y^-1 x, z).
+
+    Each entry (y, w) of f meets the entries (x1, z) of xi with
+    x1 z = y^-1 w, in storage order, and adds f(y, w) xi(x1, z) at (y x1, z).
+    """
     if not xi.doubled:
         raise ValueError("pi_regular expects a doubled test vector")
     if xi.group != f.group or xi.dim != f.dim:
         raise ValueError("test vector space does not match the covariance element")
-    g = f.group
-    out: dict[tuple[Point, Point], np.ndarray] = {}
-    for (y, w), mat in f.entries.items():
-        for (x1, z), val in xi.values.items():
-            # Contributes at x = y x1 provided the second argument matches x z.
-            if g.multiply(g.multiply(y, x1), z) != w:
-                continue
-            key = (g.multiply(y, x1), z)
-            contrib = mat @ val
-            if key in out:
-                out[key] = out[key] + contrib
-            else:
-                out[key] = contrib
-    return TestVector(g, f.dim, out, doubled=True)
+    g, (y, w), (x1, z) = f.group, f._coords, xi._coords
+    left, right = _row_codes(g.multiply_many(g.inverse_many(y), w), g.multiply_many(x1, z))
+    i, j = _join(left, right)
+    terms = np.matmul(f._stack[i], xi._stack[j, :, None])[:, :, 0]
+    return _from_arrays(TestVector, g, f.dim, (g.multiply_many(y[i], x1[j]), z[j]), terms)
 
 
 def W_intertwine(xi: TestVector) -> TestVector:
     """Unitary coordinate shear (W xi)(x, z) = xi(x z, z)."""
     if not xi.doubled:
         raise ValueError("W acts on doubled test vectors")
-    g = xi.group
-    out = {}
-    for (a, z), val in xi.values.items():
-        out[(g.multiply(a, g.inverse(z)), z)] = val
-    return TestVector(g, xi.dim, out, doubled=True)
+    g, (a, z) = xi.group, xi._coords
+    return _from_arrays(TestVector, g, xi.dim, (g.multiply_many(a, g.inverse_many(z)), z), xi._stack)
 
 
 def W_inverse(eta: TestVector) -> TestVector:
     """Inverse shear (W^-1 eta)(x, z) = eta(x z^-1, z)."""
     if not eta.doubled:
         raise ValueError("W acts on doubled test vectors")
-    g = eta.group
-    out = {}
-    for (b, z), val in eta.values.items():
-        out[(g.multiply(b, z), z)] = val
-    return TestVector(g, eta.dim, out, doubled=True)
+    g, (b, z) = eta.group, eta._coords
+    return _from_arrays(TestVector, g, eta.dim, (g.multiply_many(b, z), z), eta._stack)
 
 
 # -- trivial-action embedding (finite groups) -------------------------------------

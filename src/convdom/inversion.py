@@ -100,6 +100,20 @@ class DecayReport:
         return self.inner_radius_by_radius[self.final_radius()]
 
 
+def _add_scaled_identity(mat: np.ndarray, scaled: np.ndarray) -> None:
+    """Add, in place, the matrix with scaled[1] on the diagonal and scaled[0] off it.
+
+    ``scaled`` is ``c * [0, 1]`` or ``[0, 1] / c`` as numpy computes it, so the
+    sum equals ``mat + c * np.eye(n)`` (or ``np.eye(n) / c``) bit for bit:
+    adding the off-diagonal zero everywhere keeps that form's signed zeros,
+    without its n x n temporaries.
+    """
+    diagonal = np.diag_indices_from(mat)
+    on = mat[diagonal] + scaled[1]
+    mat += scaled[0]
+    mat[diagonal] = on
+
+
 def _section_inverse_matrix(
     kernel: Kernel, z: complex, radius: int, condition_cap: float
 ) -> tuple[np.ndarray, list[Point], bool]:
@@ -108,7 +122,7 @@ def _section_inverse_matrix(
     points = g.ball(radius)
     full_group = g.is_finite and len(points) == g.order
     mat = kernel.to_dense(points)
-    mat += z * np.eye(mat.shape[0], dtype=complex)
+    _add_scaled_identity(mat, z * np.array([0, 1], dtype=complex))
     try:
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
@@ -141,7 +155,7 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     for radius in cfg.radii:
         inv, points, full_group = _section_inverse_matrix(kernel, z, radius, cfg.condition_cap)
         if z != 0:
-            inv = inv - np.eye(inv.shape[0], dtype=complex) / z
+            _add_scaled_identity(inv, -(np.array([0, 1], dtype=complex) / z))
         inner_radius = radius if full_group else int(math.floor(cfg.inner_ratio * radius))
         inner_points = g.ball(inner_radius)
         m = len(inner_points) * d

@@ -1,16 +1,20 @@
-"""Operator-valued kernels with summable envelope norms.
+"""Operator-valued kernels with summable envelope norms, and the block store.
 
 A kernel maps group pairs (x, y) to d x d complex matrices and is stored in
 convolution coordinates (s, t) with s = x * y^-1 and t = y, so that the
 envelope (the dominating function of the off-diagonal decay) lives on the
 single variable s.  All supports are finite.
 
-A :class:`Kernel` is a structure of arrays: int64 coordinate arrays for s
-and t, each ``(nnz, coord_len)``, and a read-only ``(nnz, d, d)`` complex
-block stack, with rows in lexicographic (s, t) order.  Every operation runs
-on whole arrays through the batched group law: composition is a join on the
-row point s*t, one batched matrix product and a segment sum; envelopes are
-batched operator norms and a segment max; dense sections are fancy indexing.
+:class:`Kernel`, :class:`TestVector` and
+:class:`~convdom.covariance.CovarianceElement` share one block store: an
+int64 ``(nnz, coord_len)`` coordinate array per point of a key, and a
+read-only stack of ``(nnz, d, d)`` blocks or ``(nnz, d)`` vectors, with rows
+in lexicographic key order.  ``_set_store`` is its one normalisation; the
+other private helpers are the operations the classes share.  Every
+operation runs on whole arrays through the batched group law: composition is
+a join on the row point s*t, one batched matrix product and a segment sum;
+envelopes are batched operator norms and a segment max; dense sections are
+fancy indexing; translations and coordinate changes remap coordinate arrays.
 Sums over equal keys are taken front to back in the order the per-entry
 definition lists their terms (``np.add.reduceat`` would pair them
 differently), so every operation is bit-reproducible and equal, bit for bit,
@@ -109,45 +113,140 @@ def _sum_by_key(codes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     return order[starts], sums
 
 
-def _key_arrays(group: Group, keys: list) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) keys as two ``(n, coord_len)`` int64 arrays, not yet reduced."""
-    shape = (len(keys), 2, group.coord_len)
+def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
+    """Keys of ``arity`` points (a point, or a pair) as that many int64 arrays, not yet reduced."""
+    shape = (len(keys), arity, group.coord_len) if arity > 1 else (len(keys), group.coord_len)
     if not keys:
-        pairs = np.zeros(shape, dtype=np.int64)
+        points = np.zeros(shape, dtype=np.int64)
     else:
         try:
-            pairs = np.array(keys, dtype=np.int64)
+            points = np.array(keys, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
-            pairs = None
-        if pairs is None or pairs.shape != shape:
-            for s, t in keys:  # name the offending point
-                group.canonical(s)
-                group.canonical(t)
-            raise ValueError(f"{group.name}: kernel keys must be (s, t) pairs of int64 points")
-    return pairs[:, 0], pairs[:, 1]
+            points = None
+        if points is None or points.shape != shape:
+            for key in keys:  # name the offending point
+                for point in key if arity > 1 else (key,):
+                    group.canonical(point)
+            raise ValueError(f"{group.name}: keys must be {'pairs of ' if arity > 1 else ''}int64 points")
+    return list(points.reshape(len(keys), arity, group.coord_len).transpose(1, 0, 2))
 
 
-def _block_stack(keys: list, values: list, dim: int) -> np.ndarray:
-    """Mapping values as an ``(n, dim, dim)`` complex stack."""
+def _value_stack(keys: list, values: list, shape: tuple[int, ...]) -> np.ndarray:
+    """Mapping values as an ``(n, *shape)`` complex stack."""
     if not values:
-        return np.zeros((0, dim, dim), dtype=complex)
+        return np.zeros((0, *shape), dtype=complex)
     try:
         stack = np.array(values, dtype=complex)
-        if stack.shape == (len(values), dim, dim):
+        if stack.shape == (len(values), *shape):
             return stack
     except ValueError:
         pass
-    for key, mat in zip(keys, values):  # name the offending entry
-        arr = np.asarray(mat, dtype=complex)
-        if arr.shape != (dim, dim):
-            raise ValueError(f"entry at {key!r} has shape {arr.shape}, expected {(dim, dim)}")
-    raise ValueError("entry matrices do not stack")
+    for key, value in zip(keys, values):  # name the offending entry
+        arr = np.asarray(value, dtype=complex)
+        if arr.shape != shape:
+            raise ValueError(f"entry at {key!r} has shape {arr.shape}, expected {shape}")
+    raise ValueError("entry values do not stack")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
+def _nonzero(stack: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a value stack with a nonzero coefficient."""
+    return stack.any(axis=tuple(range(1, stack.ndim)))
+
+
+# -- the block store shared by Kernel, TestVector and CovarianceElement ----------------
+
+
+def _parse_mapping(group: Group, mapping: Mapping, arity: int, shape: tuple[int, ...]):
+    """(coordinate arrays, value stack) of a Mapping input, not yet normalised.
+
+    All-zero values are dropped before their keys are even read.
+    """
+    keys = list(mapping)
+    stack = _value_stack(keys, list(mapping.values()), shape)
+    live = _nonzero(stack)
+    if not live.all():
+        keys = [k for k, keep in zip(keys, live.tolist()) if keep]
+        stack = stack[live]
+    return _key_arrays(group, keys, arity), stack
+
+
+def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool) -> None:
+    """Give ``obj`` a canonical, sorted, duplicate-free store: the one normalisation.
+
+    ``coords`` holds one ``(n, coord_len)`` array per point of a key and
+    ``stack`` the n values, in any order.  Values whose keys coincide are
+    summed in row order.  A sum that cancels to zero is kept when
+    ``keep_cancelled`` (Mapping constructions); otherwise (derived objects)
+    every zero value is dropped.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    coords = [group.canonical_many(c) for c in coords]
+    (codes,) = _row_codes(np.hstack(coords))
+    rows, stack = _sum_by_key(codes, np.asarray(stack, dtype=complex))
+    coords = [c[rows] for c in coords]
+    if not keep_cancelled:
+        live = _nonzero(stack)
+        coords, stack = [c[live] for c in coords], stack[live]
+    for arr in (*coords, stack):
+        arr.setflags(write=False)
+    obj.group, obj.dim = group, dim
+    obj._coords, obj._stack = tuple(coords), stack
+    obj._mapping = None
+
+
+def _from_arrays(cls, group: Group, dim: int, coords, stack):
+    """A derived ``cls`` from store arrays in any order: equal keys summed in row order, zeros dropped."""
+    obj = cls.__new__(cls)
+    _set_store(obj, group, dim, coords, stack, keep_cancelled=False)
+    return obj
+
+
+def _mapping_view(obj) -> Mapping:
+    """Read-only mapping key -> value of a store in key order, built on first use.
+
+    Keys are points, or pairs of points; values are read-only views.
+    """
+    if obj._mapping is None:
+        points = [map(tuple, c.tolist()) for c in obj._coords]
+        keys = zip(*points) if len(points) > 1 else points[0]
+        obj._mapping = MappingProxyType(dict(zip(keys, obj._stack)))
+    return obj._mapping
+
+
+def _require_compatible(a, b) -> None:
+    """Refuse to combine stores over different groups, of different dims or key arities."""
+    if (a.group, a.dim, len(a._coords)) != (b.group, b.dim, len(b._coords)):
+        raise ValueError(f"operands live in different spaces: {a!r} vs {b!r}")
+
+
+def _stores_sum(a, b):
+    """Sum of two stores of one class; values at a common key are added as a + b."""
+    _require_compatible(a, b)
+    coords = [np.concatenate(pair) for pair in zip(a._coords, b._coords)]
+    return _from_arrays(type(a), a.group, a.dim, coords, np.concatenate([a._stack, b._stack]))
+
+
+def _max_block_difference(a, b) -> float:
+    """Max operator-norm difference between the blocks of two stores at matching keys."""
+    _require_compatible(a, b)
+    mine, theirs = _row_codes(np.hstack(a._coords), np.hstack(b._coords))
+    keys = _distinct(np.concatenate([mine, theirs]))
+    left = np.zeros((len(keys), *a._stack.shape[1:]), dtype=complex)
+    right = np.zeros_like(left)
+    left[np.searchsorted(keys, mine)] = a._stack
+    right[np.searchsorted(keys, theirs)] = b._stack
+    # fmax skips NaN: a NaN difference never sets the maximum.
+    return float(np.fmax.reduce(operator_norms(left - right), initial=0.0))
+
+
+def _fibre_sups(obj) -> tuple[np.ndarray, np.ndarray]:
+    """Start row of each fibre (the rows of one first coordinate) and its largest block norm."""
+    first = obj._coords[0]
+    starts = _run_starts(first)
+    # fmax skips NaN norms: a NaN block never sets the maximum.
+    best = np.fmax.reduceat(operator_norms(obj._stack), starts) if len(first) else np.zeros(0)
+    return starts, best
 
 
 class Envelope:
@@ -244,6 +343,8 @@ class Kernel:
     read-only.
     """
 
+    _envelope: Envelope | None = None
+
     def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
         """Kernel from a mapping (s, t) -> d x d matrix.
 
@@ -251,45 +352,7 @@ class Kernel:
         whose keys coincide are summed in the mapping's order; a sum that
         cancels to zero is kept.
         """
-        keys = list(entries)
-        blocks = _block_stack(keys, list(entries.values()), dim)
-        live = blocks.any(axis=(1, 2))
-        if not live.all():
-            keys = [k for k, keep in zip(keys, live.tolist()) if keep]
-            blocks = blocks[live]
-        s, t = _key_arrays(group, keys)
-        self._set(group, dim, s, t, blocks, keep_cancelled=True)
-
-    @classmethod
-    def _from_arrays(cls, group: Group, dim: int, s: np.ndarray, t: np.ndarray, blocks: np.ndarray) -> "Kernel":
-        """Kernel from coordinate arrays and blocks in any order.
-
-        Blocks with equal keys are summed in row order, and blocks that are
-        or sum to zero are dropped.
-        """
-        kernel = cls.__new__(cls)
-        kernel._set(group, dim, s, t, blocks, keep_cancelled=False)
-        return kernel
-
-    def _set(self, group: Group, dim: int, s, t, blocks, keep_cancelled: bool) -> None:
-        """Store canonical, sorted, duplicate-free arrays: the one normalisation."""
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        s, t = group.canonical_many(s), group.canonical_many(t)
-        (codes,) = _row_codes(np.hstack([s, t]))
-        rows, blocks = _sum_by_key(codes, np.asarray(blocks, dtype=complex))
-        s, t = s[rows], t[rows]
-        if not keep_cancelled:
-            live = blocks.any(axis=(1, 2))
-            s, t, blocks = s[live], t[live], blocks[live]
-        for arr in (s, t, blocks):
-            arr.setflags(write=False)
-        self.group = group
-        self.dim = dim
-        self._s, self._t, self._blocks = s, t, blocks
-        self._entries: Mapping | None = None
-        self._zero = _freeze(np.zeros((dim, dim)))
-        self._envelope: Envelope | None = None
+        _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)), keep_cancelled=True)
 
     # -- constructors ---------------------------------------------------------
 
@@ -312,22 +375,19 @@ class Kernel:
             window = group.ball(window_radius)
         t = group.canonical_many(window)
         eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(t), dim, dim))
-        return cls._from_arrays(group, dim, np.zeros_like(t), t, eye)
+        return _from_arrays(cls, group, dim, (np.zeros_like(t), t), eye)
 
     # -- basic access -----------------------------------------------------------
 
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only store: s and t coordinates and the block stack, in (s, t) order."""
-        return self._s, self._t, self._blocks
+        return (*self._coords, self._stack)
 
     @property
     def entries(self) -> Mapping[tuple[Point, Point], np.ndarray]:
         """Read-only mapping (s, t) -> block in sorted key order, built on first use."""
-        if self._entries is None:
-            keys = zip(map(tuple, self._s.tolist()), map(tuple, self._t.tolist()))
-            self._entries = MappingProxyType(dict(zip(keys, self._blocks)))
-        return self._entries
+        return _mapping_view(self)
 
     def support(self) -> list[tuple[Point, Point]]:
         return list(self.entries)
@@ -337,17 +397,14 @@ class Kernel:
         g = self.group
         y = g.canonical(y)
         s = g.multiply(x, g.inverse(y))
-        return self.entries.get((s, y), self._zero)
+        return self.entries.get((s, y), np.broadcast_to(0j, (self.dim, self.dim)))
 
     def min_envelope(self) -> Envelope:
         """Smallest dominating envelope: beta(s) = max_t |entries[(s,t)]|_op."""
         if self._envelope is None:
-            s = self._s
-            starts = _run_starts(s)
-            # fmax skips NaN norms: a NaN block never sets the envelope.
-            best = np.fmax.reduceat(operator_norms(self._blocks), starts) if len(s) else np.zeros(0)
+            starts, best = _fibre_sups(self)
             keep = best > 0.0
-            cosets = map(tuple, s[starts[keep]].tolist())
+            cosets = map(tuple, self._coords[0][starts[keep]].tolist())
             self._envelope = Envelope(self.group, dict(zip(cosets, best[keep].tolist())))
         return self._envelope
 
@@ -356,12 +413,6 @@ class Kernel:
 
     # -- algebra ----------------------------------------------------------------
 
-    def _require_compatible(self, other: "Kernel") -> None:
-        if self.group != other.group:
-            raise ValueError(f"kernel groups differ: {self.group.name} vs {other.group.name}")
-        if self.dim != other.dim:
-            raise ValueError(f"kernel dims differ: {self.dim} vs {other.dim}")
-
     def compose(self, other: "Kernel") -> "Kernel":
         """Kernel product (K1 * K2)(x, z) = sum_y K1(x, y) K2(y, z).
 
@@ -369,18 +420,18 @@ class Kernel:
         row point s2*t2 is t1, in storage order; the product lands at
         (s1*s2, t2), and products landing on one key are summed in that order.
         """
-        self._require_compatible(other)
-        g = self.group
-        cols, rows = _row_codes(self._t, g.multiply_many(other._s, other._t))
+        _require_compatible(self, other)
+        g, (s1, t1), (s2, t2) = self.group, self._coords, other._coords
+        cols, rows = _row_codes(t1, g.multiply_many(s2, t2))
         i, j = _join(cols, rows)
-        products = np.matmul(self._blocks[i], other._blocks[j])
-        return Kernel._from_arrays(g, self.dim, g.multiply_many(self._s[i], other._s[j]), other._t[j], products)
+        products = np.matmul(self._stack[i], other._stack[j])
+        return _from_arrays(Kernel, g, self.dim, (g.multiply_many(s1[i], s2[j]), t2[j]), products)
 
     def involution(self) -> "Kernel":
         """Adjoint kernel K*(x, y) = K(y, x)^H."""
-        g = self.group
-        s, t = g.inverse_many(self._s), g.multiply_many(self._s, self._t)
-        return Kernel._from_arrays(g, self.dim, s, t, self._blocks.conj().transpose(0, 2, 1))
+        g, (s, t) = self.group, self._coords
+        coords = (g.inverse_many(s), g.multiply_many(s, t))
+        return _from_arrays(Kernel, g, self.dim, coords, self._stack.conj().transpose(0, 2, 1))
 
     def apply(self, vec: "TestVector") -> "TestVector":
         """Integral operator action (T_K f)(x) = sum_y K(x, y) f(y)."""
@@ -401,23 +452,12 @@ class Kernel:
         the vector's.
         """
         self._require_vector(vec)
-        g, d, n = self.group, self.dim, len(vec.values)
-        arity = 2 if vec.doubled else 1
-        keys = np.array(list(vec.values), dtype=np.int64).reshape(n, arity, g.coord_len)
-        values = np.array(list(vec.values.values()), dtype=complex).reshape(n, d)
-        cols, firsts = _row_codes(self._t, keys[:, 0])
+        g, (s, t), (y, *rest) = self.group, self._coords, vec._coords
+        cols, firsts = _row_codes(t, y)
         i, j = _join(cols, firsts)
-        terms = np.matmul(self._blocks[i], values[j, :, None])[:, :, 0]
-        rest = keys[j, 1:].reshape(len(j), (arity - 1) * g.coord_len)
-        out = np.hstack([g.multiply_many(self._s[i], self._t[i]), rest])
-        (codes,) = _row_codes(out)
-        rows, sums = _sum_by_key(codes, terms)
-        points = out[rows].reshape(len(rows), arity, g.coord_len).tolist()
-        if vec.doubled:
-            keyed = {(tuple(x), tuple(u)): v for (x, u), v in zip(points, sums)}
-        else:
-            keyed = {tuple(x): v for (x,), v in zip(points, sums)}
-        return TestVector(g, d, keyed, doubled=vec.doubled)
+        terms = np.matmul(self._stack[i], vec._stack[j, :, None])[:, :, 0]
+        coords = (g.multiply_many(s[i], t[i]), *(r[j] for r in rest))
+        return _from_arrays(TestVector, g, self.dim, coords, terms)
 
     def conjugate_by_translation(self, a: Point, side: str) -> "Kernel":
         """Translate both kernel arguments by a group element.
@@ -425,15 +465,15 @@ class Kernel:
         side="right": result(x, y) = K(x*a, y*a); side="left": result(x, y) =
         K(a^-1*x, a^-1*y).  Both are isometric *-automorphisms of the algebra.
         """
-        g = self.group
+        g, (s, t) = self.group, self._coords
         a = g.canonical_many([a])
         if side == "right":
-            s, t = self._s, g.multiply_many(self._t, g.inverse_many(a))
+            t = g.multiply_many(t, g.inverse_many(a))
         elif side == "left":
-            s, t = g.multiply_many(g.multiply_many(a, self._s), g.inverse_many(a)), g.multiply_many(a, self._t)
+            s, t = g.multiply_many(g.multiply_many(a, s), g.inverse_many(a)), g.multiply_many(a, t)
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return Kernel._from_arrays(g, self.dim, s, t, self._blocks)
+        return _from_arrays(Kernel, g, self.dim, (s, t), self._stack)
 
     def _require_vector(self, vec: "TestVector") -> None:
         if vec.group != self.group:
@@ -444,12 +484,10 @@ class Kernel:
     # -- linear structure ---------------------------------------------------------
 
     def scale(self, c: complex) -> "Kernel":
-        return Kernel._from_arrays(self.group, self.dim, self._s, self._t, c * self._blocks)
+        return _from_arrays(Kernel, self.group, self.dim, self._coords, c * self._stack)
 
     def __add__(self, other: "Kernel") -> "Kernel":
-        self._require_compatible(other)
-        s, t, blocks = (np.concatenate(pair) for pair in zip(self.arrays, other.arrays))
-        return Kernel._from_arrays(self.group, self.dim, s, t, blocks)
+        return _stores_sum(self, other)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
         return self + other.scale(-1.0)
@@ -463,26 +501,26 @@ class Kernel:
 
     def restrict_to_ball(self, radius: int) -> "Kernel":
         """Keep entries whose pair (x, y) lies in the ball of the given radius."""
-        g = self.group
+        g, (s, t) = self.group, self._coords
         # Test t first: the BFS word metric then grows only as far as points
         # x = s*t of columns inside the ball.
-        near = g.word_length_many(self._t) <= radius
-        s, t, blocks = self._s[near], self._t[near], self._blocks[near]
+        near = g.word_length_many(t) <= radius
+        s, t, blocks = s[near], t[near], self._stack[near]
         keep = g.word_length_many(g.multiply_many(s, t)) <= radius
-        return Kernel._from_arrays(g, self.dim, s[keep], t[keep], blocks[keep])
+        return _from_arrays(Kernel, g, self.dim, (s[keep], t[keep]), blocks[keep])
 
     def to_dense(self, points: Iterable[Point]) -> np.ndarray:
         """Dense section matrix [K(x, y)] over an ordered list of points."""
-        g, d = self.group, self.dim
+        g, d, (s, t) = self.group, self.dim, self._coords
         pts = g.canonical_many(list(points))
         n = len(pts)
-        index, cols, rows = _row_codes(pts, self._t, g.multiply_many(self._s, self._t))
+        index, cols, rows = _row_codes(pts, t, g.multiply_many(s, t))
         if len(_distinct(index)) != n:
             raise ValueError("section points must be distinct")
         entry, j = _join(cols, index)
         at_row, i = _join(rows[entry], index)
         mat = np.zeros((n, d, n, d), dtype=complex)
-        mat[i, :, j[at_row], :] = self._blocks[entry[at_row]]
+        mat[i, :, j[at_row], :] = self._stack[entry[at_row]]
         return mat.reshape(n * d, n * d)
 
     @classmethod
@@ -497,22 +535,14 @@ class Kernel:
         blocks = mat.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
         i, j = np.nonzero(blocks.any(axis=(2, 3)))
         s = group.multiply_many(pts[i], group.inverse_many(pts[j]))
-        return cls._from_arrays(group, dim, s, pts[j], blocks[i, j])
+        return _from_arrays(cls, group, dim, (s, pts[j]), blocks[i, j])
 
     def max_block_difference(self, other: "Kernel") -> float:
         """Max operator-norm difference between matching entries."""
-        self._require_compatible(other)
-        mine, theirs = _row_codes(np.hstack([self._s, self._t]), np.hstack([other._s, other._t]))
-        keys = _distinct(np.concatenate([mine, theirs]))
-        a = np.zeros((len(keys), self.dim, self.dim), dtype=complex)
-        b = np.zeros_like(a)
-        a[np.searchsorted(keys, mine)] = self._blocks
-        b[np.searchsorted(keys, theirs)] = other._blocks
-        # fmax skips NaN: a NaN difference never sets the maximum.
-        return float(np.fmax.reduce(operator_norms(a - b), initial=0.0))
+        return _max_block_difference(self, other)
 
     def __repr__(self) -> str:
-        return f"Kernel({self.group.name}, dim={self.dim}, {len(self._blocks)} entries)"
+        return f"Kernel({self.group.name}, dim={self.dim}, {len(self._stack)} entries)"
 
 
 def section_operator_norm(kernel: Kernel, radius: int, iterations: int = 200) -> float:
@@ -549,33 +579,21 @@ class TestVector:
 
     Single-variable vectors map points to C^d; doubled vectors map point pairs
     to C^d and model the two-variable square-summable space used by the
-    regular representation.
+    regular representation.  The store holds one coordinate array per
+    variable and an ``(nnz, d)`` stack of read-only vectors.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     def __init__(self, group: Group, dim: int, values: Mapping, doubled: bool = False) -> None:
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.group = group
-        self.dim = dim
-        self.doubled = doubled
-        cleaned: dict = {}
-        for key, vec in values.items():
-            arr = np.asarray(vec, dtype=complex)
-            if arr.shape != (dim,):
-                raise ValueError(f"value at {key!r} has shape {arr.shape}, expected {(dim,)}")
-            if not np.count_nonzero(arr):
-                continue
-            if doubled:
-                x, z = key
-                ckey = (group.canonical(x), group.canonical(z))
-            else:
-                ckey = group.canonical(key)
-            if ckey in cleaned:
-                arr = cleaned[ckey] + arr
-            cleaned[ckey] = arr
-        self._values = {k: _freeze(v) for k, v in sorted(cleaned.items())}
+        """Vector from a mapping key -> C^d value, keys points or (doubled) point pairs.
+
+        Zero values are dropped, keys are made canonical, and values whose
+        keys coincide are summed in the mapping's order; a sum that cancels
+        to zero is kept.
+        """
+        parsed = _parse_mapping(group, values, 2 if doubled else 1, (dim,))
+        _set_store(self, group, dim, *parsed, keep_cancelled=True)
 
     @classmethod
     def basis(cls, group: Group, dim: int, key, component: int = 0, doubled: bool = False) -> "TestVector":
@@ -584,11 +602,16 @@ class TestVector:
         return cls(group, dim, {key: vec}, doubled=doubled)
 
     @property
-    def values(self) -> dict:
-        return self._values
+    def doubled(self) -> bool:
+        return len(self._coords) == 2
+
+    @property
+    def values(self) -> Mapping:
+        """Read-only mapping key -> vector in sorted key order, built on first use."""
+        return _mapping_view(self)
 
     def support(self) -> list:
-        return list(self._values)
+        return list(self.values)
 
     def value(self, key) -> np.ndarray:
         if self.doubled:
@@ -596,7 +619,7 @@ class TestVector:
             key = (self.group.canonical(x), self.group.canonical(z))
         else:
             key = self.group.canonical(key)
-        got = self._values.get(key)
+        got = self.values.get(key)
         if got is None:
             return np.zeros(self.dim, dtype=complex)
         return got
@@ -604,19 +627,20 @@ class TestVector:
     def l2_norm(self) -> float:
         # Exactly rounded accumulation keeps the norm invariant under the
         # coordinate permutations performed by the intertwining unitaries.
-        squares = []
-        for v in self._values.values():
-            squares.extend(float(a) for a in np.abs(v) ** 2)
-        return math.sqrt(math.fsum(squares))
+        return math.sqrt(math.fsum((np.abs(self._stack) ** 2).ravel().tolist()))
 
     def inner(self, other: "TestVector") -> complex:
-        """Inner product, conjugate linear in the first argument."""
-        if self.group != other.group or self.dim != other.dim or self.doubled != other.doubled:
-            raise ValueError("test vectors live in different spaces")
-        total = 0.0 + 0.0j
-        for k in sorted(set(self._values) & set(other._values)):
-            total += complex(np.vdot(self._values[k], other._values[k]))
-        return total
+        """Inner product, conjugate linear in the first argument.
+
+        Terms np.vdot(self(k), other(k)) are added in key order to a running
+        complex sum starting at 0.
+        """
+        _require_compatible(self, other)
+        mine, theirs = _row_codes(np.hstack(self._coords), np.hstack(other._coords))
+        i, j = _join(mine, theirs)
+        # A conjugated row times a column is np.vdot of the two, bit for bit.
+        terms = np.matmul(self._stack[i, None].conj(), other._stack[j, :, None])[:, 0, 0]
+        return complex(np.cumsum(np.append(0j, terms))[-1])
 
     def translate(self, a: Point, side: str) -> "TestVector":
         """Regular-representation translate of a single-variable vector.
@@ -626,34 +650,25 @@ class TestVector:
         """
         if self.doubled:
             raise ValueError("translate acts on single-variable test vectors")
-        g = self.group
-        a = g.canonical(a)
-        out = {}
+        g, (x,) = self.group, self._coords
+        a = g.canonical_many([a])
         if side == "left":
-            for k, v in self._values.items():
-                out[g.multiply(a, k)] = v
+            x = g.multiply_many(a, x)
         elif side == "right":
-            a_inv = g.inverse(a)
-            for k, v in self._values.items():
-                out[g.multiply(k, a_inv)] = v
+            x = g.multiply_many(x, g.inverse_many(a))
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return TestVector(g, self.dim, out)
+        return _from_arrays(TestVector, g, self.dim, (x,), self._stack)
 
     def scale(self, c: complex) -> "TestVector":
-        return TestVector(self.group, self.dim, {k: c * v for k, v in self._values.items()}, doubled=self.doubled)
+        return _from_arrays(TestVector, self.group, self.dim, self._coords, c * self._stack)
 
     def __add__(self, other: "TestVector") -> "TestVector":
-        if self.group != other.group or self.dim != other.dim or self.doubled != other.doubled:
-            raise ValueError("test vectors live in different spaces")
-        out = dict(self._values)
-        for k, v in other._values.items():
-            out[k] = out[k] + v if k in out else v
-        return TestVector(self.group, self.dim, out, doubled=self.doubled)
+        return _stores_sum(self, other)
 
     def __sub__(self, other: "TestVector") -> "TestVector":
         return self + other.scale(-1.0)
 
     def __repr__(self) -> str:
         kind = "doubled" if self.doubled else "single"
-        return f"TestVector({self.group.name}, dim={self.dim}, {kind}, {len(self._values)} points)"
+        return f"TestVector({self.group.name}, dim={self.dim}, {kind}, {len(self._stack)} points)"

@@ -134,3 +134,33 @@ def test_unusable_profile_is_exit_2(tmp_path):
     assert run(["invert", "--config", config]) == 2
     config.write_text(json.dumps({"profile": None}))
     assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2
+
+
+# Report text recorded before the covariance algebra and the test vectors moved
+# onto the shared block store; refactors must reproduce it exactly.
+GOLDEN_REPORTS = {
+    ("covariance-check", "Z/7"): """\
+R_multiplicative                         worst=0.000e+00 tol=1.0e-12 pass
+R_involutive                             worst=0.000e+00 tol=1.0e-12 pass
+R_isometric                              worst=0.000e+00 tol=1.0e-12 pass
+R_round_trip                             worst=0.000e+00 tol=0.0e+00 pass
+regular_rep_multiplicative               worst=1.608e-17 tol=1.0e-12 pass
+regular_rep_adjoint                      worst=9.662e-18 tol=1.0e-12 pass
+intertwiner_unitary                      worst=0.000e+00 tol=1.0e-12 pass
+intertwiner_diagram                      worst=0.000e+00 tol=1.0e-12 pass
+embedding_homomorphism                   worst=8.880e-18 tol=1.0e-12 pass
+embedding_isometric                      worst=3.339e-16 tol=1.0e-12 pass
+RESULT pass
+""",
+    ("symmetry-check", "H3(Z/3)"): """\
+positive_spectrum_min_real               worst=0.000e+00 tol=1.0e-09 pass
+positive_spectrum_max_imag               worst=3.453e-15 tol=1.0e-09 pass
+RESULT pass
+""",
+}
+
+
+@pytest.mark.parametrize("task,group", list(GOLDEN_REPORTS), ids=str)
+def test_reports_match_recorded_text(tmp_path, task, group):
+    assert run([task, "--group", group, "--seed", "3", "--trials", "2", "--out", tmp_path]) == 0
+    assert (tmp_path / "report.txt").read_text() == GOLDEN_REPORTS[task, group]

@@ -80,6 +80,21 @@ def test_finite_group_section_matches_direct_inverse():
     assert report.residual <= 1e-12
 
 
+@pytest.mark.parametrize("z", [1.0, -1.0, 1j, -2 - 2j, complex(-0.0, 1.0), np.exp(0.3j)], ids=str)
+def test_section_inverse_equals_dense_formula_bit_for_bit(z):
+    # Signed zeros included: the scalar shifts run in place, and must match
+    # inverting z + K and subtracting 1/z with full identity matrices.
+    z2 = IntegerLattice(2)
+    kernel = shift_kernel(z2, 1, 0.4, t_radius=4)
+    got, _ = finite_section_inverse(kernel, InversionConfig(z=z, radii=(4,), inner_ratio=0.5))
+    points = z2.ball(4)
+    eye = np.eye(len(points), dtype=complex)
+    dense = np.linalg.inv(kernel.to_dense(points) + z * eye) - eye / z
+    inner = len(z2.ball(2))
+    expected = Kernel.from_dense(z2, 1, dense[:inner, :inner], points[:inner])
+    assert [a.tobytes() for a in got.arrays] == [a.tobytes() for a in expected.arrays]
+
+
 def test_section_singular_raises_at_scale_error():
     zero = Kernel.zero(Z, 1)
     with pytest.raises(SectionInversionError):

@@ -15,6 +15,7 @@ from convdom import (
     TestVector,
     generate_kernel,
     operator_norm,
+    random_covariance,
     random_test_vector,
     section_operator_norm,
 )
@@ -320,7 +321,16 @@ def test_group_and_dim_mismatch_rejected():
 
 
 def test_kernel_entries_are_read_only():
-    kernel = seeded_kernel(Z, 1, seed=3)
-    key = kernel.support()[0]
-    with pytest.raises(ValueError):
-        kernel.entries[key][0, 0] = 5.0
+    z3 = Cyclic(3)
+    stores = [
+        seeded_kernel(Z, 1, seed=3).entries,
+        random_covariance(z3, 2, seed=3).entries,
+        random_test_vector(z3, 2, seed=3, radius=1).values,
+        random_test_vector(z3, 2, seed=3, radius=1, doubled=True).values,
+    ]
+    for mapping in stores:
+        key = next(iter(mapping))
+        with pytest.raises(ValueError):
+            mapping[key][0] = 5.0
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]

@@ -1,6 +1,11 @@
-"""The array-backed kernel store against entry-by-entry references, exactly."""
+"""The array-backed block store against entry-by-entry references, exactly.
+
+Kernels, covariance elements and test vectors share the store; every
+operation here is compared with a per-entry loop written in the test.
+"""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +16,16 @@ from convdom import (
     HeisenbergMod,
     IntegerLattice,
     Kernel,
+    R_inverse,
+    R_map,
+    TestVector,
+    W_intertwine,
+    W_inverse,
     operator_norm,
     operator_norms,
+    pi_regular,
 )
-from convdom.generate import Profile, generate_kernel
+from convdom.generate import Profile, generate_kernel, random_covariance, random_test_vector
 
 Z2 = IntegerLattice(2)
 Z7 = Cyclic(7)
@@ -39,10 +50,21 @@ def compose_loop(k1, k2):
     return {k: v for k, v in sorted(out.items()) if np.count_nonzero(v)}
 
 
+def nonzero_sorted(out):
+    """What a derived store keeps of a per-entry result: nonzero values in key order."""
+    return {k: v for k, v in sorted(out.items()) if np.count_nonzero(v)}
+
+
 def assert_entries_equal(kernel, expected):
-    assert list(kernel.entries) == list(expected)
-    for key, mat in expected.items():
-        assert np.array_equal(kernel.entries[key], mat), key
+    assert_mapping_equal(kernel.entries, expected)
+
+
+def assert_mapping_equal(got, expected):
+    """Same keys in the same order, and values equal bit for bit (signed zeros too)."""
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        value = np.asarray(value, dtype=complex)
+        assert got[key].shape == value.shape and got[key].tobytes() == value.tobytes(), key
 
 
 # -- batched norms -------------------------------------------------------------------
@@ -181,3 +203,138 @@ def test_diameter_is_the_largest_word_length(group):
 def test_diameter_needs_a_finite_group():
     with pytest.raises(ValueError):
         Z2.diameter()
+
+
+# -- covariance elements and test vectors on the shared store -----------------------------
+
+H3_3 = HeisenbergMod(3)
+# (group, x_radius of the covariance elements, radius of the test vectors' support)
+COVARIANCE_CASES = [(Z7, None, 3), (H3_3, None, 1), (Z2, 1, 1)]
+
+
+def covariance_case(group, x_radius, radius, dim=2):
+    f = random_covariance(group, dim, 21, x_radius=x_radius)
+    h = random_covariance(group, dim, 22, x_radius=x_radius)
+    xi = random_test_vector(group, dim, 23, radius=radius, doubled=True)
+    return f, h, xi
+
+
+def product_loop(f, h):
+    """(f * h)(x, z) = sum_y f(y, z) h(y^-1 x, y^-1 z), summed in (f entry, h entry) order."""
+    g = f.group
+    by_second = {}
+    for (x2, y2), m2 in h.entries.items():
+        by_second.setdefault(y2, []).append((x2, m2))
+    out = {}
+    for (y, z), m1 in f.entries.items():
+        for x2, m2 in by_second.get(g.multiply(g.inverse(y), z), ()):
+            key = (g.multiply(y, x2), z)
+            out[key] = out[key] + m1 @ m2 if key in out else m1 @ m2
+    return nonzero_sorted(out)
+
+
+def pi_regular_loop(f, xi):
+    """(Pi(f) xi)(x, z) = sum_y f(y, x z) xi(y^-1 x, z), summed in (f entry, xi entry) order."""
+    g = f.group
+    out = {}
+    for (y, w), mat in f.entries.items():
+        for (x1, z), val in xi.values.items():
+            if g.multiply(g.multiply(y, x1), z) == w:
+                key = (g.multiply(y, x1), z)
+                out[key] = out[key] + mat @ val if key in out else mat @ val
+    return nonzero_sorted(out)
+
+
+def remap_loop(mapping, key_map, value_map=lambda v: v):
+    return nonzero_sorted({key_map(k): value_map(v) for k, v in mapping.items()})
+
+
+@pytest.mark.parametrize("group,x_radius,radius", COVARIANCE_CASES, ids=str)
+def test_covariance_operations_equal_per_entry_loops_bit_for_bit(group, x_radius, radius):
+    g = group
+    f, h, _xi = covariance_case(group, x_radius, radius)
+    assert_mapping_equal(f.product(h).entries, product_loop(f, h))
+    fh = f + h
+    assert_mapping_equal(fh.product(fh).entries, product_loop(fh, fh))
+    adjoint = remap_loop(
+        f.entries, lambda k: (g.inverse(k[0]), g.multiply(g.inverse(k[0]), k[1])), lambda m: m.conj().T
+    )
+    assert_mapping_equal(f.involution().entries, adjoint)
+    fibre_sup = {}
+    for (x, _y), mat in f.entries.items():
+        fibre_sup[x] = max(fibre_sup.get(x, 0.0), operator_norm(mat))
+    assert f.l1_norm() == math.fsum(fibre_sup.values())
+    worst = max(operator_norm(f.value_at(*k) - h.value_at(*k)) for k in set(f.entries) | set(h.entries))
+    assert f.max_block_difference(h) == worst
+
+
+@pytest.mark.parametrize("group,x_radius,radius", COVARIANCE_CASES, ids=str)
+def test_coordinate_changes_equal_per_entry_remaps(group, x_radius, radius):
+    g = group
+    f, _h, xi = covariance_case(group, x_radius, radius)
+    kernel = R_map(f)
+    assert_entries_equal(kernel, remap_loop(f.entries, lambda k: (k[0], g.multiply(g.inverse(k[0]), k[1]))))
+    assert_mapping_equal(R_inverse(kernel).entries, remap_loop(kernel.entries, lambda k: (k[0], g.multiply(*k))))
+    assert_mapping_equal(R_inverse(kernel).entries, dict(f.entries))
+    shear = remap_loop(xi.values, lambda k: (g.multiply(k[0], g.inverse(k[1])), k[1]))
+    assert_mapping_equal(W_intertwine(xi).values, shear)
+    assert_mapping_equal(W_inverse(xi).values, remap_loop(xi.values, lambda k: (g.multiply(*k), k[1])))
+    assert_mapping_equal(W_inverse(W_intertwine(xi)).values, dict(xi.values))
+
+
+@pytest.mark.parametrize("group,x_radius,radius", COVARIANCE_CASES, ids=str)
+def test_pi_regular_equals_per_entry_loop_bit_for_bit(group, x_radius, radius):
+    f, h, xi = covariance_case(group, x_radius, radius)
+    assert_mapping_equal(pi_regular(f, xi).values, pi_regular_loop(f, xi))
+    assert_mapping_equal(pi_regular(f + h, xi).values, pi_regular_loop(f + h, xi))
+
+
+def test_test_vector_constructor_sums_in_input_order_and_drops_zero_inputs():
+    a, b, c = (np.array([v]) for v in (1e16, -1e16, 1.0))
+    # (1,), (8,) and (15,) are one point of Z/7.
+    vec = TestVector(Z7, 1, {(1,): a, (8,): b, (15,): c})
+    assert_mapping_equal(vec.values, {(1,): (a + b) + c})
+    reordered = TestVector(Z7, 1, {(15,): c, (1,): a, (8,): b})
+    assert_mapping_equal(reordered.values, {(1,): (c + a) + b})
+    doubled = TestVector(Z7, 1, {((8,), (0,)): b, ((1,), (7,)): c, ((1,), (0,)): a}, doubled=True)
+    assert_mapping_equal(doubled.values, {((1,), (0,)): (b + c) + a})
+    # Zero inputs are dropped before their keys are even read; cancelled sums stay...
+    zero = np.zeros(1)
+    kept = TestVector(Z7, 1, {(2,): a, (9,): -a, (3,): zero, ("not", "a point"): zero})
+    assert kept.support() == [(2,)]
+    # ...until a derived vector drops them.
+    assert kept.scale(2.0).support() == []
+    assert (vec - vec).support() == []
+    with pytest.raises(ValueError, match="coordinates"):
+        TestVector(Z2, 1, {(1,): a})
+    with pytest.raises(ValueError, match="shape"):
+        TestVector(Z2, 2, {(1, 0): np.ones(2), (0, 0): np.ones(3)})
+
+
+@pytest.mark.parametrize("group,dim", [(Z7, 1), (H3_3, 2), (Z2, 3)], ids=str)
+def test_test_vector_operations_equal_per_entry_loops_bit_for_bit(group, dim):
+    g = group
+    u = random_test_vector(group, dim, 31, radius=2)
+    v = random_test_vector(group, dim, 32, radius=1)
+    total = dict(u.values)
+    for k, val in v.values.items():
+        total[k] = total[k] + val if k in total else val
+    assert_mapping_equal((u + v).values, nonzero_sorted(total))
+    a = g.ball(2)[-1]
+    left = remap_loop(u.values, lambda k: g.multiply(a, k))
+    assert_mapping_equal(u.translate(a, "left").values, left)
+    right = remap_loop(u.values, lambda k: g.multiply(k, g.inverse(a)))
+    assert_mapping_equal(u.translate(a, "right").values, right)
+    inner = 0.0 + 0.0j
+    for k in sorted(set(u.values) & set(v.values)):
+        inner += complex(np.vdot(u.values[k], v.values[k]))
+    assert u.inner(v) == inner
+    squares = [float(c) for val in u.values.values() for c in np.abs(val) ** 2]
+    assert u.l2_norm() == math.sqrt(math.fsum(squares))
+    for x in (u, v):
+        xi = random_test_vector(group, dim, 33, radius=1, doubled=True)
+        eta = random_test_vector(group, dim, 34, radius=2, doubled=True)
+        inner = 0.0 + 0.0j
+        for k in sorted(set(xi.values) & set(eta.values)):
+            inner += complex(np.vdot(xi.values[k], eta.values[k]))
+        assert xi.inner(eta) == inner
