@@ -108,42 +108,33 @@ TASK_DEFAULTS: dict[str, dict] = {
 }
 
 
-def _parse_profile(data: dict | None):
-    """Profile object, or an (envelope, t_radius) pair for kind "file"."""
-    if data is None:
-        return None
+def _kernel_from_profile(params: dict, group: Group, dim: int) -> Kernel:
+    """Seeded kernel of the config's profile: a profile shape, or an envelope file (kind "file")."""
+    data = params["profile"]
+    if not isinstance(data, dict):
+        raise ConfigError(f"profile must be a JSON object, got {data!r}")
     try:
         kind = data["kind"]
         t_radius = data.get("t_radius")
         if kind == "exponential":
-            return Profile.exponential(data["rate"], data["radius"], t_radius)
-        if kind == "polynomial":
-            return Profile.polynomial(data["power"], data["radius"], t_radius)
-        if kind == "banded":
-            return Profile.banded(data["width"], t_radius)
-        if kind == "file":
-            return formats.read_envelope(data["path"]), t_radius
+            profile = Profile.exponential(data["rate"], data["radius"], t_radius)
+        elif kind == "polynomial":
+            profile = Profile.polynomial(data["power"], data["radius"], t_radius)
+        elif kind == "banded":
+            profile = Profile.banded(data["width"], t_radius)
+        elif kind == "file":
+            envelope = formats.read_envelope(data["path"])
+        else:
+            raise ConfigError(f"unknown profile kind {kind!r}")
     except KeyError as exc:
         raise ConfigError(f"profile is missing key {exc}") from None
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read profile envelope: {exc}") from None
-    raise ConfigError(f"unknown profile kind {data.get('kind')!r}")
-
-
-def _kernel_from_profile(params: dict, group: Group, dim: int) -> Kernel:
-    parsed = _parse_profile(params["profile"])
-    if parsed is None:
-        raise ConfigError("no profile given")
-    if isinstance(parsed, tuple):
-        envelope, t_radius = parsed
-        if envelope.group != group:
-            raise ConfigError(
-                f"profile envelope is over {envelope.group.name}, config group is {group.name}"
-            )
-        kernel, _ = generate_kernel_from_envelope(group, dim, params["seed"], envelope, t_radius)
-    else:
-        kernel, _ = generate_kernel(group, dim, params["seed"], parsed)
-    return kernel
+        raise ConfigError(f"unusable profile: {exc}") from None
+    if kind != "file":
+        return generate_kernel(group, dim, params["seed"], profile)[0]
+    if envelope.group != group:
+        raise ConfigError(f"profile envelope is over {envelope.group.name}, config group is {group.name}")
+    return generate_kernel_from_envelope(group, dim, params["seed"], envelope, t_radius)[0]
 
 
 def _parse_complex(value) -> complex:

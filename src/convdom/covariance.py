@@ -32,12 +32,12 @@ from .kernels import (
     _mapping_view,
     _max_block_difference,
     _parse_mapping,
+    _reduce_by_key,
     _require_compatible,
     _row_codes,
     _run_starts,
     _set_store,
     _stores_sum,
-    _sum_by_key,
     operator_norm,
 )
 
@@ -104,7 +104,7 @@ class CovarianceElement:
             i += lo
             keys = np.concatenate([keys, np.hstack([g.multiply_many(y[i], x2[j]), z[i]])])
             blocks = np.concatenate([sums, np.matmul(self._stack[i], other._stack[j])])
-            rows, sums = _sum_by_key(_row_codes(keys)[0], blocks)
+            rows, sums = _reduce_by_key(_row_codes(keys)[0], blocks)
             keys = keys[rows]
         coords = np.hsplit(keys, 2)
         return _from_arrays(CovarianceElement, g, self.dim, coords, sums)

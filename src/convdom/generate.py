@@ -138,10 +138,9 @@ def generate_kernel_from_envelope(
     elif group.is_finite:
         columns = group.elements()
     else:
-        columns = group.ball(max((group.word_length(s) for s in envelope.support()), default=0) or 4)
+        columns = group.ball(int(group.word_length_many(envelope.arrays[0]).max(initial=0)) or 4)
     entries: dict[tuple[Point, Point], np.ndarray] = {}
-    for s in envelope.support():
-        target = envelope.value(s)
+    for s, target in envelope.values.items():
         for t in columns:
             entries[(s, t)] = _scaled_to(_random_disc_matrix(rng, dim), target)
     return Kernel(group, dim, entries), envelope

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .groups import Point
-from .kernels import Envelope, Kernel
+from .kernels import Envelope, Kernel, _from_arrays, _join, _row_codes
 
 
 class SectionInversionError(RuntimeError):
@@ -85,6 +85,7 @@ class DecayReport:
     inner_radius_by_radius: dict[int, int]
     l1_partial_sums: list[float]
     stabilized: bool
+    # inverse_residual on the interior window (see finite_section_inverse)
     residual: float
     full_group: bool = False
     fitted_rate: float | None = None
@@ -182,12 +183,18 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
         stabilized = last.l1_distance(prev) < cfg.stabilization_tol
     else:
         stabilized = False
+    # The interior window is the inner window less the kernel's support radius
+    # (a covered group stays whole; an empty window gives inf).  Every y that
+    # (K B)(x, w) sums over lies in the inner window, so no truncation enters.
+    window = inner_radii[final_radius]
+    if not covered_group:
+        window -= int(kernel.min_envelope().by_word_length()[0].max(initial=0))
     report = DecayReport(
         envelope_by_radius=envelopes,
         inner_radius_by_radius=inner_radii,
         l1_partial_sums=envelopes[final_radius].shell_partial_sums(),
         stabilized=stabilized,
-        residual=inverse_residual(kernel, z, result, inner_radii[final_radius]),
+        residual=inverse_residual(kernel, z, result, window) if window >= 0 else math.inf,
         full_group=covered_group,
     )
     try:
@@ -308,49 +315,43 @@ def ideal_project(kernel: Kernel, subspace: IdealSubspace) -> Kernel:
     vanishes), which guarantees that the envelope norm of the difference is
     at most the l1 distance of the two envelopes.
     """
-    beta = kernel.min_envelope()
-    bound = subspace.bound_for(beta)
-    factors: dict[Point, float] = {}
-    for s in bound.support():
-        b = beta.value(s)
-        bn = bound.value(s)
-        if bn > b:
-            raise ValueError(f"constrained envelope exceeds the minimal envelope at {s!r}")
-        if b > 0:
-            factors[s] = bn / b
-    out = {}
-    for (s, t), mat in kernel.entries.items():
-        a = factors.get(s, 0.0)
-        if a:
-            out[(s, t)] = a * mat
-    return Kernel(kernel.group, kernel.dim, out)
+    (s, t, blocks), beta = kernel.arrays, kernel.min_envelope()
+    (points, full), (bound_points, bound) = beta.arrays, subspace.bound_for(beta).arrays
+    cosets, known, constrained = _row_codes(s, points, bound_points)
+    i, j = _join(constrained, known)
+    under = np.zeros(len(bound))  # beta at each constrained point, zero where it vanishes
+    under[i] = full[j]
+    over = np.flatnonzero(bound > under)
+    if len(over):
+        point = tuple(bound_points[over[0]].tolist())
+        raise ValueError(f"constrained envelope exceeds the minimal envelope at {point!r}")
+    rows, k = _join(cosets, constrained)
+    scale = np.zeros(len(s))
+    scale[rows] = bound[k] / under[k]
+    return _from_arrays(Kernel, kernel.group, kernel.dim, (s, t), scale[:, None, None] * blocks)
 
 
 def fit_decay(report: DecayReport) -> tuple[float, float]:
     """Least-squares decay rate of the final inverse envelope.
 
-    Buckets the envelope by word length, takes the max per bucket, and fits
-    log value against length.  The identity coset is excluded: its value is
-    the correction to the scalar part of the inverse, not part of the
+    Takes the envelope's largest value at each word length (a bucket) and
+    fits log value against length.  The identity coset is excluded: its value
+    is the correction to the scalar part of the inverse, not part of the
     off-diagonal decay profile.  To avoid tail truncation bias only buckets
     inside half the final inner window are used, unless the window covered a
     whole finite group.  Needs a stabilized report and at least 5 buckets.
     """
     if not report.stabilized:
         raise ValueError("decay fit requires a stabilized report")
-    env = report.final_envelope()
     inner = report.final_inner_radius()
     cap = inner if report.full_group else inner // 2
-    g = env.group
-    buckets: dict[int, float] = {}
-    for s, v in env.values.items():
-        ell = g.word_length(s)
-        if 1 <= ell <= cap and v > buckets.get(ell, 0.0):
-            buckets[ell] = v
-    if len(buckets) < 5:
-        raise ValueError(f"need at least 5 word-length buckets inside radius {cap}, got {len(buckets)}")
-    xs = np.array(sorted(buckets), dtype=float)
-    ys = np.log(np.array([buckets[int(x)] for x in xs]))
+    lengths, maxima, _ = report.final_envelope().by_word_length()
+    inside = (lengths >= 1) & (lengths <= cap)
+    buckets = np.count_nonzero(inside)
+    if buckets < 5:
+        raise ValueError(f"need at least 5 word-length buckets inside radius {cap}, got {buckets}")
+    xs = lengths[inside].astype(float)
+    ys = np.log(maxima[inside])
     slope, intercept = np.polyfit(xs, ys, 1)
     predicted = slope * xs + intercept
     ss_res = float(np.sum((ys - predicted) ** 2))

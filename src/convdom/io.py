@@ -59,7 +59,7 @@ def kernel_from_dict(data: dict) -> Kernel:
 def envelope_to_dict(env: Envelope) -> dict:
     return {
         "group": env.group.name,
-        "values": [{"s": list(s), "value": v} for s, v in env.values.items()],
+        "values": [{"s": s, "value": v} for s, v in zip(*(a.tolist() for a in env.arrays))],
     }
 
 
@@ -125,14 +125,8 @@ def decay_csv_lines(report: DecayReport) -> list[str]:
     """CSV rows radius,word_length,envelope_value (bucket max per length)."""
     lines = ["radius,word_length,envelope_value"]
     for radius in sorted(report.envelope_by_radius):
-        env = report.envelope_by_radius[radius]
-        buckets: dict[int, float] = {}
-        for s, v in env.values.items():
-            ell = env.group.word_length(s)
-            if v > buckets.get(ell, 0.0):
-                buckets[ell] = v
-        for ell in sorted(buckets):
-            lines.append(f"{radius},{ell},{buckets[ell]!r}")
+        lengths, maxima, _ = report.envelope_by_radius[radius].by_word_length()
+        lines += [f"{radius},{ell},{v!r}" for ell, v in zip(lengths.tolist(), maxima.tolist())]
     return lines
 
 

@@ -97,20 +97,21 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return ordered[_run_starts(ordered)]
 
 
-def _sum_by_key(codes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the rows of ``values`` that share a code, in ascending code order.
+def _reduce_by_key(codes: np.ndarray, values: np.ndarray, op=np.add) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the rows of ``values`` that share a code with ``op``, in ascending code order.
 
-    Each sum runs front to back in row order, as ``acc += value`` over the
-    rows would.  Returns the first row of each code and the sums.
+    Each reduction runs front to back in row order, as ``acc = op(acc, value)``
+    over the rows would: a sum by default, a max with ``np.fmax``.  Returns
+    the first row of each code and the results.
     """
     order = np.argsort(codes, kind="stable")
     starts = _run_starts(codes[order])
-    sums = values[order[starts]]
+    acc = values[order[starts]]
     lengths = np.diff(starts, append=len(codes))
     for k in range(1, lengths.max(initial=1)):
         live = lengths > k
-        sums[live] += values[order[starts[live] + k]]
-    return order[starts], sums
+        acc[live] = op(acc[live], values[order[starts[live] + k]])
+    return order[starts], acc
 
 
 def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
@@ -183,7 +184,7 @@ def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool)
         raise ValueError("dim must be >= 1")
     coords = [group.canonical_many(c) for c in coords]
     (codes,) = _row_codes(np.hstack(coords))
-    rows, stack = _sum_by_key(codes, np.asarray(stack, dtype=complex))
+    rows, stack = _reduce_by_key(codes, np.asarray(stack, dtype=complex))
     coords = [c[rows] for c in coords]
     if not keep_cancelled:
         live = _nonzero(stack)
@@ -205,12 +206,13 @@ def _from_arrays(cls, group: Group, dim: int, coords, stack):
 def _mapping_view(obj) -> Mapping:
     """Read-only mapping key -> value of a store in key order, built on first use.
 
-    Keys are points, or pairs of points; values are read-only views.
+    Keys are points, or pairs of points; values are read-only views (Python floats for a 1-d stack).
     """
     if obj._mapping is None:
         points = [map(tuple, c.tolist()) for c in obj._coords]
         keys = zip(*points) if len(points) > 1 else points[0]
-        obj._mapping = MappingProxyType(dict(zip(keys, obj._stack)))
+        values = obj._stack.tolist() if obj._stack.ndim == 1 else obj._stack
+        obj._mapping = MappingProxyType(dict(zip(keys, values)))
     return obj._mapping
 
 
@@ -250,89 +252,102 @@ def _fibre_sups(obj) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Envelope:
-    """Finitely supported nonnegative function on a group; zeros are pruned."""
+    """Finitely supported nonnegative function on a group, stored as sorted int64 points and float64 values.
+
+    The Mapping constructor refuses negative values, drops zeros, makes keys
+    canonical and max-merges the values of keys that coincide.
+    """
 
     def __init__(self, group: Group, values: Mapping[Point, float]) -> None:
-        self.group = group
-        cleaned: dict[Point, float] = {}
-        for s, v in values.items():
-            v = float(v)
-            if v < 0:
-                raise ValueError(f"envelope value at {s!r} is negative: {v}")
-            if v == 0.0:
-                continue
-            key = group.canonical(s)
-            cleaned[key] = max(v, cleaned.get(key, 0.0))
-        self._values = dict(sorted(cleaned.items()))
+        keys = list(values)
+        vals = np.fromiter(map(float, values.values()), dtype=float, count=len(keys))
+        negative = np.flatnonzero(vals < 0)
+        if len(negative):
+            raise ValueError(f"envelope value at {keys[negative[0]]!r} is negative: {vals[negative[0]]}")
+        live = vals != 0.0
+        (points,) = _key_arrays(group, [k for k, keep in zip(keys, live.tolist()) if keep], 1)
+        points = group.canonical_many(points)
+        rows, merged = _reduce_by_key(_row_codes(points)[0], vals[live], np.fmax)
+        self._set(group, points[rows], merged)
+
+    def _set(self, group: Group, points: np.ndarray, values: np.ndarray) -> "Envelope":
+        """Keep canonical, sorted, distinct points and their values, read-only; zeros are dropped."""
+        live = values != 0.0
+        self.group, self._coords, self._stack, self._mapping = group, (points[live],), values[live], None
+        for arr in (*self._coords, self._stack):
+            arr.setflags(write=False)
+        return self
+
+    @classmethod
+    def _derived(cls, group: Group, points: np.ndarray, values: np.ndarray) -> "Envelope":
+        """An envelope built from arrays, with no Mapping round trip (see ``_set``)."""
+        return cls.__new__(cls)._set(group, points, values)
 
     @property
-    def values(self) -> dict[Point, float]:
-        return self._values
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only store: points and values, in point order."""
+        return self._coords[0], self._stack
+
+    @property
+    def values(self) -> Mapping[Point, float]:
+        """Read-only mapping point -> float in sorted point order, built on first use."""
+        return _mapping_view(self)
 
     def support(self) -> list[Point]:
-        return list(self._values)
+        return list(self.values)
 
     def value(self, s: Point) -> float:
-        return self._values.get(self.group.canonical(s), 0.0)
+        return self.values.get(self.group.canonical(s), 0.0)
 
     def l1_norm(self) -> float:
         # fsum is exactly rounded, so the norm is invariant under any
         # permutation of the support (involutions, translations).
-        return math.fsum(self._values.values())
+        return math.fsum(self._stack.tolist())
 
     def restrict(self, radius: int) -> "Envelope":
         """Keep only points of word length <= radius."""
-        g = self.group
-        return Envelope(g, {s: v for s, v in self._values.items() if g.word_length(s) <= radius})
+        (points,), g = self._coords, self.group
+        keep = g.word_length_many(points) <= radius
+        return Envelope._derived(g, points[keep], self._stack[keep])
 
     def cap(self, level: float) -> "Envelope":
         """Pointwise minimum with a constant level."""
         if level < 0:
             raise ValueError("cap level must be nonnegative")
-        return Envelope(self.group, {s: min(v, level) for s, v in self._values.items()})
+        return Envelope._derived(self.group, self._coords[0], np.minimum(self._stack, level))
 
     def convolve(self, other: "Envelope") -> "Envelope":
+        """(a * b)(x) = sum over s y = x of a(s) b(y), each sum taken in (s, y) order."""
         if self.group != other.group:
             raise ValueError("envelope groups differ")
-        g = self.group
-        out: dict[Point, float] = {}
-        for s, a in self._values.items():
-            for y, b in other._values.items():
-                key = g.multiply(s, y)
-                out[key] = out.get(key, 0.0) + a * b
-        return Envelope(g, out)
+        g, (s,), (y,) = self.group, self._coords, other._coords
+        i, j = np.repeat(np.arange(len(s)), len(y)), np.tile(np.arange(len(y)), len(s))
+        points = g.multiply_many(s[i], y[j])
+        rows, sums = _reduce_by_key(_row_codes(points)[0], self._stack[i] * other._stack[j])
+        return Envelope._derived(g, points[rows], sums)
 
-    def l1_distance(self, other: "Envelope", radius: int | None = None) -> float:
-        """l1 norm of the difference, optionally restricted to a word-length ball."""
+    def l1_distance(self, other: "Envelope") -> float:
+        """l1 norm of the difference."""
         if self.group != other.group:
             raise ValueError("envelope groups differ")
-        g = self.group
-        keys = set(self._values) | set(other._values)
-        terms = []
-        for s in sorted(keys):
-            if radius is not None and g.word_length(s) > radius:
-                continue
-            terms.append(abs(self._values.get(s, 0.0) - other._values.get(s, 0.0)))
-        return math.fsum(terms)
+        # a + (-b) is a - b exactly; a point of one envelope only keeps its value.
+        codes = np.concatenate(_row_codes(self._coords[0], other._coords[0]))
+        _, differences = _reduce_by_key(codes, np.concatenate([self._stack, -other._stack]))
+        return math.fsum(np.abs(differences).tolist())
+
+    def by_word_length(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Word lengths present (ascending), with the max and the front-to-back sum of the values at each."""
+        lengths = self.group.word_length_many(self._coords[0])
+        rows, maxima = _reduce_by_key(lengths, self._stack, np.fmax)
+        return lengths[rows], maxima, _reduce_by_key(lengths, self._stack)[1]
 
     def shell_partial_sums(self) -> list[float]:
         """Cumulative l1 mass over word-length shells 0, 1, ..., max length."""
-        g = self.group
-        if not self._values:
-            return []
-        shells: dict[int, float] = {}
-        for s, v in self._values.items():
-            ell = g.word_length(s)
-            shells[ell] = shells.get(ell, 0.0) + v
-        sums: list[float] = []
-        running = 0.0
-        for ell in range(max(shells) + 1):
-            running += shells.get(ell, 0.0)
-            sums.append(running)
-        return sums
+        lengths, _, sums = self.by_word_length()
+        return np.cumsum(np.bincount(lengths, weights=sums)).tolist()  # 0.0 at absent lengths
 
     def __repr__(self) -> str:
-        return f"Envelope({self.group.name}, {len(self._values)} points, l1={self.l1_norm():.6g})"
+        return f"Envelope({self.group.name}, {len(self._stack)} points, l1={self.l1_norm():.6g})"
 
 
 class Kernel:
@@ -404,8 +419,7 @@ class Kernel:
         if self._envelope is None:
             starts, best = _fibre_sups(self)
             keep = best > 0.0
-            cosets = map(tuple, self._coords[0][starts[keep]].tolist())
-            self._envelope = Envelope(self.group, dict(zip(cosets, best[keep].tolist())))
+            self._envelope = Envelope._derived(self.group, self._coords[0][starts[keep]], best[keep])
         return self._envelope
 
     def envelope_norm(self) -> float:

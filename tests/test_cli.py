@@ -1,5 +1,6 @@
 """CLI surface: subcommands, config handling, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,13 @@ def test_invert_writes_reports(tmp_path):
     assert (out / "report.txt").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stabilized"] is True
+
+
+def test_two_sided_band_passes_the_residual_check(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"preset": "hermitian_band", "weight": 0.3}))
+    assert run(["invert", "--config", config]) == 0
+    assert "inverse_residual" in capsys.readouterr().out
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
@@ -132,8 +140,9 @@ def test_unusable_profile_is_exit_2(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"profile": {"kind": "file", "path": str(envelope)}, "radii": [4]}))
     assert run(["invert", "--config", config]) == 2
-    config.write_text(json.dumps({"profile": None}))
-    assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2
+    for profile in (None, [1]):
+        config.write_text(json.dumps({"profile": profile}))
+        assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2
 
 
 # Report text recorded before the covariance algebra and the test vectors moved
@@ -164,3 +173,82 @@ RESULT pass
 def test_reports_match_recorded_text(tmp_path, task, group):
     assert run([task, "--group", group, "--seed", "3", "--trials", "2", "--out", tmp_path]) == 0
     assert (tmp_path / "report.txt").read_text() == GOLDEN_REPORTS[task, group]
+
+
+# Envelope-derived report files recorded before the envelope moved onto arrays.
+# The residual is left out: it measures the section, not the envelope.
+GOLDEN_DECAY_CSV = """\
+radius,word_length,envelope_value
+16,0,0.1578658352461091
+16,1,0.11219686730492802
+16,2,0.017599144733238488
+16,3,0.0032131388948087613
+16,4,0.00031408972040641273
+16,5,4.649189514867814e-05
+16,6,6.822702272043131e-06
+16,7,1.0547817006037883e-06
+16,8,1.429639755354127e-07
+16,9,2.4826887803493523e-08
+16,10,2.2671259097448818e-09
+16,11,1.668848211433588e-10
+16,12,2.0157331797506925e-11
+16,13,2.9346002032458363e-12
+16,14,3.8551707899098296e-13
+16,15,5.179055488107219e-14
+16,16,5.480955436463304e-15
+20,0,0.1578658352461091
+20,1,0.11219686730492802
+20,2,0.01759914473323849
+20,3,0.0032131388948087613
+20,4,0.00036568267037529617
+20,5,4.6491895148678136e-05
+20,6,6.822702272043129e-06
+20,7,1.0547817006037881e-06
+20,8,1.4296397553541265e-07
+20,9,2.4826887803493513e-08
+20,10,2.786254669394965e-09
+20,11,2.54466827284094e-10
+20,12,2.323748482783411e-11
+20,13,2.934600203245835e-12
+20,14,3.8551707899098276e-13
+20,15,5.179055488107219e-14
+20,16,6.538793208093195e-15
+20,17,7.824553651020079e-16
+20,18,9.904984052396316e-17
+20,19,1.11191166469263e-17
+20,20,1.0152430995877382e-18
+"""
+
+GOLDEN_PARTIAL_SUMS = [
+    0.1578658352461091, 0.353265185384789, 0.38465310285372495, 0.38982698374048746,
+    0.390443581529167, 0.39052171768610683, 0.3905330322019558, 0.39053467576642875,
+    0.39053488176877077, 0.39053491474204444, 0.3905349186097637, 0.3905349190007139,
+    0.3905349190376337, 0.3905349190425137, 0.3905349190432202, 0.39053491904331805,
+    0.39053491904332976, 0.39053491904333126, 0.3905349190433315, 0.3905349190433315,
+    0.3905349190433315,
+]
+
+GOLDEN_IDEAL_APPROX_CSV = """\
+level,measured,envelope_bound
+1,1.4111999999999998,1.4111999999999998
+2,0.6911999999999998,0.6911999999999998
+3,0.2592,0.2592
+"""
+
+
+def test_envelope_reports_match_recorded_bytes(tmp_path):
+    profile = {"kind": "exponential", "rate": 0.5, "radius": 1, "t_radius": 20}
+    decay = tmp_path / "decay.json"
+    decay.write_text(json.dumps({"group": "Z", "dim": 2, "profile": profile, "z": 3, "radii": [16, 20]}))
+    assert run(["decay", "--config", decay, "--seed", "3", "--out", tmp_path / "d"]) in (0, 1)
+    assert (tmp_path / "d" / "decay.csv").read_text() == GOLDEN_DECAY_CSV
+    summary = json.loads((tmp_path / "d" / "summary.json").read_text())
+    assert summary["l1_partial_sums"] == GOLDEN_PARTIAL_SUMS
+    assert (summary["fitted_rate"], summary["r2"]) == (-1.9451304351701686, 0.9979441374671907)
+
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"dim": 2, "rate": 0.6, "radius": 4, "levels": [1, 2, 3]}))
+    assert run(["ideal-approx", "--config", ideal, "--seed", "3", "--out", tmp_path / "ia"]) == 0
+    assert (tmp_path / "ia" / "ideal_approx.csv").read_text() == GOLDEN_IDEAL_APPROX_CSV
+    envelope = (tmp_path / "ia" / "envelope.json").read_bytes()
+    assert hashlib.sha256(envelope).hexdigest() == "04ac263850c579e9fa6d86c044c96d0e5d50446d940dca702652a85544fc3854"

@@ -140,6 +140,28 @@ def test_residual_detects_wrong_inverse():
     assert bad > 0.05
 
 
+def test_residual_is_measured_on_the_interior_window():
+    kernel = hermitian_band()
+    inverse, report = finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(10, 20, 30, 40)))
+    inner = report.final_inner_radius()
+    # The band has support radius 1: the interior window is one step inside.
+    assert report.residual == inverse_residual(kernel, 1.0, inverse, inner - 1) <= 1e-12
+    # On the whole inner window the residual measures truncation at its edge.
+    assert inverse_residual(kernel, 1.0, inverse, inner) > 1e-6
+
+
+def test_residual_window_on_whole_group_and_when_empty():
+    kernel = shift_kernel(Z8, 1, 0.5)
+    whole = Z8.diameter()
+    inverse, report = finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(whole,)))
+    assert report.full_group
+    assert report.residual == inverse_residual(kernel, 1.0, inverse, whole) <= 1e-12
+    # Inner radius 0 shrunk by support radius 1 leaves no window: the check fails.
+    _inverse, report = finite_section_inverse(shift_kernel(Z, 1, 0.5, t_radius=4), InversionConfig(z=1.0, radii=(1,)))
+    assert report.final_inner_radius() == 0
+    assert report.residual == math.inf
+
+
 # -- Neumann oracle -----------------------------------------------------------------
 
 

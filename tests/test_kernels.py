@@ -334,3 +334,10 @@ def test_kernel_entries_are_read_only():
             mapping[key][0] = 5.0
         with pytest.raises(TypeError):
             mapping[key] = mapping[key]
+    # A kernel's cached envelope: float values in a read-only mapping and array.
+    envelope = seeded_kernel(Z, 1, seed=3).min_envelope()
+    key = next(iter(envelope.values))
+    with pytest.raises(TypeError):
+        envelope.values[key] = 5.0
+    with pytest.raises(ValueError):
+        envelope.arrays[1][0] = 5.0

@@ -6,6 +6,7 @@ operation here is compared with a per-entry loop written in the test.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ import pytest
 from convdom import (
     Cyclic,
     DiscreteHeisenberg,
+    Envelope,
     HeisenbergMod,
+    IdealSubspace,
     IntegerLattice,
     Kernel,
     R_inverse,
@@ -21,6 +24,7 @@ from convdom import (
     TestVector,
     W_intertwine,
     W_inverse,
+    ideal_project,
     operator_norm,
     operator_norms,
     pi_regular,
@@ -338,3 +342,118 @@ def test_test_vector_operations_equal_per_entry_loops_bit_for_bit(group, dim):
         for k in sorted(set(xi.values) & set(eta.values)):
             inner += complex(np.vdot(xi.values[k], eta.values[k]))
         assert xi.inner(eta) == inner
+
+
+# -- envelopes on the same store -----------------------------------------------------------
+
+Z5 = Cyclic(5)
+ENVELOPE_GROUPS = [Z5, Z2, H3_3]
+
+
+def seeded_values(group, seed, radius=2):
+    """Random values of many magnitudes on a ball, so sums depend on their order; about one in five is zero."""
+    rng = np.random.default_rng(seed)
+    n = len(group.ball(radius))
+    values = rng.uniform(size=n) * 10.0 ** rng.integers(-8, 9, size=n) * (rng.uniform(size=n) < 0.8)
+    return dict(zip(group.ball(radius), values.tolist()))
+
+
+def aliases(group, point, k):
+    """``point`` written with each coordinate shifted by k moduli (itself on Z^2)."""
+    modulus = getattr(group, "modulus", getattr(group, "prime", 0))
+    return tuple(c + k * modulus for c in point)
+
+
+def envelope_loop(group, values):
+    """The per-point constructor: zeros dropped, keys made canonical, coinciding values max-merged."""
+    cleaned = {}
+    for s, v in values.items():
+        v = float(v)
+        if v == 0.0:
+            continue
+        key = group.canonical(s)
+        cleaned[key] = max(v, cleaned.get(key, 0.0))
+    return dict(sorted(cleaned.items()))
+
+
+def assert_envelope_equal(env, expected):
+    """Same points in the same order, values equal bit for bit and Python floats."""
+    assert list(env.values.items()) == list(expected.items())
+    assert all(type(v) is float for v in env.values.values())
+
+
+@pytest.mark.parametrize("group", ENVELOPE_GROUPS, ids=str)
+def test_envelope_constructor_max_merges_coinciding_keys(group):
+    values = seeded_values(group, 1)
+    rng = np.random.default_rng(2)
+    # Each point again under other names, in shuffled order, with other values.
+    mapping = dict(values)
+    for k in (1, -2):
+        for i in rng.permutation(len(values)):
+            point = list(values)[i]
+            mapping[aliases(group, point, k)] = float(rng.uniform())
+    env = Envelope(group, mapping)
+    assert_envelope_equal(env, envelope_loop(group, mapping))
+    bad = aliases(group, group.identity, 3)
+    with pytest.raises(ValueError, match=re.escape(f"envelope value at {bad!r} is negative: -0.5")):
+        Envelope(group, {**mapping, bad: -0.5})
+
+
+@pytest.mark.parametrize("group", ENVELOPE_GROUPS, ids=str)
+def test_envelope_operations_equal_per_point_loops_bit_for_bit(group):
+    g = group
+    a, b = seeded_values(g, 3), seeded_values(g, 4, radius=1)
+    ea, eb = Envelope(g, a), Envelope(g, b)
+    a, b = envelope_loop(g, a), envelope_loop(g, b)
+
+    out = {}
+    for s, x in a.items():
+        for y, w in b.items():
+            key = g.multiply(s, y)
+            out[key] = out.get(key, 0.0) + x * w
+    assert_envelope_equal(ea.convolve(eb), envelope_loop(g, out))
+    for radius in (0, 1, 2):
+        assert_envelope_equal(ea.restrict(radius), {s: v for s, v in a.items() if g.word_length(s) <= radius})
+    for level in (0.0, 0.3, 2.0):
+        assert_envelope_equal(ea.cap(level), envelope_loop(g, {s: min(v, level) for s, v in a.items()}))
+    terms = [abs(a.get(s, 0.0) - b.get(s, 0.0)) for s in sorted(set(a) | set(b))]
+    assert ea.l1_distance(eb) == math.fsum(terms)
+    assert ea.l1_norm() == math.fsum(a.values())
+
+
+@pytest.mark.parametrize("group", ENVELOPE_GROUPS, ids=str)
+def test_envelope_by_word_length_equals_bucketing_loops(group):
+    g = group
+    values = envelope_loop(g, seeded_values(g, 5, radius=3))
+    env = Envelope(g, values)
+    # The bucketing loops the decay CSV, the decay fit and the shell sums ran.
+    maxima, sums = {}, {}
+    for s, v in values.items():
+        ell = g.word_length(s)
+        if v > maxima.get(ell, 0.0):
+            maxima[ell] = v
+        sums[ell] = sums.get(ell, 0.0) + v
+    lengths, got_maxima, got_sums = env.by_word_length()
+    assert lengths.tolist() == sorted(maxima)
+    assert got_maxima.tolist() == [maxima[ell] for ell in sorted(maxima)]
+    assert got_sums.tolist() == [sums[ell] for ell in sorted(sums)]
+    running, partial = 0.0, []
+    for ell in range(max(sums) + 1):
+        running += sums.get(ell, 0.0)
+        partial.append(running)
+    assert env.shell_partial_sums() == partial
+    assert Envelope(g, {}).shell_partial_sums() == []
+
+
+@pytest.mark.parametrize("group", ENVELOPE_GROUPS, ids=str)
+def test_ideal_project_equals_per_entry_rescale(group):
+    kernel, _ = generate_kernel(group, 2, 6, Profile.exponential(0.6, 2, 1))
+    beta = kernel.min_envelope()
+    for subspace in (IdealSubspace.compact_support(1), IdealSubspace.truncation(0.3)):
+        bound = subspace.bound_for(beta)
+        expected = {}
+        for (s, t), mat in kernel.entries.items():
+            factor = bound.value(s) / beta.value(s)
+            if factor:
+                expected[(s, t)] = factor * mat
+        assert_entries_equal(ideal_project(kernel, subspace), nonzero_sorted(expected))
