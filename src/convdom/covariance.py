@@ -68,6 +68,11 @@ class CovarianceElement:
         return cls(group, dim, {(e, y): eye for y in group.elements()})
 
     @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only store: x and y coordinates and the block stack, in (x, y) order."""
+        return (*self._coords, self._stack)
+
+    @property
     def entries(self) -> Mapping[tuple[Point, Point], np.ndarray]:
         """Read-only mapping (x, y) -> block in sorted key order, built on first use."""
         return _mapping_view(self)

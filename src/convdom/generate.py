@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .groups import Group, Point
-from .kernels import Envelope, Kernel, operator_norm
+from .kernels import Envelope, Kernel, TestVector, operator_norms
 
 
 @dataclass(frozen=True)
@@ -74,26 +75,43 @@ class Profile:
         return group.ball(max(self.radius, 4))
 
 
-def _random_disc_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    radius = np.sqrt(rng.uniform(size=(dim, dim)))
-    angle = rng.uniform(0.0, 2.0 * math.pi, size=(dim, dim))
-    return radius * np.exp(1j * angle)
+def _random_disc(rng: np.random.Generator, count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``count`` arrays of ``shape`` with coefficients uniform on the complex unit disc.
+
+    Each array's radii are drawn before its angles, one array after another,
+    so the stream is read as one draw per array reads it.
+    """
+    u = rng.uniform(size=(count, 2, *shape))
+    return np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * math.pi * u[:, 1]))
 
 
-def _scaled_to(mat: np.ndarray, target: float) -> np.ndarray:
-    """Rescale so the operator norm is the target, never exceeding it."""
-    norm = operator_norm(mat)
-    if norm == 0.0:
-        out = np.zeros_like(mat)
-        out[0, 0] = target
-        return out
-    out = mat * (target / norm)
+def _scaled_to(blocks: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Rescale each block so its operator norm is its target, never exceeding it (norms on the stack)."""
+    norms = operator_norms(blocks)
+    zero = norms == 0.0
+    out = blocks * (targets / np.where(zero, 1.0, norms))[:, None, None]
+    out[zero] = 0.0
+    out[zero, 0, 0] = targets[zero]
+    live = np.flatnonzero(~zero)
     for _ in range(10):
-        norm = operator_norm(out)
-        if norm <= target:
+        norms = operator_norms(out[live])
+        over = ~(norms <= targets[live])  # a NaN norm is rescaled again, as per block
+        live, norms = live[over], norms[over]
+        if not len(live):
             return out
-        out = out * (target / norm)
-    return out * (1.0 - 1e-15)
+        out[live] = out[live] * (targets[live] / norms)[:, None, None]
+    out[live] = out[live] * (1.0 - 1e-15)
+    return out
+
+
+def _scaled_kernel(
+    group: Group, dim: int, rng: np.random.Generator, targets: Mapping[Point, float], columns: list[Point]
+) -> Kernel:
+    """Kernel of uniform-disc blocks scaled to targets[s], drawn one (s, t) at a time in targets-then-columns order."""
+    keys = [(s, t) for s in targets for t in columns]
+    blocks = _random_disc(rng, len(keys), (dim, dim))
+    scale = np.repeat(np.fromiter(targets.values(), dtype=float, count=len(targets)), len(columns))
+    return Kernel(group, dim, dict(zip(keys, _scaled_to(blocks, scale))))
 
 
 def generate_kernel(
@@ -108,16 +126,12 @@ def generate_kernel(
     """
     rng = np.random.default_rng(seed)
     columns = profile.column_window(group)
-    entries: dict[tuple[Point, Point], np.ndarray] = {}
     intended: dict[Point, float] = {}
     for s in group.ball(profile.radius):
         target = profile.value(group.word_length(s))
-        if target <= 0.0:
-            continue
-        intended[s] = target
-        for t in columns:
-            entries[(s, t)] = _scaled_to(_random_disc_matrix(rng, dim), target)
-    return Kernel(group, dim, entries), Envelope(group, intended)
+        if target > 0.0:
+            intended[s] = target
+    return _scaled_kernel(group, dim, rng, intended, columns), Envelope(group, intended)
 
 
 def generate_kernel_from_envelope(
@@ -139,11 +153,7 @@ def generate_kernel_from_envelope(
         columns = group.elements()
     else:
         columns = group.ball(int(group.word_length_many(envelope.arrays[0]).max(initial=0)) or 4)
-    entries: dict[tuple[Point, Point], np.ndarray] = {}
-    for s, target in envelope.values.items():
-        for t in columns:
-            entries[(s, t)] = _scaled_to(_random_disc_matrix(rng, dim), target)
-    return Kernel(group, dim, entries), envelope
+    return _scaled_kernel(group, dim, rng, envelope.values, columns), envelope
 
 
 def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None):
@@ -159,34 +169,16 @@ def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None)
     rng = np.random.default_rng(seed)
     xs = group.elements() if x_radius is None else group.ball(x_radius)
     ys = group.elements() if group.is_finite else group.ball(x_radius)
-    entries = {}
-    for x in xs:
-        for y in ys:
-            entries[(x, y)] = _random_disc_matrix(rng, dim)
-    return CovarianceElement(group, dim, entries)
+    keys = [(x, y) for x in xs for y in ys]
+    return CovarianceElement(group, dim, dict(zip(keys, _random_disc(rng, len(keys), (dim, dim)))))
 
 
-def random_test_vector(group: Group, dim: int, seed, radius: int, doubled: bool = False) -> "TestVector":
+def random_test_vector(group: Group, dim: int, seed, radius: int, doubled: bool = False) -> TestVector:
     """Random test vector supported on a ball, uniform-disc coefficients."""
-    from .kernels import TestVector
-
     rng = np.random.default_rng(seed)
     points = group.ball(radius)
-    values = {}
-    if doubled:
-        for x in points:
-            for z in points:
-                values[(x, z)] = _disc_vector(rng, dim)
-    else:
-        for x in points:
-            values[x] = _disc_vector(rng, dim)
-    return TestVector(group, dim, values, doubled=doubled)
-
-
-def _disc_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    radius = np.sqrt(rng.uniform(size=dim))
-    angle = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-    return radius * np.exp(1j * angle)
+    keys = [(x, z) for x in points for z in points] if doubled else points
+    return TestVector(group, dim, dict(zip(keys, _random_disc(rng, len(keys), (dim,)))), doubled=doubled)
 
 
 def shift_kernel(

@@ -2,9 +2,12 @@
 
 Kernels and covariance elements are stored as JSON with one record per
 entry; matrices are row-major lists of [re, im] pairs.  Decay reports emit a
-CSV of envelope values per radius and word length plus a JSON summary.  All
-numbers are written with shortest round-trip formatting, so reading back is
-exact and identical inputs produce byte-identical files.
+CSV of envelope values per radius and word length plus a JSON summary.  JSON
+files are laid out exactly as ``json.dumps(data, indent=1, sort_keys=True)``
+plus a newline: numbers in json's text (shortest round-trip floats, ``NaN``,
+``Infinity``), so reading back is exact and identical inputs give identical
+bytes.  One record writer produces that layout without the slow pure-Python
+encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
@@ -20,11 +23,6 @@ from .inversion import DecayReport
 from .kernels import Envelope, Kernel
 
 
-def _matrix_to_pairs(mat: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(mat, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
-
-
 def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     if len(pairs) != dim * dim:
         raise ValueError(f"matrix record has {len(pairs)} coefficients, expected {dim * dim}")
@@ -32,35 +30,46 @@ def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def kernel_to_dict(kernel: Kernel) -> dict:
-    s, t, blocks = kernel.arrays
-    n, d = len(blocks), kernel.dim
-    # Row-major [re, im] pairs per block, read straight off the block stack.
-    pairs = blocks.reshape(n, d * d).view(np.float64).reshape(n, d * d, 2)
-    return {
-        "group": kernel.group.name,
-        "dim": d,
-        "entries": [
-            {"s": si, "t": ti, "matrix": mi} for si, ti, mi in zip(s.tolist(), t.tolist(), pairs.tolist())
-        ],
+def _write_records(path: str | Path, head: dict, key: str, fields: dict[str, np.ndarray]) -> None:
+    """Write ``head`` plus ``key``: a list of one record per row of the ``fields`` arrays.
+
+    Record i maps each field name to row i of its array (a number, nested
+    lists of numbers, or for a complex array the row-major [re, im] pairs of
+    its row).  The bytes are those of ``json.dumps(..., indent=1,
+    sort_keys=True) + "\n"`` on the same dict: the layout of one record is
+    built once as a ``%`` template and filled with json's number text.
+    """
+    parts = [json.dumps({**head, key: []}, indent=1, sort_keys=True) + "\n"]
+    names = sorted(fields)
+    n = len(fields[names[0]])
+    if n:
+        columns = [fields[name] for name in names]
+        columns = [np.stack([c.real, c.imag], -1).reshape(n, -1, 2) if np.iscomplexobj(c) else c for c in columns]
+        layout = {name: np.full(c.shape[1:], "%s", dtype=object).tolist() for name, c in zip(names, columns)}
+        template = "  " + json.dumps(layout, indent=1, sort_keys=True).replace('"%s"', "%s").replace("\n", "\n  ")
+        # Every number in record order, as Python ints and floats, then json's text for each.
+        flat = np.concatenate([c.reshape(n, -1).astype(object) for c in columns], axis=1).ravel().tolist()
+        numbers = json.dumps(flat)[1:-1].split(", ")
+        records = zip(*[iter(numbers)] * (len(numbers) // n))
+        # json escapes quotes inside strings, so the key's line is the only match.
+        before, after = parts[0].split(f'\n "{key}": []', 1)
+        parts = [before, f'\n "{key}": [\n', ",\n".join([template % r for r in records]), "\n ]", after]
+    with open(path, "w") as out:
+        out.writelines(parts)  # in pieces: no copy of the whole text
+
+
+def _blocks_from_dict(data: dict, cls, first: str, second: str):
+    """A kernel (keys s, t) or a covariance element (keys x, y) from its file's data."""
+    group, dim = parse_group(data["group"]), int(data["dim"])
+    entries = {
+        (tuple(rec[first]), tuple(rec[second])): _pairs_to_matrix(rec["matrix"], dim)
+        for rec in data["entries"]
     }
+    return cls(group, dim, entries)
 
 
 def kernel_from_dict(data: dict) -> Kernel:
-    group = parse_group(data["group"])
-    dim = int(data["dim"])
-    entries = {
-        (tuple(rec["s"]), tuple(rec["t"])): _pairs_to_matrix(rec["matrix"], dim)
-        for rec in data["entries"]
-    }
-    return Kernel(group, dim, entries)
-
-
-def envelope_to_dict(env: Envelope) -> dict:
-    return {
-        "group": env.group.name,
-        "values": [{"s": s, "value": v} for s, v in zip(*(a.tolist() for a in env.arrays))],
-    }
+    return _blocks_from_dict(data, Kernel, "s", "t")
 
 
 def envelope_from_dict(data: dict) -> Envelope:
@@ -68,25 +77,8 @@ def envelope_from_dict(data: dict) -> Envelope:
     return Envelope(group, {tuple(rec["s"]): float(rec["value"]) for rec in data["values"]})
 
 
-def covariance_to_dict(f: CovarianceElement) -> dict:
-    return {
-        "group": f.group.name,
-        "dim": f.dim,
-        "entries": [
-            {"x": list(x), "y": list(y), "matrix": _matrix_to_pairs(mat)}
-            for (x, y), mat in f.entries.items()
-        ],
-    }
-
-
 def covariance_from_dict(data: dict) -> CovarianceElement:
-    group = parse_group(data["group"])
-    dim = int(data["dim"])
-    entries = {
-        (tuple(rec["x"]), tuple(rec["y"])): _pairs_to_matrix(rec["matrix"], dim)
-        for rec in data["entries"]
-    }
-    return CovarianceElement(group, dim, entries)
+    return _blocks_from_dict(data, CovarianceElement, "x", "y")
 
 
 def _dump(data: dict, path: str | Path) -> None:
@@ -98,7 +90,9 @@ def _load(path: str | Path) -> dict:
 
 
 def write_kernel(path: str | Path, kernel: Kernel) -> None:
-    _dump(kernel_to_dict(kernel), path)
+    s, t, blocks = kernel.arrays
+    head = {"group": kernel.group.name, "dim": kernel.dim}
+    _write_records(path, head, "entries", {"s": s, "t": t, "matrix": blocks})
 
 
 def read_kernel(path: str | Path) -> Kernel:
@@ -106,7 +100,8 @@ def read_kernel(path: str | Path) -> Kernel:
 
 
 def write_envelope(path: str | Path, env: Envelope) -> None:
-    _dump(envelope_to_dict(env), path)
+    s, values = env.arrays
+    _write_records(path, {"group": env.group.name}, "values", {"s": s, "value": values})
 
 
 def read_envelope(path: str | Path) -> Envelope:
@@ -114,7 +109,9 @@ def read_envelope(path: str | Path) -> Envelope:
 
 
 def write_covariance(path: str | Path, f: CovarianceElement) -> None:
-    _dump(covariance_to_dict(f), path)
+    x, y, blocks = f.arrays
+    head = {"group": f.group.name, "dim": f.dim}
+    _write_records(path, head, "entries", {"x": x, "y": y, "matrix": blocks})
 
 
 def read_covariance(path: str | Path) -> CovarianceElement:

@@ -254,16 +254,17 @@ def _fibre_sups(obj) -> tuple[np.ndarray, np.ndarray]:
 class Envelope:
     """Finitely supported nonnegative function on a group, stored as sorted int64 points and float64 values.
 
-    The Mapping constructor refuses negative values, drops zeros, makes keys
-    canonical and max-merges the values of keys that coincide.
+    The Mapping constructor refuses negative, NaN and infinite values, drops
+    zeros, makes keys canonical and max-merges the values of keys that coincide.
     """
 
     def __init__(self, group: Group, values: Mapping[Point, float]) -> None:
         keys = list(values)
         vals = np.fromiter(map(float, values.values()), dtype=float, count=len(keys))
-        negative = np.flatnonzero(vals < 0)
-        if len(negative):
-            raise ValueError(f"envelope value at {keys[negative[0]]!r} is negative: {vals[negative[0]]}")
+        for bad, what in ((vals < 0, "negative"), (~np.isfinite(vals), "not finite")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"envelope value at {keys[i]!r} is {what}: {vals[i]}")
         live = vals != 0.0
         (points,) = _key_arrays(group, [k for k, keep in zip(keys, live.tolist()) if keep], 1)
         points = group.canonical_many(points)

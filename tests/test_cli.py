@@ -145,6 +145,17 @@ def test_unusable_profile_is_exit_2(tmp_path):
         assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_profile_envelope_is_exit_2(tmp_path, capsys, value):
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text('{"group": "Z", "values": [{"s": [1], "value": %s}]}' % value)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"group": "Z", "dim": 1, "profile": {"kind": "file", "path": str(envelope)}}))
+    assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2
+    assert "unusable profile: envelope value at (1,) is " in capsys.readouterr().err
+    assert not (tmp_path / "io" / "kernel.json").exists()
+
+
 # Report text recorded before the covariance algebra and the test vectors moved
 # onto the shared block store; refactors must reproduce it exactly.
 GOLDEN_REPORTS = {

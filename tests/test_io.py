@@ -1,23 +1,31 @@
 """File formats: exact round trips and decay report serialization."""
 
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from convdom import (
+    Cyclic,
+    DiscreteHeisenberg,
     Envelope,
     HeisenbergMod,
     IntegerLattice,
     InversionConfig,
+    Kernel,
     R_inverse,
     finite_section_inverse,
     generate_kernel,
+    random_covariance,
     shift_kernel,
 )
+from convdom.cli import main
 from convdom.generate import Profile
 from convdom import io as formats
 
 Z = IntegerLattice(1)
+Z2 = IntegerLattice(2)
 
 
 def test_kernel_round_trip_exact(tmp_path):
@@ -85,3 +93,107 @@ def test_writes_are_deterministic(tmp_path):
     formats.write_kernel(a, kernel)
     formats.write_kernel(b, kernel)
     assert a.read_bytes() == b.read_bytes()
+
+
+# -- the record writer against json.dumps(indent=1, sort_keys=True) of per-entry dicts --------
+
+
+def pairs_loop(mat):
+    return [[float(v.real), float(v.imag)] for v in mat.ravel()]
+
+
+def kernel_loop_dict(kernel):
+    records = [{"s": list(s), "t": list(t), "matrix": pairs_loop(mat)} for (s, t), mat in kernel.entries.items()]
+    return {"group": kernel.group.name, "dim": kernel.dim, "entries": records}
+
+
+def envelope_loop_dict(env):
+    return {"group": env.group.name, "values": [{"s": list(s), "value": v} for s, v in env.values.items()]}
+
+
+def covariance_loop_dict(f):
+    records = [{"x": list(x), "y": list(y), "matrix": pairs_loop(mat)} for (x, y), mat in f.entries.items()]
+    return {"group": f.group.name, "dim": f.dim, "entries": records}
+
+
+def assert_written_as_json_dumps(tmp_path, write, obj, loop_dict):
+    path = tmp_path / "out.json"
+    write(path, obj)
+    assert path.read_bytes() == (json.dumps(loop_dict(obj), indent=1, sort_keys=True) + "\n").encode()
+
+
+WRITER_GROUPS = [Z, Z2, Cyclic(7), DiscreteHeisenberg(), HeisenbergMod(3)]
+
+# Signed zeros, the smallest subnormal, huge and non-finite coefficients.
+SPECIAL = np.array([[complex(-0.0, 5e-324), complex(1e300, -0.0)], [complex(np.nan, np.inf), complex(-np.inf, -1.5)]])
+FAR = 2**40
+
+
+def special_kernel():
+    entries = {((1, 0), (0, 0)): SPECIAL, ((0, -1), (FAR, -FAR + 3)): SPECIAL.T, ((-FAR, 7), (3, FAR)): -SPECIAL}
+    return Kernel(Z2, 2, entries)
+
+
+@pytest.mark.parametrize("group", WRITER_GROUPS, ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_writer_equals_json_dumps(tmp_path, group, dim):
+    kernel, _ = generate_kernel(group, dim, seed=dim, profile=Profile.exponential(0.5, 1, t_radius=1))
+    assert_written_as_json_dumps(tmp_path, formats.write_kernel, kernel, kernel_loop_dict)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        special_kernel,
+        lambda: Kernel.zero(Z, 2),
+        lambda: Kernel(Z2, 1, {((FAR, -FAR), (-1, FAR - 1)): np.array([[complex(-0.0, 2.0)]])}),
+    ],
+    ids=["special-values", "empty", "far-coordinates"],
+)
+def test_kernel_writer_edge_cases_equal_json_dumps(tmp_path, make):
+    assert_written_as_json_dumps(tmp_path, formats.write_kernel, make(), kernel_loop_dict)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        Envelope(Z, {(s,): 2.0 ** -abs(s) for s in range(-8, 9)}),
+        Envelope(Z2, {(FAR, -FAR): 5e-324, (0, 1): 1e300, (-FAR, 3): 0.1}),
+        Envelope(HeisenbergMod(3), {(1, 2, 0): 0.25, (0, 0, 1): 1.0}),
+        Envelope(Z, {}),
+    ],
+    ids=["Z", "Z^2-far", "H3(Z/3)", "empty"],
+)
+def test_envelope_writer_equals_json_dumps(tmp_path, env):
+    assert_written_as_json_dumps(tmp_path, formats.write_envelope, env, envelope_loop_dict)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: R_inverse(generate_kernel(HeisenbergMod(3), 2, seed=4, profile=Profile.exponential(0.5, 1))[0]),
+        lambda: random_covariance(Cyclic(7), 3, seed=5),
+        lambda: R_inverse(special_kernel()),
+    ],
+    ids=["H3(Z/3)", "Z/7", "special-values"],
+)
+def test_covariance_writer_equals_json_dumps(tmp_path, make):
+    assert_written_as_json_dumps(tmp_path, formats.write_covariance, make(), covariance_loop_dict)
+
+
+def test_report_files_match_recorded_hashes(tmp_path):
+    """sha256 of the kernel, envelope and covariance files as written before the record writer."""
+    config = tmp_path / "decay.json"
+    profile = {"kind": "exponential", "rate": 0.5, "radius": 1, "t_radius": 6}
+    # A section of 82 rows inverts to the same bytes with one or two BLAS threads; larger ones need not.
+    config.write_text(json.dumps({"group": "Z^2", "dim": 2, "profile": profile, "z": 3, "radii": [2, 4]}))
+    assert main(["decay", "--config", str(config), "--seed", "3", "--out", str(tmp_path / "d")]) in (0, 1)
+    assert main(["kernel-io", "--out", str(tmp_path / "kio")]) == 0
+    recorded = {
+        "d/inverse_kernel.json": "0c150a33b7485989f7082add2c19031dca29bf535c4db97137de9436ee383078",
+        "kio/kernel.json": "fa6b7dc6d4dc0b7d130c74dd3af1ec0de4366ca538c5396e1755bde0a22d79d6",
+        "kio/envelope.json": "85792fac5cb611443baacb784bd828ae7db79d3a694d1ca5ac054863c867fdf3",
+        "kio/covariance.json": "bed598f48403ba75921dba64f28dbd5a71683bede5d47397e57fd5e09b844432",
+    }
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in recorded}
+    assert got == recorded

@@ -29,7 +29,15 @@ from convdom import (
     operator_norms,
     pi_regular,
 )
-from convdom.generate import Profile, generate_kernel, random_covariance, random_test_vector
+from convdom.generate import (
+    Profile,
+    _scaled_to,
+    generate_kernel,
+    generate_kernel_from_envelope,
+    random_covariance,
+    random_test_vector,
+)
+from convdom.suites import kernel_axiom_suite
 
 Z2 = IntegerLattice(2)
 Z7 = Cyclic(7)
@@ -457,3 +465,106 @@ def test_ideal_project_equals_per_entry_rescale(group):
             if factor:
                 expected[(s, t)] = factor * mat
         assert_entries_equal(ideal_project(kernel, subspace), nonzero_sorted(expected))
+
+
+# -- the generator's rescaling and the submultiplicativity check on the stack -------------
+
+
+def scaled_to_loop(mat, target):
+    """The per-block rescale: norm to target, at most ten more times, then shrink by 1e-15."""
+    norm = operator_norm(mat)
+    if norm == 0.0:
+        out = np.zeros_like(mat)
+        out[0, 0] = target
+        return out
+    out = mat * (target / norm)
+    for _ in range(10):
+        norm = operator_norm(out)
+        if norm <= target:
+            return out
+        out = out * (target / norm)
+    return out * (1.0 - 1e-15)
+
+
+def disc_draw(rng, shape):
+    """One array uniform on the complex unit disc: its radii, then its angles."""
+    radius = np.sqrt(rng.uniform(size=shape))
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+    return radius * np.exp(1j * angle)
+
+
+def generate_loop(group, dim, seed, targets, columns):
+    """One draw per (s, t) in targets-then-columns order, each rescaled on its own."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for s, target in targets.items():
+        for t in columns:
+            entries[(s, t)] = scaled_to_loop(disc_draw(rng, (dim, dim)), target)
+    return Kernel(group, dim, entries)
+
+
+GENERATE_CASES = [(Z2, 1), (Z2, 2), (Z2, 3), (Z7, 1), (Z7, 2), (Z7, 3), (H3_3, 1), (H3_3, 2), (H3_3, 3)]
+
+
+@pytest.mark.parametrize("group,dim", GENERATE_CASES, ids=str)
+def test_generated_kernels_equal_per_entry_rescale_bit_for_bit(group, dim):
+    profile = Profile.polynomial(1.5, 2, t_radius=1)
+    kernel, _ = generate_kernel(group, dim, 11, profile)
+    in_ball_order = {s: profile.value(group.word_length(s)) for s in group.ball(profile.radius)}
+    targets = {s: target for s, target in in_ball_order.items() if target > 0.0}
+    expected = generate_loop(group, dim, 11, targets, profile.column_window(group))
+    assert_entries_equal(kernel, expected.entries)
+    envelope = Envelope(group, {s: 0.3 ** (1 + i) for i, s in enumerate(group.ball(1))})
+    kernel, _ = generate_kernel_from_envelope(group, dim, 12, envelope, t_radius=1)
+    assert_entries_equal(kernel, generate_loop(group, dim, 12, envelope.values, group.ball(1)).entries)
+
+
+@pytest.mark.parametrize("group,dim", GENERATE_CASES, ids=str)
+def test_random_covariance_and_vectors_equal_per_entry_draws(group, dim):
+    x_radius = None if group.is_finite else 1
+    xs = group.elements() if group.is_finite else group.ball(1)
+    rng = np.random.default_rng(13)
+    expected = {(x, y): disc_draw(rng, (dim, dim)) for x in xs for y in xs}
+    assert_mapping_equal(random_covariance(group, dim, 13, x_radius=x_radius).entries, nonzero_sorted(expected))
+    points = group.ball(1)
+    rng = np.random.default_rng(14)
+    expected = {x: disc_draw(rng, (dim,)) for x in points}
+    assert_mapping_equal(random_test_vector(group, dim, 14, radius=1).values, nonzero_sorted(expected))
+    rng = np.random.default_rng(15)
+    expected = {(x, z): disc_draw(rng, (dim,)) for x in points for z in points}
+    assert_mapping_equal(random_test_vector(group, dim, 15, radius=1, doubled=True).values, nonzero_sorted(expected))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_scaled_to_equals_per_block_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    blocks = np.array([disc_draw(rng, (dim, dim)) for _ in range(300)] + [np.zeros((dim, dim))])
+    # Subnormal targets need up to ten more rescales and the final shrink;
+    # targets near the largest float overflow to inf and NaN.
+    exponents = [rng.uniform(-300, 300, 100), rng.uniform(-323.5, -315, 100), rng.uniform(300, 308, 100)]
+    targets = np.concatenate([10.0 ** np.concatenate(exponents), [0.5]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _scaled_to(blocks, targets)
+        expected = np.array([scaled_to_loop(b, t) for b, t in zip(blocks, targets)])
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("group,dim", [(Z2, 1), (Z2, 2), (H3_3, 1), (Z7, 3)], ids=str)
+def test_norm_submultiplicative_equals_per_entry_loop(group, dim):
+    """The suite's worst value, recomputed with one norm and one envelope lookup per entry."""
+    profile = Profile.exponential(rate=0.5, radius=1, t_radius=1)
+    worst = 0.0
+    for ss in np.random.SeedSequence(3).spawn(2):
+        seeds = ss.spawn(6)
+        k1, _ = generate_kernel(group, dim, seeds[0], profile)
+        k2, _ = generate_kernel(group, dim, seeds[1], profile)
+        n1, n2 = k1.envelope_norm(), k2.envelope_norm()
+        scale = max(1.0, n1 * n2)
+        k12 = k1.compose(k2)
+        over = (k12.envelope_norm() - n1 * n2) / scale
+        conv = k1.min_envelope().convolve(k2.min_envelope())
+        for (s, _t), mat in k12.entries.items():
+            over = max(over, (np.linalg.norm(mat, 2) - conv.value(s)) / scale)
+        worst = max(worst, over)
+    results = {r.name: r.worst for r in kernel_axiom_suite(group, dim, seed=3, trials=2)}
+    assert results["norm_submultiplicative"] == worst
