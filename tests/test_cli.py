@@ -108,6 +108,14 @@ def test_numerical_abort_is_exit_3(tmp_path):
     assert run(["invert", "--config", config]) == 3
 
 
+def test_truncated_section_with_singular_pivot_is_exit_3(tmp_path):
+    config = tmp_path / "cfg.json"
+    # The shift on Z with z = 0: the outermost shell {-4, 4} does not couple
+    # to itself, so the sweep's first pivot is zero.
+    config.write_text(json.dumps({"group": "Z", "preset": "shift", "weight": 0.5, "z": 0.0, "radii": [4]}))
+    assert run(["invert", "--config", config]) == 3
+
+
 def test_contour_failing_node_is_exit_3(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"scalar": -1.0, "weight": 0.0, "eps": 1.0, "nodes": 16}))
@@ -186,7 +194,8 @@ def test_reports_match_recorded_text(tmp_path, task, group):
     assert (tmp_path / "report.txt").read_text() == GOLDEN_REPORTS[task, group]
 
 
-# Envelope-derived report files recorded before the envelope moved onto arrays.
+# Envelope-derived report files recorded before the envelope moved onto arrays;
+# the decay values re-recorded once when the section solve became a Schur sweep.
 # The residual is left out: it measures the section, not the envelope.
 GOLDEN_DECAY_CSV = """\
 radius,word_length,envelope_value
@@ -205,7 +214,7 @@ radius,word_length,envelope_value
 16,12,2.0157331797506925e-11
 16,13,2.9346002032458363e-12
 16,14,3.8551707899098296e-13
-16,15,5.179055488107219e-14
+16,15,5.179055488107218e-14
 16,16,5.480955436463304e-15
 20,0,0.1578658352461091
 20,1,0.11219686730492802
@@ -218,16 +227,16 @@ radius,word_length,envelope_value
 20,8,1.4296397553541265e-07
 20,9,2.4826887803493513e-08
 20,10,2.786254669394965e-09
-20,11,2.54466827284094e-10
-20,12,2.323748482783411e-11
+20,11,2.5446682728409406e-10
+20,12,2.3237484827834118e-11
 20,13,2.934600203245835e-12
 20,14,3.8551707899098276e-13
 20,15,5.179055488107219e-14
 20,16,6.538793208093195e-15
 20,17,7.824553651020079e-16
-20,18,9.904984052396316e-17
-20,19,1.11191166469263e-17
-20,20,1.0152430995877382e-18
+20,18,9.904984052396313e-17
+20,19,1.1119116646926299e-17
+20,20,1.015243099587738e-18
 """
 
 GOLDEN_PARTIAL_SUMS = [

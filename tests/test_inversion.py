@@ -1,13 +1,18 @@
 """Finite sections, Neumann and contour oracles, ideal projection, decay fits."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convdom import (
     ContourNodeError,
     Cyclic,
+    DiscreteHeisenberg,
+    HeisenbergMod,
     IdealSubspace,
     IntegerLattice,
     InversionConfig,
@@ -22,6 +27,7 @@ from convdom import (
     neumann_inverse,
     shift_kernel,
 )
+from convdom import inversion
 from convdom.generate import Profile
 
 Z = IntegerLattice(1)
@@ -82,17 +88,126 @@ def test_finite_group_section_matches_direct_inverse():
 
 @pytest.mark.parametrize("z", [1.0, -1.0, 1j, -2 - 2j, complex(-0.0, 1.0), np.exp(0.3j)], ids=str)
 def test_section_inverse_equals_dense_formula_bit_for_bit(z):
-    # Signed zeros included: the scalar shifts run in place, and must match
-    # inverting z + K and subtracting 1/z with full identity matrices.
+    # A section covering the whole group leaves no slab to eliminate, so the
+    # sweep is the dense inverse.  Signed zeros included: the scalar shifts
+    # run in place, and must match inverting z + K and subtracting 1/z with
+    # full identity matrices.
+    for group in (Cyclic(9), HeisenbergMod(3)):
+        kernel, _ = generate_kernel(group, 2, 5, Profile.exponential(0.4, 1))
+        cfg = InversionConfig(z=z, radii=(group.diameter(),), inner_ratio=0.5)
+        got, report = finite_section_inverse(kernel, cfg)
+        assert report.full_group
+        points = group.elements()
+        eye = np.eye(2 * len(points), dtype=complex)
+        dense = np.linalg.inv(kernel.to_dense(points) + z * eye) - eye / z
+        expected = Kernel.from_dense(group, 2, dense, points)
+        assert [a.tobytes() for a in got.arrays] == [a.tobytes() for a in expected.arrays]
+
+
+# Truncated sections against a dense inverse of the whole section, computed here.
+SECTION_GROUPS = {
+    "Z": (IntegerLattice(1), 5, 14),
+    "Z^2": (IntegerLattice(2), 3, 6),
+    "Z/15": (Cyclic(15), 3, 6),  # diameter 7: never fully covered
+    "H3(Z)": (DiscreteHeisenberg(), 3, 4),
+}
+
+
+@st.composite
+def truncated_sections(draw):
+    group, low, high = SECTION_GROUPS[draw(st.sampled_from(sorted(SECTION_GROUPS)))]
+    radius = draw(st.integers(low, high))
+    dim, support, seed = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 999))
+    size = draw(st.one_of(st.floats(0.05, 0.5), st.floats(2.0, 5.0)))
+    z = size * cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0)))
+    kernel, _ = generate_kernel(group, dim, seed, Profile.exponential(0.5, support, radius))
+    cfg = InversionConfig(z=z, radii=(radius,), inner_ratio=draw(st.sampled_from([0.25, 0.5, 0.75])))
+    points = group.ball(radius)
+    dense = kernel.to_dense(points) + z * np.eye(len(points) * dim)
+    return kernel, cfg, dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(truncated_sections())
+def test_truncated_section_matches_dense_oracle(case):
+    kernel, cfg, dense = case
+    inverse = np.linalg.inv(dense)
+    condition = np.linalg.norm(dense, 1) * np.linalg.norm(inverse, 1)
+    got, report = finite_section_inverse(kernel, cfg)
+    assert not report.full_group
+    window = kernel.group.ball(report.final_inner_radius())
+    m = len(window) * kernel.dim
+    expected = inverse[:m, :m] - np.eye(m) / cfg.z
+    gap = np.max(np.abs(got.to_dense(window) - expected)) / np.max(np.abs(inverse))
+    assert gap <= 32 * np.finfo(float).eps * condition
+
+
+@settings(max_examples=40, deadline=None)
+@given(truncated_sections())
+def test_condition_estimate_brackets_exact_condition(case):
+    kernel, cfg, dense = case
+    exact = np.linalg.norm(dense, 1) * np.linalg.norm(np.linalg.inv(dense), 1)
+    solve, estimates = inversion._window_inverse, []
+
+    def spy(*args):
+        inverse, condition = solve(*args)
+        estimates.append(condition)
+        return inverse, condition
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inversion, "_window_inverse", spy)
+        finite_section_inverse(kernel, cfg)
+    [estimate] = estimates
+    assert exact / 10 <= estimate <= exact * (1 + 1e-12)
+
+
+def test_truncated_section_with_singular_pivot_raises():
+    # The weight-1/2 shift on Z with z = 0: the outermost shell {-4, 4} does
+    # not couple to itself, so its pivot is zero.
+    with pytest.raises(SectionInversionError) as info:
+        finite_section_inverse(shift_kernel(Z, 1, 0.5, t_radius=4), InversionConfig(z=0.0, radii=(4,)))
+    assert info.value.condition == math.inf
+
+
+def test_truncated_section_with_ill_conditioned_pivot_raises():
+    # z + K(e, -4) = 1e-14 next to z = 1 at 4 leaves the outermost pivot
+    # diag(1e-14, 1).  The cap holds for every pivot, even where the whole
+    # section (condition 34 here) would pass it.
+    band = shift_kernel(Z, 1, 0.5, t_radius=4)
+    kernel = band + band.involution() + Kernel(Z, 1, {((0,), (-4,)): [[1e-14 - 1.0]]})
+    assert np.linalg.cond(kernel.to_dense(Z.ball(4)) + np.eye(9), 1) < 100
+    with pytest.raises(SectionInversionError) as info:
+        finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(4,)))
+    assert 1e12 < info.value.condition < math.inf
+
+
+def test_truncated_section_beyond_the_cap_raises_on_the_estimate():
+    # 1 + 2 S on ball(4) of Z: every pivot is the identity, but the section's
+    # 1-norm condition is 3 * 511 = 1533, which the estimate finds.
+    kernel = shift_kernel(Z, 1, 2.0, t_radius=4)
+    with pytest.raises(SectionInversionError) as info:
+        finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(4,), condition_cap=1000))
+    assert 1000 < info.value.condition <= 1533 * (1 + 1e-12)
+
+
+def test_sweep_assembles_at_most_two_adjacent_slabs(monkeypatch):
     z2 = IntegerLattice(2)
-    kernel = shift_kernel(z2, 1, 0.4, t_radius=4)
-    got, _ = finite_section_inverse(kernel, InversionConfig(z=z, radii=(4,), inner_ratio=0.5))
-    points = z2.ball(4)
-    eye = np.eye(len(points), dtype=complex)
-    dense = np.linalg.inv(kernel.to_dense(points) + z * eye) - eye / z
-    inner = len(z2.ball(2))
-    expected = Kernel.from_dense(z2, 1, dense[:inner, :inner], points[:inner])
-    assert [a.tobytes() for a in got.arrays] == [a.tobytes() for a in expected.arrays]
+    kernel, _ = generate_kernel(z2, 2, 1, Profile.exponential(0.2, 1, 20))
+    rows = []
+    to_dense = Kernel.to_dense
+
+    def recorder(self, points):
+        mat = to_dense(self, points)
+        rows.append(mat.shape[0])
+        return mat
+
+    monkeypatch.setattr(Kernel, "to_dense", recorder)
+    finite_section_inverse(kernel, InversionConfig(z=3.0, radii=(20,), inner_ratio=0.5))
+    # Support radius 1: one shell per slab, eliminated from shell 20 inwards
+    # onto the window ball(10).  The section has 2 * 841 = 1682 rows.
+    ball = [len(z2.ball(k)) for k in range(21)]
+    assert rows == [2 * (ball[k] - ball[k - 2]) for k in range(20, 11, -1)] + [2 * ball[11]]
+    assert max(rows) == 530 < 2 * ball[20] == 1682
 
 
 def test_section_singular_raises_at_scale_error():
