@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import Point
 from .kernels import Envelope, Kernel, _from_arrays, _join, _row_codes
 
 
@@ -74,7 +73,7 @@ class InversionConfig:
         object.__setattr__(self, "z", complex(self.z))
         if not 0.0 < self.inner_ratio <= 1.0:
             raise ValueError("inner_ratio must lie in (0, 1]")
-        if self.stabilization_tol <= 0 or self.condition_cap <= 0:
+        if not self.stabilization_tol > 0 or not self.condition_cap > 0:  # NaN fails too
             raise ValueError("tolerances must be positive")
 
 
@@ -84,6 +83,10 @@ class DecayReport:
 
     envelope_by_radius: dict[int, Envelope]
     inner_radius_by_radius: dict[int, int]
+    # Points solved (the ball less its part uncoupled from the window) and
+    # the condition estimate of their section, per radius.
+    solved_points_by_radius: dict[int, int]
+    condition_by_radius: dict[int, float]
     l1_partial_sums: list[float]
     stabilized: bool
     # inverse_residual on the interior window (see finite_section_inverse)
@@ -168,7 +171,7 @@ def _inverse_norm_estimate(pivots: list, couplings: list) -> float:
 
 
 def _window_inverse(
-    kernel: Kernel, z: complex, points: list[Point], edges: list[int], radius: int, condition_cap: float
+    kernel: Kernel, z: complex, points: np.ndarray, edges: list[int], radius: int, condition_cap: float
 ) -> tuple[np.ndarray, float]:
     """(z + T_K)^-1 on the window of a ball section, by an outer-to-inner Schur sweep.
 
@@ -206,14 +209,34 @@ def _window_inverse(
     return pivots[-1], condition
 
 
+def _coupled(kernel: Kernel, points: np.ndarray, window: int) -> np.ndarray:
+    """Positions of the section points joined to the window points[:window], ascending.
+
+    Grows from the window through the entries whose row s t and column t both
+    lie in the section, in both directions: the points never reached form
+    diagonal blocks of the section, which leave its inverse on the window
+    unchanged (the reachability of Gilbert & Peierls, SIAM J. Sci. Stat.
+    Comput. 9, 1988).
+    """
+    _entry, i, j = kernel._section_index(points)
+    reached = np.zeros(len(points), dtype=bool)
+    reached[:window] = True
+    while (grow := reached[i] != reached[j]).any():
+        reached[i[grow]] = reached[j[grow]] = True
+    return np.flatnonzero(reached)
+
+
 def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel, DecayReport]:
     """Invert z + T_K by growing ball sections and extract the inverse kernel.
 
     For each radius the inverse of the section on the inner ball of radius
     inner_ratio * r comes from a Schur sweep over slabs of shells (see
     :func:`_window_inverse`), and the scalar part 1/z is removed (for z != 0).
-    A singular section, or a condition estimate or elimination pivot beyond
-    condition_cap, raises :class:`SectionInversionError`.  The
+    The sweep solves only the ball points joined to that window by a chain
+    of kernel entries (see :func:`_coupled`), which keeps every point when
+    the window is the whole ball.  A singular coupled part, or a condition
+    estimate or elimination pivot of it beyond condition_cap, raises
+    :class:`SectionInversionError`; the uncoupled rest is never inspected.  The
     run counts as stabilized when the two largest radii give envelopes within
     stabilization_tol in l1 on their common inner window, or when the section
     covers a whole finite group (no truncation error at all).
@@ -223,6 +246,8 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     z = cfg.z
     envelopes: dict[int, Envelope] = {}
     inner_radii: dict[int, int] = {}
+    solved: dict[int, int] = {}
+    conditions: dict[int, float] = {}
     extracted: dict[int, Kernel] = {}
     covered_group = False
     # Largest word length in the kernel's support: it sets the slab width of
@@ -232,17 +257,25 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
         points = g.ball(radius)
         full_group = g.is_finite and len(points) == g.order
         inner_radius = radius if full_group else int(math.floor(cfg.inner_ratio * radius))
-        # Balls are ordered by word length, so the window and slabs are ranges.
-        lengths = g.word_length_many(g.canonical_many(points))
+        # Balls are ordered by word length, so the window and slabs are ranges;
+        # dropping the uncoupled points keeps that order.
+        pts = g.canonical_many(points)
+        lengths = g.word_length_many(pts)
+        window_size = int(np.searchsorted(lengths, inner_radius, side="right"))
+        if window_size < len(pts):
+            kept = _coupled(kernel, pts, window_size)
+            pts, lengths = pts[kept], lengths[kept]
         cuts = np.searchsorted(lengths, range(inner_radius, radius, max(support, 1)), side="right")
-        edges = [0, *cuts.tolist(), len(points)]
-        inv, _condition = _window_inverse(kernel, z, points, edges, radius, cfg.condition_cap)
+        # Pruning can empty the outer slabs: drop the repeated edges they leave.
+        edges = list(dict.fromkeys([0, *cuts.tolist(), len(pts)]))
+        inv, conditions[radius] = _window_inverse(kernel, z, pts, edges, radius, cfg.condition_cap)
         if z != 0:
             _add_scaled_identity(inv, -(np.array([0, 1], dtype=complex) / z))
-        section = Kernel.from_dense(g, d, inv, points[: edges[1]])
+        section = Kernel.from_dense(g, d, inv, pts[:window_size])
         extracted[radius] = section
         envelopes[radius] = section.min_envelope()
         inner_radii[radius] = inner_radius
+        solved[radius] = len(pts)
         covered_group = covered_group or full_group
         if full_group:
             break
@@ -270,6 +303,8 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     report = DecayReport(
         envelope_by_radius=envelopes,
         inner_radius_by_radius=inner_radii,
+        solved_points_by_radius=solved,
+        condition_by_radius=conditions,
         l1_partial_sums=envelopes[final_radius].shell_partial_sums(),
         stabilized=stabilized,
         residual=inverse_residual(kernel, z, result, window) if window >= 0 else math.inf,

@@ -524,18 +524,28 @@ class Kernel:
         keep = g.word_length_many(g.multiply_many(s, t)) <= radius
         return _from_arrays(Kernel, g, self.dim, (s[keep], t[keep]), blocks[keep])
 
-    def to_dense(self, points: Iterable[Point]) -> np.ndarray:
-        """Dense section matrix [K(x, y)] over an ordered list of points."""
-        g, d, (s, t) = self.group, self.dim, self._coords
-        pts = g.canonical_many(list(points))
-        n = len(pts)
+    def _section_index(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(entry, row, column) of each entry whose row s t and column t lie in a section.
+
+        ``pts`` is a canonical point array; rows and columns are positions in
+        it.  Repeated points raise ValueError.
+        """
+        g, (s, t) = self.group, self._coords
         index, cols, rows = _row_codes(pts, t, g.multiply_many(s, t))
-        if len(_distinct(index)) != n:
+        if len(_distinct(index)) != len(pts):
             raise ValueError("section points must be distinct")
         entry, j = _join(cols, index)
         at_row, i = _join(rows[entry], index)
+        return entry[at_row], i, j[at_row]
+
+    def to_dense(self, points: Iterable[Point]) -> np.ndarray:
+        """Dense section matrix [K(x, y)] over an ordered list of points."""
+        d = self.dim
+        pts = self.group.canonical_many(list(points))
+        n = len(pts)
+        entry, i, j = self._section_index(pts)
         mat = np.zeros((n, d, n, d), dtype=complex)
-        mat[i, :, j[at_row], :] = self._stack[entry[at_row]]
+        mat[i, :, j, :] = self._stack[entry]
         return mat.reshape(n * d, n * d)
 
     @classmethod

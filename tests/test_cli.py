@@ -116,6 +116,15 @@ def test_truncated_section_with_singular_pivot_is_exit_3(tmp_path):
     assert run(["invert", "--config", config]) == 3
 
 
+@pytest.mark.parametrize("cap,status", [(1000, 3), (float("nan"), 2)], ids=str)
+def test_condition_cap_is_enforced_or_refused(tmp_path, cap, status):
+    # 1 + 2 S on ball(4) of Z has condition 1533: over a cap of 1000, it is a
+    # numerical abort.  A NaN cap would switch the check off, so it is refused.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"preset": "shift", "weight": 2.0, "z": 1.0, "radii": [4], "condition_cap": cap}))
+    assert run(["invert", "--config", config]) == status
+
+
 def test_contour_failing_node_is_exit_3(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"scalar": -1.0, "weight": 0.0, "eps": 1.0, "nodes": 16}))
@@ -272,3 +281,21 @@ def test_envelope_reports_match_recorded_bytes(tmp_path):
     assert (tmp_path / "ia" / "ideal_approx.csv").read_text() == GOLDEN_IDEAL_APPROX_CSV
     envelope = (tmp_path / "ia" / "envelope.json").read_bytes()
     assert hashlib.sha256(envelope).hexdigest() == "04ac263850c579e9fa6d86c044c96d0e5d50446d940dca702652a85544fc3854"
+
+
+# Reports of the CI section-sweep run, a truncated H3(Z) section, recorded
+# before the sweep began to skip the points uncoupled from the window.
+GOLDEN_H3_INVERT_SHA256 = {
+    "decay.csv": "97a130c7a47a90652b85d8a02ca1306469e95cb2eb66c2abb94b44afd939f423",
+    "inverse_kernel.json": "bed870b09705b50dcf6a7babb17515b75bf6507482a8c51b21e38f499d76acc1",
+    "report.txt": "fa4cdf4f96e3156a16a053d4b7b444bc9a6fd7f1e91529816468bf97be34a5bf",
+    "summary.json": "ad3f263f73b56a63605eaa044da50844de8265bf25a061b362ba40c46ca044b9",
+}
+
+
+def test_h3_invert_reports_match_recorded_bytes(tmp_path):
+    config = tmp_path / "h3.json"
+    config.write_text(json.dumps({"group": "H3(Z)", "radii": [4, 6]}))
+    assert run(["invert", "--config", config, "--out", tmp_path / "h3"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "h3" / name).read_bytes()).hexdigest() for name in GOLDEN_H3_INVERT_SHA256}
+    assert digests == GOLDEN_H3_INVERT_SHA256

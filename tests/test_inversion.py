@@ -127,19 +127,27 @@ def truncated_sections(draw):
     return kernel, cfg, dense
 
 
+def assert_window_matches_dense_inverse(got, report, dense, z):
+    """The extracted kernel against the window block of inv(dense) - 1/z, to 32 eps cond.
+
+    ``dense`` is z + K on points whose ball-ordered head is the final window.
+    """
+    inverse = np.linalg.inv(dense)
+    condition = np.linalg.norm(dense, 1) * np.linalg.norm(inverse, 1)
+    window = got.group.ball(report.final_inner_radius())
+    m = len(window) * got.dim
+    expected = inverse[:m, :m] - np.eye(m) / z
+    gap = np.max(np.abs(got.to_dense(window) - expected)) / np.max(np.abs(inverse))
+    assert gap <= 32 * np.finfo(float).eps * condition
+
+
 @settings(max_examples=40, deadline=None)
 @given(truncated_sections())
 def test_truncated_section_matches_dense_oracle(case):
     kernel, cfg, dense = case
-    inverse = np.linalg.inv(dense)
-    condition = np.linalg.norm(dense, 1) * np.linalg.norm(inverse, 1)
     got, report = finite_section_inverse(kernel, cfg)
     assert not report.full_group
-    window = kernel.group.ball(report.final_inner_radius())
-    m = len(window) * kernel.dim
-    expected = inverse[:m, :m] - np.eye(m) / cfg.z
-    gap = np.max(np.abs(got.to_dense(window) - expected)) / np.max(np.abs(inverse))
-    assert gap <= 32 * np.finfo(float).eps * condition
+    assert_window_matches_dense_inverse(got, report, dense, cfg.z)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,9 +164,63 @@ def test_condition_estimate_brackets_exact_condition(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inversion, "_window_inverse", spy)
-        finite_section_inverse(kernel, cfg)
+        _inverse, report = finite_section_inverse(kernel, cfg)
     [estimate] = estimates
     assert exact / 10 <= estimate <= exact * (1 + 1e-12)
+    assert report.condition_by_radius == {cfg.radii[0]: estimate}
+
+
+def _band(kernel):
+    return kernel + kernel.involution()
+
+
+# Kernels whose ball sections split into blocks, most of them never meeting
+# the window: (kernel, radius, z).  A shift by e1 on Z^2 only couples points
+# of one row, and one by (1, 0, 0) on H3(Z) only points of one left coset.
+DECOUPLED_SECTIONS = {
+    "shift-Z^2": (shift_kernel(IntegerLattice(2), 2, 0.8 - 0.6j, step=(1, 0), t_radius=6), 6, 0.7j),
+    "band-Z^2": (_band(shift_kernel(IntegerLattice(2), 1, 0.4 + 0.3j, step=(1, 0), t_radius=6)), 6, 3.0),
+    "shift-H3(Z)": (shift_kernel(DiscreteHeisenberg(), 1, 0.4, t_radius=6), 6, 1.0),
+    "band-H3(Z)": (
+        _band(shift_kernel(DiscreteHeisenberg(), 2, 0.5j, t_radius=6))
+        + Kernel.identity(DiscreteHeisenberg(), 2, 6).scale(0.25),
+        6,
+        -2.0 + 1.0j,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOUPLED_SECTIONS))
+def test_decoupled_section_matches_dense_oracle(name):
+    kernel, radius, z = DECOUPLED_SECTIONS[name]
+    points = kernel.group.ball(radius)
+    got, report = finite_section_inverse(kernel, InversionConfig(z=z, radii=(radius,), inner_ratio=0.5))
+    assert report.solved_points_by_radius[radius] < len(points)
+    dense = kernel.to_dense(points) + z * np.eye(len(points) * kernel.dim)
+    assert_window_matches_dense_inverse(got, report, dense, z)
+
+
+def test_fully_coupled_section_solves_the_whole_ball():
+    kernel, cfg = geometric_shift_setup()
+    _inverse, report = finite_section_inverse(kernel, cfg)
+    assert report.solved_points_by_radius == {r: 2 * r + 1 for r in cfg.radii}
+
+
+def test_singular_uncoupled_part_is_not_solved():
+    # The shift along e1 on Z^2, plus -z at (0, 4): that point's row of
+    # z + K is zero, so the section is singular, but its line b = 4 never
+    # meets the window ball(2).  The inverse on the window is that of the
+    # coupled part, the lines |b| <= 2.
+    z2, z = IntegerLattice(2), 1.5
+    kernel = shift_kernel(z2, 1, 0.5, step=(1, 0), t_radius=4) + Kernel(z2, 1, {((0, 0), (0, 4)): [[-z]]})
+    points = z2.ball(4)
+    section = kernel.to_dense(points) + z * np.eye(len(points))
+    assert not section[points.index((0, 4))].any()
+    coupled = [p for p in points if abs(p[1]) <= 2]
+    got, report = finite_section_inverse(kernel, InversionConfig(z=z, radii=(4,), inner_ratio=0.5))
+    assert report.solved_points_by_radius == {4: len(coupled)}
+    dense = kernel.to_dense(coupled) + z * np.eye(len(coupled))
+    assert_window_matches_dense_inverse(got, report, dense, z)
 
 
 def test_truncated_section_with_singular_pivot_raises():
@@ -235,6 +297,10 @@ def test_config_validation():
         InversionConfig(radii=(4,), inner_ratio=0.0)
     with pytest.raises(ValueError):
         InversionConfig(radii=(4,), stabilization_tol=0.0)
+    with pytest.raises(ValueError):
+        InversionConfig(radii=(4,), stabilization_tol=math.nan)
+    with pytest.raises(ValueError):
+        InversionConfig(radii=(4,), condition_cap=math.nan)
 
 
 def test_unstabilized_single_radius_reported():
