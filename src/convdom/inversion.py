@@ -83,10 +83,6 @@ class DecayReport:
 
     envelope_by_radius: dict[int, Envelope]
     inner_radius_by_radius: dict[int, int]
-    # Points solved (the ball less its part uncoupled from the window) and
-    # the condition estimate of their section, per radius.
-    solved_points_by_radius: dict[int, int]
-    condition_by_radius: dict[int, float]
     l1_partial_sums: list[float]
     stabilized: bool
     # inverse_residual on the interior window (see finite_section_inverse)
@@ -233,8 +229,8 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     inner_ratio * r comes from a Schur sweep over slabs of shells (see
     :func:`_window_inverse`), and the scalar part 1/z is removed (for z != 0).
     The sweep solves only the ball points joined to that window by a chain
-    of kernel entries (see :func:`_coupled`), which keeps every point when
-    the window is the whole ball.  A singular coupled part, or a condition
+    of kernel entries (see :func:`_coupled`); when the window is the whole
+    ball, that is every point.  A singular coupled part, or a condition
     estimate or elimination pivot of it beyond condition_cap, raises
     :class:`SectionInversionError`; the uncoupled rest is never inspected.  The
     run counts as stabilized when the two largest radii give envelopes within
@@ -246,8 +242,6 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     z = cfg.z
     envelopes: dict[int, Envelope] = {}
     inner_radii: dict[int, int] = {}
-    solved: dict[int, int] = {}
-    conditions: dict[int, float] = {}
     extracted: dict[int, Kernel] = {}
     covered_group = False
     # Largest word length in the kernel's support: it sets the slab width of
@@ -262,20 +256,18 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
         pts = g.canonical_many(points)
         lengths = g.word_length_many(pts)
         window_size = int(np.searchsorted(lengths, inner_radius, side="right"))
-        if window_size < len(pts):
-            kept = _coupled(kernel, pts, window_size)
-            pts, lengths = pts[kept], lengths[kept]
+        kept = _coupled(kernel, pts, window_size)
+        pts, lengths = pts[kept], lengths[kept]
         cuts = np.searchsorted(lengths, range(inner_radius, radius, max(support, 1)), side="right")
         # Pruning can empty the outer slabs: drop the repeated edges they leave.
         edges = list(dict.fromkeys([0, *cuts.tolist(), len(pts)]))
-        inv, conditions[radius] = _window_inverse(kernel, z, pts, edges, radius, cfg.condition_cap)
+        inv, _condition = _window_inverse(kernel, z, pts, edges, radius, cfg.condition_cap)
         if z != 0:
             _add_scaled_identity(inv, -(np.array([0, 1], dtype=complex) / z))
         section = Kernel.from_dense(g, d, inv, pts[:window_size])
         extracted[radius] = section
         envelopes[radius] = section.min_envelope()
         inner_radii[radius] = inner_radius
-        solved[radius] = len(pts)
         covered_group = covered_group or full_group
         if full_group:
             break
@@ -303,8 +295,6 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     report = DecayReport(
         envelope_by_radius=envelopes,
         inner_radius_by_radius=inner_radii,
-        solved_points_by_radius=solved,
-        condition_by_radius=conditions,
         l1_partial_sums=envelopes[final_radius].shell_partial_sums(),
         stabilized=stabilized,
         residual=inverse_residual(kernel, z, result, window) if window >= 0 else math.inf,

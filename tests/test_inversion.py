@@ -155,19 +155,23 @@ def test_truncated_section_matches_dense_oracle(case):
 def test_condition_estimate_brackets_exact_condition(case):
     kernel, cfg, dense = case
     exact = np.linalg.norm(dense, 1) * np.linalg.norm(np.linalg.inv(dense), 1)
-    solve, estimates = inversion._window_inverse, []
+    _inverse, _report, [(_solved, estimate)] = spy_on_sweeps(kernel, cfg)
+    assert exact / 10 <= estimate <= exact * (1 + 1e-12)
 
-    def spy(*args):
-        inverse, condition = solve(*args)
-        estimates.append(condition)
+
+def spy_on_sweeps(kernel, cfg):
+    """finite_section_inverse, plus (points solved, condition estimate) of each radius's sweep."""
+    solve, sweeps = inversion._window_inverse, []
+
+    def spy(kernel, z, points, *rest):
+        inverse, condition = solve(kernel, z, points, *rest)
+        sweeps.append((len(points), condition))
         return inverse, condition
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inversion, "_window_inverse", spy)
-        _inverse, report = finite_section_inverse(kernel, cfg)
-    [estimate] = estimates
-    assert exact / 10 <= estimate <= exact * (1 + 1e-12)
-    assert report.condition_by_radius == {cfg.radii[0]: estimate}
+        got, report = finite_section_inverse(kernel, cfg)
+    return got, report, sweeps
 
 
 def _band(kernel):
@@ -194,16 +198,16 @@ DECOUPLED_SECTIONS = {
 def test_decoupled_section_matches_dense_oracle(name):
     kernel, radius, z = DECOUPLED_SECTIONS[name]
     points = kernel.group.ball(radius)
-    got, report = finite_section_inverse(kernel, InversionConfig(z=z, radii=(radius,), inner_ratio=0.5))
-    assert report.solved_points_by_radius[radius] < len(points)
+    got, report, [(solved, _condition)] = spy_on_sweeps(kernel, InversionConfig(z=z, radii=(radius,), inner_ratio=0.5))
+    assert solved < len(points)
     dense = kernel.to_dense(points) + z * np.eye(len(points) * kernel.dim)
     assert_window_matches_dense_inverse(got, report, dense, z)
 
 
 def test_fully_coupled_section_solves_the_whole_ball():
     kernel, cfg = geometric_shift_setup()
-    _inverse, report = finite_section_inverse(kernel, cfg)
-    assert report.solved_points_by_radius == {r: 2 * r + 1 for r in cfg.radii}
+    _inverse, _report, sweeps = spy_on_sweeps(kernel, cfg)
+    assert [solved for solved, _condition in sweeps] == [2 * r + 1 for r in cfg.radii]
 
 
 def test_singular_uncoupled_part_is_not_solved():
@@ -217,8 +221,8 @@ def test_singular_uncoupled_part_is_not_solved():
     section = kernel.to_dense(points) + z * np.eye(len(points))
     assert not section[points.index((0, 4))].any()
     coupled = [p for p in points if abs(p[1]) <= 2]
-    got, report = finite_section_inverse(kernel, InversionConfig(z=z, radii=(4,), inner_ratio=0.5))
-    assert report.solved_points_by_radius == {4: len(coupled)}
+    got, report, [(solved, _condition)] = spy_on_sweeps(kernel, InversionConfig(z=z, radii=(4,), inner_ratio=0.5))
+    assert solved == len(coupled)
     dense = kernel.to_dense(coupled) + z * np.eye(len(coupled))
     assert_window_matches_dense_inverse(got, report, dense, z)
 
