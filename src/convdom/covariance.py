@@ -211,24 +211,17 @@ def theta_embed(f: CovarianceElement) -> dict[Point, np.ndarray]:
     V(x), a |G|d x |G|d matrix.  The embedding is an isometric *-homomorphism
     onto its image inside the trivial-action convolution algebra.
     """
-    g = f.group
-    pts = _require_finite(g, "theta_embed")
-    index = {p: i for i, p in enumerate(pts)}
-    n = len(pts)
-    d = f.dim
-    by_x: dict[Point, list[tuple[Point, np.ndarray]]] = {}
-    for (x, y), mat in f.entries.items():
-        by_x.setdefault(x, []).append((y, mat))
+    g, (x, y) = f.group, f._coords
+    pts = g.canonical_many(_require_finite(g, "theta_embed"))
+    n, d = len(pts), f.dim
+    index, rows, cols = _row_codes(pts, y, g.multiply_many(g.inverse_many(x), y))
+    row, col = _join(rows, index)[1], _join(cols, index)[1]
     out: dict[Point, np.ndarray] = {}
-    x_inv_cache = {}
-    for x in sorted(by_x):
-        big = np.zeros((n * d, n * d), dtype=complex)
-        x_inv = x_inv_cache.setdefault(x, g.inverse(x))
-        for y, mat in by_x[x]:
-            row = index[y]
-            col = index[g.multiply(x_inv, y)]
-            big[row * d : (row + 1) * d, col * d : (col + 1) * d] = mat
-        out[x] = big
+    starts = _run_starts(x)
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(x)]):
+        big = np.zeros((n, d, n, d), dtype=complex)
+        big[row[lo:hi], :, col[lo:hi], :] = f._stack[lo:hi]
+        out[tuple(x[lo].tolist())] = big.reshape(n * d, n * d)
     return out
 
 

@@ -126,9 +126,10 @@ def generate_kernel(
     """
     rng = np.random.default_rng(seed)
     columns = profile.column_window(group)
+    ball = group.ball(profile.radius)
     intended: dict[Point, float] = {}
-    for s in group.ball(profile.radius):
-        target = profile.value(group.word_length(s))
+    for s, length in zip(ball, group.word_length_many(group.canonical_many(ball)).tolist()):
+        target = profile.value(length)
         if target > 0.0:
             intended[s] = target
     return _scaled_kernel(group, dim, rng, intended, columns), Envelope(group, intended)

@@ -1,13 +1,16 @@
 """Discrete group arithmetic: integer lattices, cyclic groups, Heisenberg groups.
 
-Group elements are plain integer tuples.  A :class:`Group` object carries the
-group law, a fixed symmetric generating set, word lengths for the induced
-word metric, and breadth-first ball enumeration.  Balls are the truncation
-windows used by every finite-section computation downstream, so their
-ordering is deterministic: sorted by word length, then lexicographically.
+A :class:`Group` object carries the group law, a fixed symmetric generating
+set, word lengths for the induced word metric, and breadth-first ball
+enumeration.  Each group states its law once, on ``(n, coord_len)`` int64
+arrays of points (the ``*_many`` methods the array-backed kernel store runs
+on).  The scalar methods run the same law on a one-row array and return
+plain tuples of Python ints.  A result whose exact coordinates could leave
+int64 raises ``ValueError`` instead of wrapping around.
 
-The ``*_many`` methods apply the same law row by row to ``(n, coord_len)``
-int64 arrays of points; the array-backed kernel store runs on them.
+Balls are the truncation windows used by every finite-section computation
+downstream, so their ordering is deterministic: sorted by word length, then
+lexicographically.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ Point = tuple[int, ...]
 # Safety cap for breadth-first searches on infinite groups.
 _MAX_BFS_RADIUS = 10_000
 
+# A result is refused when the float64 bound on one of its coordinates reaches
+# this; the margin below int64's 2**63 covers the rounding of the bound.
+_INT64_BOUND = 2.0**62
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -33,61 +40,45 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _require_int64(group: "Group", bound: np.ndarray, what: str) -> None:
+    """Refuse a result whose float64 coordinate bound reaches ``_INT64_BOUND``."""
+    if bound.size and bound.max() >= _INT64_BOUND:
+        raise ValueError(f"{group.name}: {what} would leave the int64 range")
+
+
 class Group:
     """Descriptor of a finitely generated discrete group.
 
-    Subclasses implement the group law on integer tuples.  All instances are
-    immutable values; the breadth-first layer cache is internal memoization
-    and does not affect observable behaviour.
+    Subclasses state the group law once, on ``(n, coord_len)`` int64 arrays:
+    ``_product_many``, ``inverse_many``, and ``_reduce_many`` when points
+    have a canonical residue; ``word_length_many`` when the word metric has
+    a closed form (otherwise it is read from the breadth-first layers).  The
+    scalar methods run that law on one row.  All instances are immutable
+    values; the breadth-first layer cache is internal memoization and does
+    not affect observable behaviour.
     """
 
     name: str
     coord_len: int
     is_finite: bool = False
     order: int | None = None
+    _gens: tuple[Point, ...]
 
     def __init__(self) -> None:
+        self._gen_array = self.canonical_many(self._gens)
         # BFS layers: _layers[k] = sorted list of points at word length k.
         self._layers: list[list[Point]] = [[self.identity]]
         self._dist: dict[Point, int] = {self.identity: 0}
         self._exhausted = False
 
-    # -- group law ----------------------------------------------------------
+    # -- group law on (n, coord_len) int64 arrays ---------------------------------
 
     @property
     def identity(self) -> Point:
         return (0,) * self.coord_len
 
     def generators(self) -> tuple[Point, ...]:
-        raise NotImplementedError
-
-    def _product(self, x: Point, y: Point) -> Point:
-        raise NotImplementedError
-
-    def _reduce(self, x: Point) -> Point:
-        return x
-
-    def canonical(self, x) -> Point:
-        """Coerce ``x`` to a canonical point, checking coordinate arity."""
-        pt = tuple(int(c) for c in x)
-        if len(pt) != self.coord_len:
-            raise ValueError(
-                f"{self.name}: point {pt!r} has {len(pt)} coordinates, "
-                f"expected {self.coord_len}"
-            )
-        return self._reduce(pt)
-
-    def multiply(self, x: Point, y: Point) -> Point:
-        return self._reduce(self._product(self.canonical(x), self.canonical(y)))
-
-    def inverse(self, x: Point) -> Point:
-        raise NotImplementedError
-
-    def conjugate(self, a: Point, x: Point) -> Point:
-        """a * x * a^{-1}."""
-        return self.multiply(self.multiply(a, x), self.inverse(a))
-
-    # -- batched group law on (n, coord_len) int64 arrays ------------------------
+        return self._gens
 
     def _product_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -106,6 +97,11 @@ class Group:
 
     def multiply_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Row-wise products of canonical point arrays; a single row broadcasts."""
+        if not self.is_finite:
+            # Every law here is a polynomial with nonnegative coefficients, so the
+            # same law on |x| and |y| bounds the exact product coordinatewise.
+            # Finite groups cap their modulus so that canonical products fit.
+            _require_int64(self, self._product_many(np.abs(x.astype(float)), np.abs(y.astype(float))), "a product")
         return self._reduce_many(self._product_many(x, y))
 
     def inverse_many(self, x: np.ndarray) -> np.ndarray:
@@ -118,29 +114,51 @@ class Group:
             (self._bfs_length(p) for p in map(tuple, x.tolist())), dtype=np.int64, count=len(x)
         )
 
+    # -- the same law on single points ----------------------------------------------
+
+    def _row(self, x) -> np.ndarray:
+        """``x`` as a canonical one-row array, checking coordinate arity and range."""
+        pt = tuple(map(int, x))
+        if len(pt) != self.coord_len:
+            raise ValueError(
+                f"{self.name}: point {pt!r} has {len(pt)} coordinates, "
+                f"expected {self.coord_len}"
+            )
+        try:
+            row = np.array([pt], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{self.name}: point {pt!r} has a coordinate outside the int64 range") from None
+        return self._reduce_many(row)
+
+    def canonical(self, x) -> Point:
+        """Coerce ``x`` to a canonical point, checking coordinate arity."""
+        return tuple(self._row(x).tolist()[0])
+
+    def multiply(self, x: Point, y: Point) -> Point:
+        return tuple(self.multiply_many(self._row(x), self._row(y)).tolist()[0])
+
+    def inverse(self, x: Point) -> Point:
+        return tuple(self.inverse_many(self._row(x)).tolist()[0])
+
+    def word_length(self, x: Point) -> int:
+        """Length of the shortest generator word equal to ``x``."""
+        return int(self.word_length_many(self._row(x))[0])
+
     # -- word metric ----------------------------------------------------------
 
     def _expand_layers(self, radius: int) -> None:
+        gens = self._gen_array
         while len(self._layers) <= radius and not self._exhausted:
-            frontier = self._layers[-1]
+            frontier = np.array(self._layers[-1], dtype=np.int64)
             depth = len(self._layers)
-            new: set[Point] = set()
-            for p in frontier:
-                for g in self.generators():
-                    q = self.multiply(p, g)
-                    if q not in self._dist:
-                        new.add(q)
+            products = self.multiply_many(np.repeat(frontier, len(gens), axis=0), np.tile(gens, (len(frontier), 1)))
+            new = set(map(tuple, products.tolist())).difference(self._dist)
             if not new:
                 self._exhausted = True
                 return
             layer = sorted(new)
-            for q in layer:
-                self._dist[q] = depth
+            self._dist.update(dict.fromkeys(layer, depth))
             self._layers.append(layer)
-
-    def word_length(self, x: Point) -> int:
-        """Length of the shortest generator word equal to ``x``."""
-        return self._bfs_length(self.canonical(x))
 
     def _bfs_length(self, x: Point) -> int:
         r = len(self._layers) - 1
@@ -170,10 +188,7 @@ class Group:
         """Every element, in ball order.  Finite groups only."""
         if not self.is_finite:
             raise ValueError(f"{self.name} is infinite; elements() needs a finite group")
-        r = len(self._layers) - 1
-        while not self._exhausted:
-            r += 1
-            self._expand_layers(r)
+        self._expand_layers(self.order)  # the search exhausts the group before this radius
         return self.ball(len(self._layers) - 1)
 
     def diameter(self) -> int:
@@ -215,26 +230,15 @@ class IntegerLattice(Group):
         )
         super().__init__()
 
-    def generators(self) -> tuple[Point, ...]:
-        return self._gens
-
-    def _product(self, x: Point, y: Point) -> Point:
-        return tuple(a + b for a, b in zip(x, y))
-
-    def inverse(self, x: Point) -> Point:
-        x = self.canonical(x)
-        return tuple(-a for a in x)
-
-    def word_length(self, x: Point) -> int:
-        return sum(abs(a) for a in self.canonical(x))
-
     def _product_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x + y
 
     def inverse_many(self, x: np.ndarray) -> np.ndarray:
+        _require_int64(self, np.abs(x.astype(float)), "an inverse")
         return -x
 
     def word_length_many(self, x: np.ndarray) -> np.ndarray:
+        _require_int64(self, np.abs(x.astype(float)).sum(axis=1), "a word length")
         return np.abs(x).sum(axis=1)
 
 
@@ -244,8 +248,8 @@ class Cyclic(Group):
     is_finite = True
 
     def __init__(self, modulus: int) -> None:
-        if modulus < 1:
-            raise ValueError("cyclic modulus must be >= 1")
+        if not 1 <= modulus <= 2**62:
+            raise ValueError("cyclic modulus must be in [1, 2**62]")
         self.modulus = modulus
         self.order = modulus
         self.coord_len = 1
@@ -257,23 +261,6 @@ class Cyclic(Group):
         else:
             self._gens = ((1,), (modulus - 1,))
         super().__init__()
-
-    def generators(self) -> tuple[Point, ...]:
-        return self._gens
-
-    def _reduce(self, x: Point) -> Point:
-        return (x[0] % self.modulus,)
-
-    def _product(self, x: Point, y: Point) -> Point:
-        return (x[0] + y[0],)
-
-    def inverse(self, x: Point) -> Point:
-        x = self.canonical(x)
-        return ((-x[0]) % self.modulus,)
-
-    def word_length(self, x: Point) -> int:
-        k = self.canonical(x)[0]
-        return min(k, self.modulus - k)
 
     def _reduce_many(self, x: np.ndarray) -> np.ndarray:
         return x % self.modulus
@@ -293,19 +280,16 @@ class _HeisenbergLaw:
 
     coord_len = 3
 
-    def _product(self, x: Point, y: Point) -> Point:
-        return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
-
-    def _raw_inverse(self, x: Point) -> Point:
-        # Solve (a,b,c)(a',b',c') = identity: a' = -a, b' = -b, c' = ab - c.
-        return (-x[0], -x[1], x[0] * x[1] - x[2])
-
     def _product_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = x + y
         out[:, 2] += x[:, 0] * y[:, 1]
         return out
 
     def inverse_many(self, x: np.ndarray) -> np.ndarray:
+        # Solve (a,b,c)(a',b',c') = identity: a' = -a, b' = -b, c' = ab - c.
+        if not self.is_finite:
+            a = np.abs(x.astype(float))
+            _require_int64(self, a[:, 0] * a[:, 1] + a[:, 2], "an inverse")
         out = -x
         out[:, 2] = x[:, 0] * x[:, 1] - x[:, 2]
         return self._reduce_many(out)
@@ -314,27 +298,22 @@ class _HeisenbergLaw:
 class DiscreteHeisenberg(_HeisenbergLaw, Group):
     """Integer Heisenberg group H3(Z), generators (+-1,0,0) and (0,+-1,0)."""
 
-    _GENS: tuple[Point, ...] = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    _gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
     def __init__(self) -> None:
         self.name = "H3(Z)"
         super().__init__()
 
-    def generators(self) -> tuple[Point, ...]:
-        return self._GENS
-
-    def inverse(self, x: Point) -> Point:
-        return self._raw_inverse(self.canonical(x))
-
 
 class HeisenbergMod(_HeisenbergLaw, Group):
-    """Heisenberg group over Z/p for prime p; p^3 elements."""
+    """Heisenberg group over Z/p for prime p < 2**31; p^3 elements."""
 
     is_finite = True
 
     def __init__(self, prime: int) -> None:
-        if not _is_prime(prime):
-            raise ValueError(f"H3(Z/p) needs a prime modulus, got {prime}")
+        # Below 2**31 the centre of a product of canonical points, at most p^2 - 1, fits in int64.
+        if not (prime < 2**31 and _is_prime(prime)):
+            raise ValueError(f"H3(Z/p) needs a prime modulus below 2**31, got {prime}")
         self.prime = prime
         self.order = prime**3
         self.name = f"H3(Z/{prime})"
@@ -342,18 +321,8 @@ class HeisenbergMod(_HeisenbergLaw, Group):
         self._gens = tuple(dict.fromkeys(gens))
         super().__init__()
 
-    def generators(self) -> tuple[Point, ...]:
-        return self._gens
-
-    def _reduce(self, x: Point) -> Point:
-        p = self.prime
-        return (x[0] % p, x[1] % p, x[2] % p)
-
     def _reduce_many(self, x: np.ndarray) -> np.ndarray:
         return x % self.prime
-
-    def inverse(self, x: Point) -> Point:
-        return self._reduce(self._raw_inverse(self.canonical(x)))
 
 
 _GROUP_PATTERNS = (

@@ -79,6 +79,36 @@ def test_kernel_io_round_trip(tmp_path):
     assert (out / "kernel.json").read_bytes() == (again / "kernel.json").read_bytes()
 
 
+def write_one_entry_kernel(path, group, s, t):
+    path.write_text(json.dumps({"dim": 1, "group": group, "entries": [{"matrix": [[1.0, 0.0]], "s": s, "t": t}]}))
+
+
+@pytest.mark.parametrize(
+    "group,s,t,message",
+    [
+        # s t has centre 2**64, past int64.
+        ("H3(Z)", [2**32, 0, 0], [0, 2**32, 0], "H3(Z): a product would leave the int64 range"),
+        ("Z^2", [2**70, 0], [0, 0], f"Z^2: point ({2**70}, 0) has a coordinate outside the int64 range"),
+    ],
+    ids=["wrapping-product", "point-beyond-int64"],
+)
+def test_kernel_file_outside_int64_is_exit_2(tmp_path, capsys, group, s, t, message):
+    write_one_entry_kernel(tmp_path / "k.json", group, s, t)
+    assert run(["kernel-io", "--input", tmp_path / "k.json", "--out", tmp_path / "io"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "io" / "covariance.json").exists()
+
+
+def test_envelope_word_length_outside_int64_is_exit_2(tmp_path, capsys):
+    # The Z^2 word length of this point is 2**63, past int64.
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text(json.dumps({"group": "Z^2", "values": [{"s": [2**62, 2**62], "value": 0.25}]}))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"group": "Z^2", "dim": 1, "profile": {"kind": "file", "path": str(envelope)}}))
+    assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2
+    assert "Z^2: a word length would leave the int64 range" in capsys.readouterr().err
+
+
 def test_malformed_config_is_exit_2(tmp_path):
     config = tmp_path / "broken.json"
     config.write_text("{not json")

@@ -28,6 +28,7 @@ from convdom import (
     operator_norm,
     operator_norms,
     pi_regular,
+    theta_embed,
 )
 from convdom.generate import (
     Profile,
@@ -184,27 +185,96 @@ def test_dense_section_points_must_be_distinct():
 # -- batched group law ------------------------------------------------------------------------
 
 
+def written_law(group):
+    """(product, inverse) of a group written out on tuples of Python ints."""
+    if isinstance(group, IntegerLattice):
+        return (lambda x, y: tuple(a + b for a, b in zip(x, y))), (lambda x: tuple(-a for a in x))
+    if isinstance(group, Cyclic):
+        n = group.modulus
+        return (lambda x, y: ((x[0] + y[0]) % n,)), (lambda x: (-x[0] % n,))
+    p = group.prime if group.is_finite else None
+
+    def reduce(x):
+        return tuple(c % p for c in x) if p else x
+
+    return (
+        lambda x, y: reduce((x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])),
+        lambda x: reduce((-x[0], -x[1], x[0] * x[1] - x[2])),
+    )
+
+
+def bfs_depths(group, product, radius):
+    """Word length of every point of the ball, as its layer in a breadth-first search."""
+    depth = {group.identity: 0}
+    frontier = [group.identity]
+    for k in range(1, radius + 1):
+        frontier = [q for q in dict.fromkeys(product(p, g) for p in frontier for g in group.generators()) if q not in depth]
+        depth.update(dict.fromkeys(frontier, k))
+    return depth
+
+
 @pytest.mark.parametrize(
     "group,radius", [(Z2, 3), (Z7, 3), (DiscreteHeisenberg(), 3), (HeisenbergMod(3), 3)], ids=str
 )
 def test_batched_group_law_matches_scalar(group, radius):
+    """The array law, and the one-row methods on it, against the scalar law written above."""
+    product, inverse = written_law(group)
+    depth = bfs_depths(group, product, radius)
     ball = group.ball(radius)
+    assert ball == sorted(depth, key=lambda p: (depth[p], p))
     pairs = list(itertools.product(ball, repeat=2))
     xs = group.canonical_many([x for x, _ in pairs])
     ys = group.canonical_many([y for _, y in pairs])
-    assert group.multiply_many(xs, ys).tolist() == [list(group.multiply(x, y)) for x, y in pairs]
+    products = [product(x, y) for x, y in pairs]
+    assert group.multiply_many(xs, ys).tolist() == [list(xy) for xy in products]
+    assert [group.multiply(x, y) for x, y in pairs] == products
     pts = group.canonical_many(ball)
-    assert group.inverse_many(pts).tolist() == [list(group.inverse(x)) for x in ball]
-    assert group.word_length_many(pts).tolist() == [group.word_length(x) for x in ball]
+    assert group.inverse_many(pts).tolist() == [list(inverse(x)) for x in ball]
+    assert [group.inverse(x) for x in ball] == [inverse(x) for x in ball]
+    assert group.word_length_many(pts).tolist() == [depth[x] for x in ball]
+    assert [group.word_length(x) for x in ball] == [depth[x] for x in ball]
     # A single row broadcasts against the array, on either side.
     a = group.canonical_many([ball[-1]])
-    assert group.multiply_many(a, pts).tolist() == [list(group.multiply(ball[-1], x)) for x in ball]
-    assert group.multiply_many(pts, a).tolist() == [list(group.multiply(x, ball[-1])) for x in ball]
+    assert group.multiply_many(a, pts).tolist() == [list(product(ball[-1], x)) for x in ball]
+    assert group.multiply_many(pts, a).tolist() == [list(product(x, ball[-1])) for x in ball]
     if group.is_finite:
         shifted = [tuple(c + 3 * group.order for c in x) for x in ball]
         assert group.canonical_many(shifted).tolist() == [list(x) for x in ball]
+        assert [group.canonical(x) for x in shifted] == ball
     with pytest.raises(ValueError, match="shape"):
         group.canonical_many([(0,) * (group.coord_len + 1)])
+
+
+def test_group_law_refuses_results_outside_int64():
+    h = DiscreteHeisenberg()
+    far = 2**32
+    with pytest.raises(ValueError, match="int64"):
+        h.multiply((far, 0, 0), (0, far, 0))  # centre 2**64
+    with pytest.raises(ValueError, match="int64"):
+        h.multiply_many(h.canonical_many([(far, 0, 0)]), h.canonical_many([(0, far, 0)]))
+    with pytest.raises(ValueError, match="int64"):
+        h.inverse((far, far, 0))
+    with pytest.raises(ValueError, match="int64"):
+        Z2.word_length((2**62, 2**62))  # 2**63
+    with pytest.raises(ValueError, match="int64"):
+        Z2.multiply((2**62, 0), (2**62, 0))
+    with pytest.raises(ValueError, match="int64"):
+        Z2.inverse((-(2**63), 0))
+    with pytest.raises(ValueError, match=re.escape(f"point ({2**70}, 0) has a coordinate outside the int64 range")):
+        Z2.canonical((2**70, 0))
+    # Inside the bound the law is exact.
+    assert h.multiply((2**30, 0, 0), (0, 2**30, 0)) == (2**30, 2**30, 2**60)
+    assert h.inverse((2**30, 2**30, 0)) == (-(2**30), -(2**30), 2**60)
+    assert Z2.word_length((2**61, -(2**60))) == 2**61 + 2**60
+    # Finite groups cap their modulus, so canonical products never leave int64.
+    p = 2**31 - 1
+    hp = HeisenbergMod(p)
+    top = (p - 1, p - 1, p - 1)
+    assert hp.multiply(top, top) == written_law(hp)[0](top, top)
+    assert Cyclic(2**62).multiply((2**62 - 1,), (2**62 - 1,)) == (2**62 - 2,)
+    for make, modulus in ((Cyclic, 2**62 + 1), (HeisenbergMod, 2**31 + 11)):
+        with pytest.raises(ValueError):
+            make(modulus)
 
 
 @pytest.mark.parametrize("group", [Cyclic(1), Z7, Cyclic(8), HeisenbergMod(2), HeisenbergMod(3)], ids=str)
@@ -299,6 +369,25 @@ def test_pi_regular_equals_per_entry_loop_bit_for_bit(group, x_radius, radius):
     f, h, xi = covariance_case(group, x_radius, radius)
     assert_mapping_equal(pi_regular(f, xi).values, pi_regular_loop(f, xi))
     assert_mapping_equal(pi_regular(f + h, xi).values, pi_regular_loop(f + h, xi))
+
+
+def theta_loop(f):
+    """theta(f)(x) holds f(x, y) at block (y, x^-1 y), positions in element order; x in entry order."""
+    g, d = f.group, f.dim
+    index = {p: i for i, p in enumerate(g.elements())}
+    n = len(index)
+    out = {}
+    for (x, y), mat in f.entries.items():
+        big = out.setdefault(x, np.zeros((n * d, n * d), dtype=complex))
+        row, col = index[y], index[g.multiply(g.inverse(x), y)]
+        big[row * d : (row + 1) * d, col * d : (col + 1) * d] = mat
+    return out
+
+
+@pytest.mark.parametrize("group,x_radius", [(Z7, None), (H3_3, None), (H3_3, 1)], ids=str)
+def test_theta_embed_equals_per_entry_loop_bit_for_bit(group, x_radius):
+    f = random_covariance(group, 2, 31, x_radius=x_radius)
+    assert_mapping_equal(theta_embed(f), theta_loop(f))
 
 
 def test_test_vector_constructor_sums_in_input_order_and_drops_zero_inputs():
