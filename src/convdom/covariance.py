@@ -36,6 +36,7 @@ from .kernels import (
     _require_compatible,
     _row_codes,
     _run_starts,
+    _scaled,
     _set_store,
     _stores_sum,
     operator_norm,
@@ -109,7 +110,7 @@ class CovarianceElement:
             i += lo
             keys = np.concatenate([keys, np.hstack([g.multiply_many(y[i], x2[j]), z[i]])])
             blocks = np.concatenate([sums, np.matmul(self._stack[i], other._stack[j])])
-            rows, sums = _reduce_by_key(_row_codes(keys)[0], blocks)
+            rows, sums, _ = _reduce_by_key(_row_codes(keys)[0], blocks)
             keys = keys[rows]
         coords = np.hsplit(keys, 2)
         return _from_arrays(CovarianceElement, g, self.dim, coords, sums)
@@ -122,7 +123,7 @@ class CovarianceElement:
         return _from_arrays(CovarianceElement, g, self.dim, coords, self._stack.conj().transpose(0, 2, 1))
 
     def scale(self, c: complex) -> "CovarianceElement":
-        return _from_arrays(CovarianceElement, self.group, self.dim, self._coords, c * self._stack)
+        return _scaled(self, c)
 
     def __add__(self, other: "CovarianceElement") -> "CovarianceElement":
         return _stores_sum(self, other)

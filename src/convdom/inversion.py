@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import Envelope, Kernel, _from_arrays, _join, _row_codes
+from .kernels import Envelope, Kernel, _join, _nonzero, _row_codes, _subset
 
 
 class SectionInversionError(RuntimeError):
@@ -311,15 +311,22 @@ def inverse_residual(kernel: Kernel, z: complex, inverse_kernel: Kernel, window_
     """Envelope norm of (z + K)(1/z + B) - 1 on a window, B the computed kernel.
 
     For z = 0 the product K B is compared against the identity kernel on the
-    window directly.
+    window directly.  Only the window is formed: K keeps its rows x = s t in
+    the window and B its columns, so K B has exactly the window's entries of
+    the whole product, each summed over the same terms in the same order.
     """
-    product = kernel.compose(inverse_kernel)
+    g = kernel.group
+    rows = _subset(kernel, kernel._ball_mask(window_radius, columns=False))
+    columns = _subset(inverse_kernel, g.word_length_many(inverse_kernel.arrays[1]) <= window_radius)
+    product = rows.compose(columns)
     if z != 0:
-        residual = inverse_kernel.scale(z) + kernel.scale(1.0 / z) + product
-        residual = residual.restrict_to_ball(window_radius)
+        residual = (
+            columns.restrict_to_ball(window_radius).scale(z)
+            + rows.restrict_to_ball(window_radius).scale(1.0 / z)
+            + product
+        )
     else:
-        eye = Kernel.identity(kernel.group, kernel.dim, window_radius)
-        residual = product.restrict_to_ball(window_radius) - eye
+        residual = product - Kernel.identity(g, kernel.dim, window_radius)
     return residual.envelope_norm()
 
 
@@ -431,7 +438,8 @@ def ideal_project(kernel: Kernel, subspace: IdealSubspace) -> Kernel:
     rows, k = _join(cosets, constrained)
     scale = np.zeros(len(s))
     scale[rows] = bound[k] / under[k]
-    return _from_arrays(Kernel, kernel.group, kernel.dim, (s, t), scale[:, None, None] * blocks)
+    blocks = scale[:, None, None] * blocks
+    return _subset(kernel, _nonzero(blocks), blocks)
 
 
 def fit_decay(report: DecayReport) -> tuple[float, float]:

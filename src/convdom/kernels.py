@@ -10,15 +10,22 @@ single variable s.  All supports are finite.
 int64 ``(nnz, coord_len)`` coordinate array per point of a key, and a
 read-only stack of ``(nnz, d, d)`` blocks or ``(nnz, d)`` vectors, with rows
 in lexicographic key order.  ``_set_store`` is its one normalisation; the
-other private helpers are the operations the classes share.  Every
-operation runs on whole arrays through the batched group law: composition is
-a join on the row point s*t, one batched matrix product and a segment sum;
-envelopes are batched operator norms and a segment max; dense sections are
-fancy indexing; translations and coordinate changes remap coordinate arrays.
-Sums over equal keys are taken front to back in the order the per-entry
-definition lists their terms (``np.add.reduceat`` would pair them
-differently), so every operation is bit-reproducible and equal, bit for bit,
-to its entry-by-entry definition.
+other private helpers are the operations the classes share.  Derivations
+that keep the order (``restrict_to_ball``, ``scale``) mask the parent's rows
+instead of normalising again.  Every operation runs on whole arrays through
+the batched group law: composition is a join on the row point s*t, one
+batched matrix product and a segment sum; envelopes are a segment max of
+operator norms; dense sections are fancy indexing; translations and
+coordinate changes remap coordinate arrays.  Sums over equal keys are taken
+front to back in the order the per-entry definition lists their terms
+(``np.add.reduceat`` would pair them differently), so every operation is
+bit-reproducible and equal, bit for bit, to its entry-by-entry definition.
+
+A store computes the operator norms of its blocks once, on first use.  A
+block that passes into a derived store unchanged keeps its norm: through a
+mask, or as the one term at its key in a sum.  A scaled, adjoint or
+multiplied block is normed afresh, because its computed norm need not be
+bit for bit that of its source.
 """
 
 from __future__ import annotations
@@ -60,10 +67,11 @@ def _row_codes(*arrays: np.ndarray) -> list[np.ndarray]:
     if not len(rows):
         return [np.zeros(0, dtype=np.int64) for _ in arrays]
     lo = rows.min(axis=0)
-    span = rows.max(axis=0) - lo + 1
-    if math.prod(span.tolist()) < 2**62:
+    # Python ints: a column spanning 2**63 or more would wrap in int64.
+    span = [hi - low + 1 for hi, low in zip(rows.max(axis=0).tolist(), lo.tolist())]
+    if math.prod(span) < 2**62:
         # Mixed radix, first column most significant.
-        weights = np.append(np.cumprod(span[:0:-1])[::-1], 1)
+        weights = np.array([math.prod(span[k + 1 :]) for k in range(len(span))], dtype=np.int64)
         codes = (rows - lo) @ weights
     else:
         codes = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
@@ -97,12 +105,15 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return ordered[_run_starts(ordered)]
 
 
-def _reduce_by_key(codes: np.ndarray, values: np.ndarray, op=np.add) -> tuple[np.ndarray, np.ndarray]:
+def _reduce_by_key(
+    codes: np.ndarray, values: np.ndarray, op=np.add
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduce the rows of ``values`` that share a code with ``op``, in ascending code order.
 
     Each reduction runs front to back in row order, as ``acc = op(acc, value)``
     over the rows would: a sum by default, a max with ``np.fmax``.  Returns
-    the first row of each code and the results.
+    the first row of each code, the results and the number of rows reduced
+    into each.
     """
     order = np.argsort(codes, kind="stable")
     starts = _run_starts(codes[order])
@@ -111,7 +122,7 @@ def _reduce_by_key(codes: np.ndarray, values: np.ndarray, op=np.add) -> tuple[np
     for k in range(1, lengths.max(initial=1)):
         live = lengths > k
         acc[live] = op(acc[live], values[order[starts[live] + k]])
-    return order[starts], acc
+    return order[starts], acc, lengths
 
 
 def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
@@ -171,36 +182,68 @@ def _parse_mapping(group: Group, mapping: Mapping, arity: int, shape: tuple[int,
     return _key_arrays(group, keys, arity), stack
 
 
-def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool) -> None:
+def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool, norms=None) -> None:
     """Give ``obj`` a canonical, sorted, duplicate-free store: the one normalisation.
 
     ``coords`` holds one ``(n, coord_len)`` array per point of a key and
     ``stack`` the n values, in any order.  Values whose keys coincide are
     summed in row order.  A sum that cancels to zero is kept when
     ``keep_cancelled`` (Mapping constructions); otherwise (derived objects)
-    every zero value is dropped.
+    every zero value is dropped.  ``norms`` are known block norms of the n
+    values, negative where unknown; a key with one value keeps its norm.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     coords = [group.canonical_many(c) for c in coords]
     (codes,) = _row_codes(np.hstack(coords))
-    rows, stack = _reduce_by_key(codes, np.asarray(stack, dtype=complex))
+    rows, stack, lengths = _reduce_by_key(codes, np.asarray(stack, dtype=complex))
     coords = [c[rows] for c in coords]
+    if norms is not None:
+        # A sum of several blocks is a new block: its norm is not known.
+        norms = np.where(lengths == 1, norms[rows], -1.0)
     if not keep_cancelled:
         live = _nonzero(stack)
         coords, stack = [c[live] for c in coords], stack[live]
+        norms = None if norms is None else norms[live]
+    _install(obj, group, dim, coords, stack, norms)
+
+
+def _install(obj, group: Group, dim: int, coords, stack, norms) -> None:
+    """Give ``obj`` a normalised store, read-only, with its known block norms (or None)."""
     for arr in (*coords, stack):
         arr.setflags(write=False)
     obj.group, obj.dim = group, dim
-    obj._coords, obj._stack = tuple(coords), stack
+    obj._coords, obj._stack, obj._norms = tuple(coords), stack, norms
     obj._mapping = None
 
 
-def _from_arrays(cls, group: Group, dim: int, coords, stack):
+def _from_arrays(cls, group: Group, dim: int, coords, stack, norms=None):
     """A derived ``cls`` from store arrays in any order: equal keys summed in row order, zeros dropped."""
     obj = cls.__new__(cls)
-    _set_store(obj, group, dim, coords, stack, keep_cancelled=False)
+    _set_store(obj, group, dim, coords, stack, keep_cancelled=False, norms=norms)
     return obj
+
+
+def _subset(obj, keep: np.ndarray, stack: np.ndarray | None = None):
+    """A store of ``obj``'s class with the rows of ``obj`` under the mask ``keep``.
+
+    The rows stay sorted and distinct, so nothing is normalised again.  With
+    ``stack``, its rows replace ``obj``'s values; otherwise the values, and
+    their known norms, are ``obj``'s own.  The caller drops zero values with
+    the mask.
+    """
+    own = stack is None
+    stack = obj._stack if own else stack
+    norms = obj._norms[keep] if own and obj._norms is not None else None
+    new = type(obj).__new__(type(obj))
+    _install(new, obj.group, obj.dim, [c[keep] for c in obj._coords], stack[keep], norms)
+    return new
+
+
+def _scaled(obj, c: complex):
+    """``c`` times every value of a store, zero results dropped."""
+    stack = c * obj._stack
+    return _subset(obj, _nonzero(stack), stack)
 
 
 def _mapping_view(obj) -> Mapping:
@@ -223,10 +266,17 @@ def _require_compatible(a, b) -> None:
 
 
 def _stores_sum(a, b):
-    """Sum of two stores of one class; values at a common key are added as a + b."""
+    """Sum of two stores of one class; values at a common key are added as a + b.
+
+    A key of one operand only keeps its block, and with it any known norm.
+    """
     _require_compatible(a, b)
     coords = [np.concatenate(pair) for pair in zip(a._coords, b._coords)]
-    return _from_arrays(type(a), a.group, a.dim, coords, np.concatenate([a._stack, b._stack]))
+    norms = None
+    if a._norms is not None or b._norms is not None:
+        known = [np.full(len(x._stack), -1.0) if x._norms is None else x._norms for x in (a, b)]
+        norms = np.concatenate(known)
+    return _from_arrays(type(a), a.group, a.dim, coords, np.concatenate([a._stack, b._stack]), norms)
 
 
 def _max_block_difference(a, b) -> float:
@@ -242,12 +292,23 @@ def _max_block_difference(a, b) -> float:
     return float(np.fmax.reduce(operator_norms(left - right), initial=0.0))
 
 
+def _block_norms(obj) -> np.ndarray:
+    """Operator norm of every block of a store, computed once; only norms not yet known are computed."""
+    norms = obj._norms
+    if norms is None:
+        norms = operator_norms(obj._stack)
+    elif (unknown := norms < 0).any():  # a NaN norm is known
+        norms[unknown] = operator_norms(obj._stack[unknown])
+    obj._norms = norms
+    return norms
+
+
 def _fibre_sups(obj) -> tuple[np.ndarray, np.ndarray]:
     """Start row of each fibre (the rows of one first coordinate) and its largest block norm."""
     first = obj._coords[0]
     starts = _run_starts(first)
     # fmax skips NaN norms: a NaN block never sets the maximum.
-    best = np.fmax.reduceat(operator_norms(obj._stack), starts) if len(first) else np.zeros(0)
+    best = np.fmax.reduceat(_block_norms(obj), starts) if len(first) else np.zeros(0)
     return starts, best
 
 
@@ -268,7 +329,7 @@ class Envelope:
         live = vals != 0.0
         (points,) = _key_arrays(group, [k for k, keep in zip(keys, live.tolist()) if keep], 1)
         points = group.canonical_many(points)
-        rows, merged = _reduce_by_key(_row_codes(points)[0], vals[live], np.fmax)
+        rows, merged, _ = _reduce_by_key(_row_codes(points)[0], vals[live], np.fmax)
         self._set(group, points[rows], merged)
 
     def _set(self, group: Group, points: np.ndarray, values: np.ndarray) -> "Envelope":
@@ -324,7 +385,7 @@ class Envelope:
         g, (s,), (y,) = self.group, self._coords, other._coords
         i, j = np.repeat(np.arange(len(s)), len(y)), np.tile(np.arange(len(y)), len(s))
         points = g.multiply_many(s[i], y[j])
-        rows, sums = _reduce_by_key(_row_codes(points)[0], self._stack[i] * other._stack[j])
+        rows, sums, _ = _reduce_by_key(_row_codes(points)[0], self._stack[i] * other._stack[j])
         return Envelope._derived(g, points[rows], sums)
 
     def l1_distance(self, other: "Envelope") -> float:
@@ -333,13 +394,13 @@ class Envelope:
             raise ValueError("envelope groups differ")
         # a + (-b) is a - b exactly; a point of one envelope only keeps its value.
         codes = np.concatenate(_row_codes(self._coords[0], other._coords[0]))
-        _, differences = _reduce_by_key(codes, np.concatenate([self._stack, -other._stack]))
+        _, differences, _ = _reduce_by_key(codes, np.concatenate([self._stack, -other._stack]))
         return math.fsum(np.abs(differences).tolist())
 
     def by_word_length(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Word lengths present (ascending), with the max and the front-to-back sum of the values at each."""
         lengths = self.group.word_length_many(self._coords[0])
-        rows, maxima = _reduce_by_key(lengths, self._stack, np.fmax)
+        rows, maxima, _ = _reduce_by_key(lengths, self._stack, np.fmax)
         return lengths[rows], maxima, _reduce_by_key(lengths, self._stack)[1]
 
     def shell_partial_sums(self) -> list[float]:
@@ -499,7 +560,7 @@ class Kernel:
     # -- linear structure ---------------------------------------------------------
 
     def scale(self, c: complex) -> "Kernel":
-        return _from_arrays(Kernel, self.group, self.dim, self._coords, c * self._stack)
+        return _scaled(self, c)
 
     def __add__(self, other: "Kernel") -> "Kernel":
         return _stores_sum(self, other)
@@ -516,13 +577,21 @@ class Kernel:
 
     def restrict_to_ball(self, radius: int) -> "Kernel":
         """Keep entries whose pair (x, y) lies in the ball of the given radius."""
+        return _subset(self, self._ball_mask(radius) & _nonzero(self._stack))
+
+    def _ball_mask(self, radius: int, columns: bool = True) -> np.ndarray:
+        """Mask of the entries whose row x = s*t, and with ``columns`` their column t, lie in the ball.
+
+        t is tested first, against the radius or, for rows alone, against
+        radius + |s| >= |t|: the BFS word metric then grows only as far as the
+        points x that can lie in the ball.
+        """
         g, (s, t) = self.group, self._coords
-        # Test t first: the BFS word metric then grows only as far as points
-        # x = s*t of columns inside the ball.
-        near = g.word_length_many(t) <= radius
-        s, t, blocks = s[near], t[near], self._stack[near]
-        keep = g.word_length_many(g.multiply_many(s, t)) <= radius
-        return _from_arrays(Kernel, g, self.dim, (s[keep], t[keep]), blocks[keep])
+        bound = radius if columns else radius + g.word_length_many(s)
+        near = np.flatnonzero(g.word_length_many(t) <= bound)
+        keep = np.zeros(len(t), dtype=bool)
+        keep[near] = g.word_length_many(g.multiply_many(s[near], t[near])) <= radius
+        return keep
 
     def _section_index(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(entry, row, column) of each entry whose row s t and column t lie in a section.
@@ -686,7 +755,7 @@ class TestVector:
         return _from_arrays(TestVector, g, self.dim, (x,), self._stack)
 
     def scale(self, c: complex) -> "TestVector":
-        return _from_arrays(TestVector, self.group, self.dim, self._coords, c * self._stack)
+        return _scaled(self, c)
 
     def __add__(self, other: "TestVector") -> "TestVector":
         return _stores_sum(self, other)

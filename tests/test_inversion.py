@@ -347,6 +347,46 @@ def test_residual_window_on_whole_group_and_when_empty():
     assert report.residual == math.inf
 
 
+def residual_definition(kernel, z, inverse, radius):
+    """The residual as defined: the whole product K B, then restricted to the window."""
+    product = kernel.compose(inverse)
+    if z != 0:
+        residual = (inverse.scale(z) + kernel.scale(1.0 / z) + product).restrict_to_ball(radius)
+    else:
+        residual = product.restrict_to_ball(radius) - Kernel.identity(kernel.group, kernel.dim, radius)
+    return residual.envelope_norm()
+
+
+def residual_cases():
+    z2_kernel, _ = generate_kernel(IntegerLattice(2), 2, 4, Profile.exponential(0.5, 1, 6))
+    yield "Z^2 dim 2", z2_kernel, 3.0, (4, 6)
+    yield "H3(Z) shift", shift_kernel(DiscreteHeisenberg(), 1, 0.4, t_radius=6), 1.0, (4, 6)
+    finite = Kernel.identity(Z8, 1).scale(2.0) + shift_kernel(Z8, 1, 0.5)
+    yield "Z/8, z = 0", finite, 0.0, (Z8.diameter(),)
+
+
+@pytest.mark.parametrize("case", list(residual_cases()), ids=lambda case: case[0])
+def test_residual_on_its_window_equals_the_whole_product_restricted(case):
+    _name, kernel, z, radii = case
+    inverse, _report = finite_section_inverse(kernel, InversionConfig(z=z, radii=radii))
+    # Both the solved inverse and a wrong one, whose residual is far from zero.
+    for candidate in (inverse, inverse.scale(1.5)):
+        for radius in range(max(radii) + 1):
+            assert inverse_residual(kernel, z, candidate, radius) == residual_definition(kernel, z, candidate, radius)
+
+
+def test_residual_grows_the_word_metric_no_further_than_the_whole_product():
+    kernel = shift_kernel(DiscreteHeisenberg(), 1, 0.4, t_radius=6)
+    inverse, _report = finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(4, 6)))
+    layers = []
+    for residual in (inverse_residual, residual_definition):
+        group = DiscreteHeisenberg()  # a fresh breadth-first search, grown to radius 6
+        fresh = shift_kernel(group, 1, 0.4, t_radius=6)
+        residual(fresh, 1.0, Kernel(group, 1, inverse.entries), 2)
+        layers.append(len(group._layers))
+    assert layers[0] <= layers[1]
+
+
 # -- Neumann oracle -----------------------------------------------------------------
 
 

@@ -30,6 +30,7 @@ from convdom import (
     pi_regular,
     theta_embed,
 )
+from convdom import kernels
 from convdom.generate import (
     Profile,
     _scaled_to,
@@ -103,6 +104,71 @@ def test_min_envelope_equals_per_entry_max(group, dim):
     assert kernel.min_envelope().values == best
 
 
+# -- cached block norms ---------------------------------------------------------------
+
+
+def known_norms(store):
+    """Mask of the block norms a store knows; each equals a fresh operator_norms of its block, bit for bit."""
+    known = store._norms >= 0
+    assert np.array_equal(store._norms[known], operator_norms(store.arrays[-1][known]))
+    return known
+
+
+def count_normed_blocks(monkeypatch):
+    """The number of blocks each later operator_norms call norms, in call order."""
+    sizes = []
+    real = kernels.operator_norms
+    monkeypatch.setattr(kernels, "operator_norms", lambda blocks: sizes.append(len(blocks)) or real(blocks))
+    return sizes
+
+
+@pytest.mark.parametrize("group,dim", [(Z2, 1), (Z2, 2), (DiscreteHeisenberg(), 3)], ids=str)
+def test_restriction_inherits_every_cached_norm(group, dim, monkeypatch):
+    kernel = seeded_kernel(group, dim, seed=6, t_radius=3)
+    kernel.min_envelope()
+    sizes = count_normed_blocks(monkeypatch)
+    part = kernel.restrict_to_ball(2)
+    assert 0 < len(part.support()) < len(kernel.support())
+    assert known_norms(part).all()
+    best = {}
+    for (s, _t), mat in part.entries.items():
+        best[s] = max(best.get(s, 0.0), operator_norm(mat))
+    assert part.min_envelope().values == best
+    assert sizes == []
+
+
+@pytest.mark.parametrize("cached", ["both", "left", "right", "difference"])
+def test_sum_inherits_the_norms_of_keys_with_one_contributor(cached, monkeypatch):
+    a = seeded_kernel(Z2, 2, seed=7, t_radius=3)
+    b = seeded_kernel(Z2, 2, seed=8, radius=2, t_radius=2)
+    only_a, only_b = set(a.support()) - set(b.support()), set(b.support()) - set(a.support())
+    assert only_a and only_b and set(a.support()) & set(b.support())
+    for operand in {"both": (a, b), "left": (a,), "right": (b,), "difference": (a, b)}[cached]:
+        operand.min_envelope()
+    total = a - b if cached == "difference" else a + b
+    # A scaled operand carries no norms: a - b is a + (-1) b.
+    inherited = {"both": only_a | only_b, "left": only_a, "right": only_b, "difference": only_a}[cached]
+    known = known_norms(total)
+    assert {key for key, k in zip(total.support(), known) if k} == inherited
+    sizes = count_normed_blocks(monkeypatch)
+    total.min_envelope()
+    assert sizes == [len(total.support()) - len(inherited)]
+    assert np.array_equal(total._norms, operator_norms(total.arrays[2]))
+
+
+def test_value_changes_carry_no_norms():
+    kernel = seeded_kernel(Z2, 2, seed=9)
+    kernel.min_envelope()
+    points = Z2.ball(3)
+    derived = [
+        kernel.scale(1.0),
+        kernel.involution(),
+        kernel.compose(Kernel.identity(Z2, 2, 4)),
+        Kernel.from_dense(Z2, 2, kernel.to_dense(points), points),
+    ]
+    assert all(k._norms is None for k in derived)
+
+
 # -- constructor normalisation -----------------------------------------------------------
 
 
@@ -147,6 +213,16 @@ def test_rows_sort_like_tuples_at_any_coordinate_range():
     twice = kernel.involution().involution()
     assert twice.support() == sorted(keys)
     assert twice.max_block_difference(kernel) == 0.0
+
+
+def test_rows_sort_like_tuples_when_a_column_spans_past_int64():
+    one = np.eye(1)
+    keys = [((2**62, 0), (0, 0)), ((-(2**62), 1), (0, 0)), ((-(2**62), 0), (0, 0))]
+    kernel = Kernel(Z2, 1, {key: one * (k + 1) for k, key in enumerate(keys)})
+    assert kernel.support() == sorted(keys)
+    assert [kernel.entries[key][0, 0] for key in keys] == [1, 2, 3]
+    line = Kernel(IntegerLattice(1), 1, {((p,), (0,)): one for p in (2**62, -(2**62), 0)})
+    assert line.support() == [((-(2**62),), (0,)), ((0,), (0,)), ((2**62,), (0,))]
 
 
 # -- operations against their per-entry definitions ------------------------------------------
