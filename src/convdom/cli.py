@@ -10,11 +10,12 @@ Subcommands
     contour           functional-calculus inverse against direct inversion
     kernel-io         file round trips for kernels, envelopes, covariance
 
-Common flags: --config <json file>, --out <dir>, --seed <n>.  Flag values
-override config values, which override per-task defaults.  The config file
-is a single JSON object; recognized keys per task are the ones shown in
-``TASK_DEFAULTS``.  Every run is deterministic in (config, seed): report
-files carry no timestamps and numbers are printed in round-trip form.
+Flags: --config <json>, --out <dir>, and --seed, --group, --dim, --trials and
+--input on the tasks whose ``TASK_DEFAULTS`` hold that key.  Flag values
+override config values, which override the defaults.  A config is one JSON
+object of the task's keys, each value of its default's type or of ``_TYPES``.
+Runs are deterministic in (config, seed): report files carry no timestamps
+and numbers are printed in round-trip form.
 
 Exit status: 0 all checks passed, 1 a check failed, 2 configuration error,
 3 numerical abort (singular or ill-conditioned section, failed contour node).
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +59,10 @@ class ConfigError(Exception):
 
 
 _INVERT_DEFAULTS = {
-    "group": "Z",
-    "dim": 1,
-    "seed": 7,
-    "preset": "shift",
-    "weight": 0.5,
-    "diag": 0.0,
-    "profile": None,
-    "z": 1.0,
-    "radii": [10, 20, 30, 40],
-    "inner_ratio": 0.5,
-    "stabilization_tol": 1e-8,
-    "condition_cap": 1e12,
-    "residual_tol": 1e-6,
+    "group": "Z", "dim": 1, "seed": 7,
+    "preset": "shift", "weight": 0.5, "diag": 0.0, "profile": None,
+    "z": 1.0, "radii": [10, 20, 30, 40], "inner_ratio": 0.5,
+    "stabilization_tol": 1e-8, "condition_cap": 1e12, "residual_tol": 1e-6,
 }
 
 TASK_DEFAULTS: dict[str, dict] = {
@@ -79,55 +72,81 @@ TASK_DEFAULTS: dict[str, dict] = {
     "invert": _INVERT_DEFAULTS,
     "decay": {**_INVERT_DEFAULTS, "expected_rate": None, "rate_tol": 0.02, "r2_min": 0.99, "neumann_terms": 60},
     "ideal-approx": {
-        "group": "Z",
-        "dim": 1,
-        "seed": 7,
-        "rate": 0.5,
-        "radius": 30,
-        "levels": list(range(2, 11)),
-        "tolerance": 1e-12,
+        "group": "Z", "dim": 1, "seed": 7,
+        "rate": 0.5, "radius": 30, "levels": list(range(2, 11)), "tolerance": 1e-12,
     },
     "contour": {
-        "group": "Z/8",
-        "dim": 1,
-        "seed": 7,
-        "scalar": 2.0,
-        "weight": 0.3,
-        "eps": 1.0,
-        "nodes": 64,
-        "cross_tol": 1e-6,
-        "condition_cap": 1e12,
+        "group": "Z/8", "dim": 1, "seed": 7,
+        "scalar": 2.0, "weight": 0.3, "eps": 1.0, "nodes": 64, "cross_tol": 1e-6, "condition_cap": 1e12,
     },
     "kernel-io": {
-        "group": "Z^2",
-        "dim": 2,
-        "seed": 7,
-        "profile": {"kind": "exponential", "rate": 0.5, "radius": 2, "t_radius": 2},
-        "input": None,
+        "group": "Z^2", "dim": 2, "seed": 7,
+        "profile": {"kind": "exponential", "rate": 0.5, "radius": 2, "t_radius": 2}, "input": None,
     },
 }
+
+# The JSON types of the config and profile keys whose default cannot give
+# them: the key takes null, or a second type.  z is a number or [re, im].
+_TYPES = {
+    "z": (float, list),
+    "profile": (dict, type(None)),
+    "expected_rate": (float, type(None)),
+    "input": (str, type(None)),
+    "t_radius": (int, type(None)),
+}
+_MINIMA = {"dim": 1, "trials": 1, "seed": 0}
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object", type(None): "null"}
+
+# The arguments of each profile kind's constructor before t_radius, with a value of each one's type.
+_PROFILE_KEYS = {
+    "exponential": {"rate": 0.5, "radius": 2},
+    "polynomial": {"power": 2.0, "radius": 2},
+    "banded": {"width": 2},
+    "file": {"path": ""},
+}
+
+
+def _is(value, kind: type) -> bool:
+    """JSON typing: an integer is also a number, and a boolean is neither."""
+    return not isinstance(value, bool) and (isinstance(value, kind) or (kind is float and isinstance(value, int)))
+
+
+def _checked(key: str, value, default, name: str | None = None):
+    """``value`` as the tasks use it, if it has the type of ``default`` (or ``_TYPES[key]``) and bound."""
+    types = _TYPES.get(key, (type(default),))
+    item = float if key == "z" else type(default[0]) if isinstance(default, list) else None
+    ok = any(_is(value, kind) for kind in types)
+    if ok and isinstance(value, list):
+        ok = all(_is(v, item) for v in value) and (key != "z" or len(value) == 2)
+    if not ok:
+        array = "[re, im]" if key == "z" else f"an array of {_JSON_NAMES[item].split()[1]}s" if item else ""
+        names = [_JSON_NAMES.get(kind, array) for kind in types]
+        raise ConfigError(f"{name or key} must be {' or '.join(names)}, got {json.dumps(value)}")
+    if key in _MINIMA and value < _MINIMA[key]:
+        raise ConfigError(f"{key} must be at least {_MINIMA[key]}, got {value}")
+    if key == "z":
+        return complex(*value) if isinstance(value, list) else complex(value)
+    return parse_group(value) if key == "group" else value
 
 
 def _kernel_from_profile(params: dict, group: Group, dim: int) -> Kernel:
     """Seeded kernel of the config's profile: a profile shape, or an envelope file (kind "file")."""
     data = params["profile"]
-    if not isinstance(data, dict):
-        raise ConfigError(f"profile must be a JSON object, got {data!r}")
+    if data is None:
+        raise ConfigError("profile must be an object, got null")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
+        raise ConfigError(f"unknown profile kind {json.dumps(kind)}")
+    unread = sorted(set(data) - {"kind", "t_radius", *_PROFILE_KEYS[kind]})
+    if unread:
+        raise ConfigError(f"profile key {unread[0]!r} does not apply to kind {kind!r}")
+    args = [_checked(key, data.get(key), default, f"profile {key}") for key, default in _PROFILE_KEYS[kind].items()]
+    t_radius = _checked("t_radius", data.get("t_radius"), None, "profile t_radius")
     try:
-        kind = data["kind"]
-        t_radius = data.get("t_radius")
-        if kind == "exponential":
-            profile = Profile.exponential(data["rate"], data["radius"], t_radius)
-        elif kind == "polynomial":
-            profile = Profile.polynomial(data["power"], data["radius"], t_radius)
-        elif kind == "banded":
-            profile = Profile.banded(data["width"], t_radius)
-        elif kind == "file":
-            envelope = formats.read_envelope(data["path"])
+        if kind == "file":
+            envelope = formats.read_envelope(*args)
         else:
-            raise ConfigError(f"unknown profile kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"profile is missing key {exc}") from None
+            profile = getattr(Profile, kind)(*args, t_radius)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"unusable profile: {exc}") from None
     if kind != "file":
@@ -137,26 +156,17 @@ def _kernel_from_profile(params: dict, group: Group, dim: int) -> Kernel:
     return generate_kernel_from_envelope(group, dim, params["seed"], envelope, t_radius)[0]
 
 
-def _parse_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ConfigError(f"complex values are [re, im], got {value!r}")
-        return complex(value[0], value[1])
-    return complex(value)
-
-
 def _preset_kernel(params: dict, group: Group, dim: int, window: int) -> Kernel:
-    preset = params.get("preset")
-    if params.get("profile") is not None:
+    preset = params["preset"]
+    if params["profile"] is not None:
         return _kernel_from_profile(params, group, dim)
     if preset == "shift":
         return shift_kernel(group, dim, params["weight"], t_radius=window)
     if preset == "hermitian_band":
         base = shift_kernel(group, dim, params["weight"], t_radius=window)
         banded = base + base.involution()
-        diag = params.get("diag", 0.0)
-        if diag:
-            banded = banded + Kernel.identity(group, dim, window).scale(diag)
+        if params["diag"]:
+            banded = banded + Kernel.identity(group, dim, window).scale(params["diag"])
         return banded
     raise ConfigError(f"unknown preset {preset!r} and no profile given")
 
@@ -172,35 +182,20 @@ def _check_lines(results: list[CheckResult]) -> tuple[int, list[str]]:
 
 
 def task_axioms(params: dict, out: Path | None) -> tuple[int, list[str]]:
-    group = parse_group(params["group"])
+    group = params["group"]
     results = kernel_axiom_suite(group, params["dim"], params["seed"], params["trials"], params["tolerance"])
     results += conjugation_suite(group, params["dim"], params["seed"] + 1, max(1, params["trials"] // 2))
     return _check_lines(results)
 
 
-def task_covariance_check(params: dict, out: Path | None) -> tuple[int, list[str]]:
-    group = parse_group(params["group"])
-    results = covariance_suite(group, params["dim"], params["seed"], params["trials"], params["tolerance"])
-    return _check_lines(results)
-
-
-def task_symmetry_check(params: dict, out: Path | None) -> tuple[int, list[str]]:
-    group = parse_group(params["group"])
-    results = symmetry_suite(group, params["dim"], params["seed"], params["trials"], params["tolerance"])
-    return _check_lines(results)
+def task_suite(params: dict, out: Path | None, suite) -> tuple[int, list[str]]:
+    return _check_lines(suite(params["group"], params["dim"], params["seed"], params["trials"], params["tolerance"]))
 
 
 def _run_inversion(params: dict) -> tuple[Kernel, Kernel, "InversionConfig", object]:
-    group = parse_group(params["group"])
-    radii = tuple(int(r) for r in params["radii"])
-    kernel = _preset_kernel(params, group, params["dim"], window=max(radii))
-    cfg = InversionConfig(
-        z=_parse_complex(params["z"]),
-        radii=radii,
-        inner_ratio=params["inner_ratio"],
-        stabilization_tol=params["stabilization_tol"],
-        condition_cap=params["condition_cap"],
-    )
+    kernel = _preset_kernel(params, params["group"], params["dim"], window=max(params["radii"]))
+    keys = ("z", "radii", "inner_ratio", "stabilization_tol", "condition_cap")
+    cfg = InversionConfig(**{key: params[key] for key in keys})
     inverse, report = finite_section_inverse(kernel, cfg)
     return kernel, inverse, cfg, report
 
@@ -251,9 +246,8 @@ def task_decay(params: dict, out: Path | None) -> tuple[int, list[str]]:
 
 
 def task_ideal_approx(params: dict, out: Path | None) -> tuple[int, list[str]]:
-    group = parse_group(params["group"])
     profile = Profile.exponential(params["rate"], params["radius"], t_radius=0)
-    kernel, intended = generate_kernel(group, params["dim"], params["seed"], profile)
+    kernel, intended = generate_kernel(params["group"], params["dim"], params["seed"], profile)
     beta = kernel.min_envelope()
     tol = params["tolerance"]
     rows = ["level,measured,envelope_bound"]
@@ -261,7 +255,7 @@ def task_ideal_approx(params: dict, out: Path | None) -> tuple[int, list[str]]:
     previous = np.inf
     monotone = True
     for level in params["levels"]:
-        subspace = IdealSubspace.compact_support(int(level))
+        subspace = IdealSubspace.compact_support(level)
         projected = ideal_project(kernel, subspace)
         measured = (kernel - projected).envelope_norm()
         bound = beta.l1_distance(subspace.bound_for(beta))
@@ -285,7 +279,7 @@ def task_ideal_approx(params: dict, out: Path | None) -> tuple[int, list[str]]:
 
 
 def task_contour(params: dict, out: Path | None) -> tuple[int, list[str]]:
-    group = parse_group(params["group"])
+    group = params["group"]
     if not group.is_finite:
         raise ConfigError("the contour task uses a finite group so z=0 sections are exact")
     dim = params["dim"]
@@ -308,33 +302,39 @@ def task_kernel_io(params: dict, out: Path | None) -> tuple[int, list[str]]:
     if out is None:
         raise ConfigError("kernel-io needs --out to hold the round-trip files")
     if params["input"] is not None:
-        kernel = formats.read_kernel(params["input"])
+        try:
+            kernel = formats.read_kernel(params["input"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read input {params['input']}: {exc}") from None
     else:
-        kernel = _kernel_from_profile(params, parse_group(params["group"]), params["dim"])
+        kernel = _kernel_from_profile(params, params["group"], params["dim"])
     formats.write_kernel(out / "kernel.json", kernel)
     formats.write_envelope(out / "envelope.json", kernel.min_envelope())
     formats.write_covariance(out / "covariance.json", R_inverse(kernel))
     kernel_gap = formats.read_kernel(out / "kernel.json").max_block_difference(kernel)
     env_gap = formats.read_envelope(out / "envelope.json").l1_distance(kernel.min_envelope())
     cov_gap = formats.read_covariance(out / "covariance.json").max_block_difference(R_inverse(kernel))
-    results = [
+    return _check_lines([
         CheckResult("kernel_round_trip_exact", kernel_gap, 0.0),
         CheckResult("envelope_round_trip_exact", env_gap, 0.0),
         CheckResult("covariance_round_trip_exact", cov_gap, 0.0),
-    ]
-    return _check_lines(results)
+    ])
 
 
 TASKS = {
     "axioms": task_axioms,
-    "covariance-check": task_covariance_check,
-    "symmetry-check": task_symmetry_check,
+    "covariance-check": partial(task_suite, suite=covariance_suite),
+    "symmetry-check": partial(task_suite, suite=symmetry_suite),
     "invert": task_invert,
     "decay": task_decay,
     "ideal-approx": task_ideal_approx,
     "contour": task_contour,
     "kernel-io": task_kernel_io,
 }
+
+
+# The config keys that a flag of the same name overrides, on the tasks that have the key.
+_FLAGS = ("seed", "group", "dim", "trials", "input")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,16 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(task, help=f"run the {task} task")
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="directory for report files")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--group", type=str, default=None, help="override the group, e.g. Z^2 or H3(Z/3)")
-        p.add_argument("--dim", type=int, default=None, help="override the block dimension")
-        p.add_argument("--trials", type=int, default=None, help="override the trial count")
-        p.add_argument("--input", type=Path, default=None, help="input kernel file (kernel-io)")
+        for key in _FLAGS:
+            if key in TASK_DEFAULTS[task]:
+                kind = int if isinstance(TASK_DEFAULTS[task][key], int) else str
+                p.add_argument(f"--{key}", type=kind, help=f"override the config key {key}")
     return parser
 
 
 def resolve_params(args: argparse.Namespace) -> dict:
-    params = dict(TASK_DEFAULTS[args.task])
+    """The task's defaults, then the config file, then the flags; every value checked and converted."""
+    defaults = TASK_DEFAULTS[args.task]
+    params = dict(defaults)
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -368,34 +369,22 @@ def resolve_params(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys for {args.task}: {sorted(unknown)}")
         params.update(loaded)
-    for key in ("seed", "group", "dim", "trials", "input"):
-        value = getattr(args, key, None)
-        if value is not None:
-            if key not in params:
-                raise ConfigError(f"--{key} does not apply to task {args.task}")
-            params[key] = value if key != "input" else str(value)
-    return params
+    params.update((key, getattr(args, key)) for key in _FLAGS if getattr(args, key, None) is not None)
+    return {key: _checked(key, value, defaults[key]) for key, value in params.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         params = resolve_params(args)
         out = args.out
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         status, lines = TASKS[args.task](params, out)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except SectionInversionError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ABORT
-    except ContourNodeError as exc:
+    except (SectionInversionError, ContourNodeError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ABORT
     text = "\n".join(lines)

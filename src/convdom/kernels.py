@@ -639,33 +639,10 @@ class Kernel:
         return f"Kernel({self.group.name}, dim={self.dim}, {len(self._stack)} entries)"
 
 
-def section_operator_norm(kernel: Kernel, radius: int, iterations: int = 200) -> float:
-    """Power-iteration estimate of |T_K| on the ball truncation of given radius.
-
-    Estimates the largest singular value of the section matrix from below, so
-    the value never exceeds the true operator norm, which in turn is bounded
-    by the envelope norm.
-    """
-    points = kernel.group.ball(radius)
-    mat = kernel.to_dense(points)
-    n = mat.shape[0]
-    if not np.count_nonzero(mat):
-        return 0.0
-    # Deterministic start with a mild ramp so we are not orthogonal to the
-    # leading singular vector by symmetry.
-    v = 1.0 + 1e-3 * np.arange(n)
-    v = v / np.linalg.norm(v)
-    gram = mat.conj().T @ mat
-    est = 0.0
-    for _ in range(iterations):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        est = nw
-    # est approximates the top eigenvalue of gram = (sigma_max)^2.
-    return float(np.sqrt(est))
+def section_operator_norm(kernel: Kernel, radius: int) -> float:
+    """|T_K| on the ball truncation of given radius: the largest singular value
+    of the section matrix, which the envelope norm bounds."""
+    return float(np.linalg.norm(kernel.to_dense(kernel.group.ball(radius)), 2))
 
 
 class TestVector:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from convdom.cli import main
+from convdom.cli import TASK_DEFAULTS, main
 
 
 def run(args):
@@ -165,6 +165,43 @@ def test_missing_subcommand_is_exit_2():
     with pytest.raises(SystemExit) as info:
         run([])
     assert info.value.code == 2
+
+
+# A value of the wrong JSON type for every key of every task (a string where the
+# default is not one, else a number), then the lower bounds and the malformed z.
+BAD_VALUES = [
+    (task, key, 5 if isinstance(default, str) or key == "input" else "x")
+    for task, defaults in TASK_DEFAULTS.items()
+    for key, default in defaults.items()
+] + [
+    ("axioms", "trials", 0),
+    ("axioms", "dim", 0),
+    ("axioms", "seed", -1),
+    ("invert", "z", [1]),
+    ("invert", "z", [1, "a"]),
+]
+
+
+@pytest.mark.parametrize("task,key,value", BAD_VALUES, ids=str)
+def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, task, key, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    assert run([task, "--config", config, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+
+def test_flag_of_a_key_the_task_lacks_is_a_usage_error():
+    with pytest.raises(SystemExit) as info:
+        run(["invert", "--trials", "3"])
+    assert info.value.code == 2
+
+
+def test_profile_key_the_kind_does_not_read_is_exit_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    profile = {"kind": "exponential", "rate": 0.5, "radius": 2, "t_radus": 3}
+    config.write_text(json.dumps({"profile": profile}))
+    assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2
+    assert "'t_radus'" in capsys.readouterr().err
 
 
 def test_file_profile_runs_in_every_task(tmp_path):
