@@ -18,7 +18,9 @@ Runs are deterministic in (config, seed): report files carry no timestamps
 and numbers are printed in round-trip form.
 
 Exit status: 0 all checks passed, 1 a check failed, 2 configuration error,
-3 numerical abort (singular or ill-conditioned section, failed contour node).
+3 numerical abort (singular or ill-conditioned section, failed contour node),
+4 reports could not be written (``--out`` is not a usable directory, or a
+write failed).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ABORT = 3
+EXIT_REPORT_ERROR = 4
 
 
 class ConfigError(Exception):
@@ -381,16 +384,20 @@ def main(argv: list[str] | None = None) -> int:
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         status, lines = TASKS[args.task](params, out)
+        text = "\n".join(lines)
+        print(text)
+        if out is not None:
+            (out / "report.txt").write_text(text + "\n")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (SectionInversionError, ContourNodeError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ABORT
-    text = "\n".join(lines)
-    print(text)
-    if out is not None:
-        (out / "report.txt").write_text(text + "\n")
+    except OSError as exc:
+        # Reading a config or an input file is a config error, raised as ConfigError above.
+        print(f"cannot write reports: {exc}", file=sys.stderr)
+        return EXIT_REPORT_ERROR
     return status
 
 

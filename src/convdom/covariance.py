@@ -17,7 +17,6 @@ they remain independent checks of R and of the intertwiner.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 import numpy as np
@@ -29,6 +28,7 @@ from .kernels import (
     _fibre_sups,
     _from_arrays,
     _join,
+    _l1_sum,
     _mapping_view,
     _max_block_difference,
     _parse_mapping,
@@ -87,7 +87,7 @@ class CovarianceElement:
 
     def l1_norm(self) -> float:
         best = _fibre_sups(self)[1]
-        return math.fsum(best[best > 0.0].tolist())
+        return _l1_sum(best[best > 0.0])
 
     def product(self, other: "CovarianceElement") -> "CovarianceElement":
         """Twisted convolution (f * h)(x, z) = sum_y f(y, z) h(y^-1 x, y^-1 z).
@@ -301,25 +301,14 @@ def left_multiplication_matrix(f: CovarianceElement) -> np.ndarray:
     return mat
 
 
-def symmetry_spectrum(
-    f: CovarianceElement, method: str = "auto", dense_cutoff: int = 2048
-) -> np.ndarray:
+def symmetry_spectrum(f: CovarianceElement) -> np.ndarray:
     """Spectrum of f in the covariance algebra of a finite group.
 
-    Computed as the eigenvalues of left multiplication by f on the full
-    algebra (dimension |G|^2 d^2).  Above ``dense_cutoff`` the same multiset
-    is produced through the exact factorization of left multiplication as
-    (identity) tensor (dense operator image of f), i.e. the eigenvalues of
-    the |G|d x |G|d image each repeated |G|d times.
+    Left multiplication by f on the full algebra (dimension |G|^2 d^2)
+    factors exactly as (identity) tensor (dense operator image of R f), so
+    its eigenvalues are those of the |G|d x |G|d operator matrix of R f,
+    each repeated |G|d times.  ``left_multiplication_matrix`` is the literal
+    matrix that the tests hold this against.
     """
-    pts = _require_finite(f.group, "symmetry_spectrum")
-    n_block = len(pts) * f.dim
-    total = n_block * n_block
-    if method == "auto":
-        method = "left-regular" if total <= dense_cutoff else "factored"
-    if method == "left-regular":
-        return np.linalg.eigvals(left_multiplication_matrix(f))
-    if method == "factored":
-        eigs = np.linalg.eigvals(operator_matrix(R_map(f)))
-        return np.repeat(eigs, n_block)
-    raise ValueError(f"unknown method {method!r}")
+    eigs = np.linalg.eigvals(operator_matrix(R_map(f)))
+    return np.repeat(eigs, len(eigs))

@@ -40,6 +40,10 @@ class Profile:
             raise ValueError("exponential rate must be positive")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
+        try:
+            float(rate) ** int(radius)
+        except OverflowError:
+            raise ValueError(f"exponential rate {rate!r} overflows at radius {radius}") from None
         return cls(kind="exponential", radius=int(radius), rate=float(rate), t_radius=t_radius)
 
     @classmethod

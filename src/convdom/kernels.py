@@ -312,6 +312,14 @@ def _fibre_sups(obj) -> tuple[np.ndarray, np.ndarray]:
     return starts, best
 
 
+def _l1_sum(values: np.ndarray) -> float:
+    """Exactly rounded sum of nonnegative values (fsum); a sum past the float range is a ValueError."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        raise ValueError("l1 norm overflows: the sum exceeds the largest float") from None
+
+
 class Envelope:
     """Finitely supported nonnegative function on a group, stored as sorted int64 points and float64 values.
 
@@ -364,7 +372,7 @@ class Envelope:
     def l1_norm(self) -> float:
         # fsum is exactly rounded, so the norm is invariant under any
         # permutation of the support (involutions, translations).
-        return math.fsum(self._stack.tolist())
+        return _l1_sum(self._stack)
 
     def restrict(self, radius: int) -> "Envelope":
         """Keep only points of word length <= radius."""
@@ -395,7 +403,7 @@ class Envelope:
         # a + (-b) is a - b exactly; a point of one envelope only keeps its value.
         codes = np.concatenate(_row_codes(self._coords[0], other._coords[0]))
         _, differences, _ = _reduce_by_key(codes, np.concatenate([self._stack, -other._stack]))
-        return math.fsum(np.abs(differences).tolist())
+        return _l1_sum(np.abs(differences))
 
     def by_word_length(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Word lengths present (ascending), with the max and the front-to-back sum of the values at each."""

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from convdom.cli import TASK_DEFAULTS, main
+from convdom.groups import Cyclic
+from convdom.suites import conjugation_suite, covariance_suite, kernel_axiom_suite, symmetry_suite
 
 
 def run(args):
@@ -161,6 +163,32 @@ def test_contour_failing_node_is_exit_3(tmp_path):
     assert run(["contour", "--config", config]) == 3
 
 
+def test_out_naming_a_file_is_exit_4(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["contour", "--out", taken]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write reports: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "task,config,message",
+    [
+        ("ideal-approx", {"rate": 1e300, "radius": 3, "levels": [1, 2]}, "exponential rate 1e+300 overflows"),
+        ("kernel-io", {"profile": {"kind": "exponential", "rate": 1e300, "radius": 3}}, "1e+300 overflows"),
+        # Every value fits a float, but their sum over ball(3) of Z^2 does not.
+        ("ideal-approx", {"group": "Z^2", "rate": 3e102, "radius": 3, "levels": [1, 2, 3]}, "l1 norm overflows"),
+    ],
+    ids=["rate-power", "profile-rate-power", "norm-sum"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_config_is_exit_2(tmp_path, capsys, task, config, message):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run([task, "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+
+
 def test_missing_subcommand_is_exit_2():
     with pytest.raises(SystemExit) as info:
         run([])
@@ -188,6 +216,13 @@ def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, task, key, 
     config.write_text(json.dumps({key: value}))
     assert run([task, "--config", config, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+
+@pytest.mark.parametrize("suite", [kernel_axiom_suite, covariance_suite, symmetry_suite, conjugation_suite])
+def test_suites_refuse_zero_trials(suite):
+    # With no trials a suite would report no check at all, and so pass.
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        suite(Cyclic(3), 1, seed=7, trials=0)
 
 
 def test_flag_of_a_key_the_task_lacks_is_a_usage_error():
