@@ -8,6 +8,12 @@ closedness: inverse kernels computed by finite sections keep summable,
 decaying envelopes.
 """
 
+import os
+
+# One BLAS thread unless the environment chose, set before numpy loads: report bytes can depend on the count.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .covariance import (
     CovarianceElement,
     R_inverse,

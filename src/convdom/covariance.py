@@ -32,7 +32,7 @@ from .kernels import (
     _mapping_view,
     _max_block_difference,
     _parse_mapping,
-    _reduce_by_key,
+    _ranks,
     _require_compatible,
     _row_codes,
     _run_starts,
@@ -94,26 +94,29 @@ class CovarianceElement:
 
         Each entry (y, z) of f meets the entries (x2, y2) of h with
         y2 = y^-1 z, in storage order, and adds f(y, z) h(x2, y2) at
-        (y x2, z).  The join runs one first coordinate y at a time, in sorted
-        order.  Within one y the keys (y x2, z) are distinct, so each key's
-        terms are summed in the order of the entry-by-entry loop, while only
-        one y's block products are held at a time.
+        (y x2, z).  One key pass joins all pairs and keys each term by the dense
+        ranks of y x2 (formed once per (y, x2) that meets) and of z, in one int64.
+        The block products are then formed one first coordinate y at a time, in
+        sorted order, so only one y's blocks are held.  Within one y the keys are
+        distinct, so each y's products are added into a result stack seeded with
+        -0.0, the exact identity of +: every key's sum is its terms in the order
+        of the entry-by-entry loop, bit for bit.
         """
         _require_compatible(self, other)
         g, (y, z), (x2, y2) = self.group, self._coords, other._coords
-        left, right = _row_codes(g.multiply_many(g.inverse_many(y), z), y2)
-        keys = np.zeros((0, 2 * g.coord_len), dtype=np.int64)
-        sums = np.zeros((0, self.dim, self.dim), dtype=complex)
-        starts = _run_starts(y)
-        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(y)]):
-            i, j = _join(left[lo:hi], right)
-            i += lo
-            keys = np.concatenate([keys, np.hstack([g.multiply_many(y[i], x2[j]), z[i]])])
-            blocks = np.concatenate([sums, np.matmul(self._stack[i], other._stack[j])])
-            rows, sums, _ = _reduce_by_key(_row_codes(keys)[0], blocks)
-            keys = keys[rows]
-        coords = np.hsplit(keys, 2)
-        return _from_arrays(CovarianceElement, g, self.dim, coords, sums)
+        i, j = _join(*_row_codes(g.multiply_many(g.inverse_many(y), z), y2))
+        yx2_first, yx2 = _ranks(np.concatenate(_row_codes(y, x2)))
+        met_first, key = _ranks(yx2[i] * len(yx2_first) + yx2[len(y) :][j])
+        points = np.concatenate([g.multiply_many(y[i[met_first]], x2[j[met_first]]), z])
+        point_first, point = _ranks(_row_codes(points)[0])
+        key = point[key] * len(point_first) + point[len(met_first) :][i]  # replaces the (y, x2) rank
+        key_first, slot = _ranks(key)
+        sums = np.full((len(key_first), self.dim, self.dim), complex(-0.0, -0.0))
+        bounds = np.searchsorted(i, _run_starts(y)).tolist()
+        for lo, hi in zip(bounds, [*bounds[1:], len(i)]):
+            sums[slot[lo:hi]] += np.matmul(self._stack[i[lo:hi]], other._stack[j[lo:hi]])
+        xr, zr = np.divmod(key[key_first], len(point_first))
+        return _from_arrays(CovarianceElement, g, self.dim, (points[point_first[xr]], points[point_first[zr]]), sums)
 
     def involution(self) -> "CovarianceElement":
         """f*(x, y) = f(x^-1, x^-1 y)^H; unimodular discrete form."""

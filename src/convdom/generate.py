@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .groups import Group, Point
-from .kernels import Envelope, Kernel, TestVector, operator_norms
+from .kernels import Envelope, Kernel, TestVector, _l1_sum, operator_norms
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,16 @@ def _random_disc(rng: np.random.Generator, count: int, shape: tuple[int, ...]) -
 
 
 def _scaled_to(blocks: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Rescale each block so its operator norm is its target, never exceeding it (norms on the stack)."""
+    """Rescale each block so its operator norm is its target, never exceeding it (norms on the stack).
+
+    A scale factor past the float range is a ValueError naming the target."""
     norms = operator_norms(blocks)
     zero = norms == 0.0
-    out = blocks * (targets / np.where(zero, 1.0, norms))[:, None, None]
+    with np.errstate(over="ignore"):
+        factors = targets / np.where(zero, 1.0, norms)
+    if np.isinf(factors).any():
+        raise ValueError(f"profile value {float(targets[np.isinf(factors)][0])!r} overflows as a block is scaled to it")
+    out = blocks * factors[:, None, None]
     out[zero] = 0.0
     out[zero, 0, 0] = targets[zero]
     live = np.flatnonzero(~zero)
@@ -112,9 +118,11 @@ def _scaled_kernel(
     group: Group, dim: int, rng: np.random.Generator, targets: Mapping[Point, float], columns: list[Point]
 ) -> Kernel:
     """Kernel of uniform-disc blocks scaled to targets[s], drawn one (s, t) at a time in targets-then-columns order."""
+    values = np.fromiter(targets.values(), dtype=float, count=len(targets))
+    _l1_sum(values)  # targets whose l1 sum overflows are refused before any block is drawn
     keys = [(s, t) for s in targets for t in columns]
     blocks = _random_disc(rng, len(keys), (dim, dim))
-    scale = np.repeat(np.fromiter(targets.values(), dtype=float, count=len(targets)), len(columns))
+    scale = np.repeat(values, len(columns))
     return Kernel(group, dim, dict(zip(keys, _scaled_to(blocks, scale))))
 
 

@@ -75,7 +75,8 @@ def _row_codes(*arrays: np.ndarray) -> list[np.ndarray]:
         codes = (rows - lo) @ weights
     else:
         codes = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
-    return np.split(codes, np.cumsum([len(a) for a in arrays[:-1]], dtype=np.int64))
+    ends = np.cumsum([len(a) for a in arrays]).tolist()
+    return [codes[end - len(a) : end] for a, end in zip(arrays, ends)]
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,10 +100,13 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """Sorted distinct codes; ``np.unique`` would import ``numpy.ma`` (2 MB)."""
-    ordered = codes[np.argsort(codes, kind="stable")]
-    return ordered[_run_starts(ordered)]
+def _ranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct code, ascending, and each code's rank; np.unique would import numpy.ma."""
+    order = np.argsort(codes, kind="stable")
+    starts = _run_starts(codes[order])
+    ranks = np.empty(len(codes), dtype=np.int64)
+    ranks[order] = np.repeat(np.arange(len(starts)), np.append(starts[1:], len(codes)) - starts)
+    return order[starts], ranks
 
 
 def _reduce_by_key(
@@ -117,12 +121,15 @@ def _reduce_by_key(
     """
     order = np.argsort(codes, kind="stable")
     starts = _run_starts(codes[order])
-    acc = values[order[starts]]
-    lengths = np.diff(starts, append=len(codes))
-    for k in range(1, lengths.max(initial=1)):
+    first = order[starts]
+    if len(starts) == len(codes):  # no code repeats
+        return first, values[first], np.ones(len(codes), dtype=np.int64)
+    acc = values[first]
+    lengths = np.append(starts[1:], len(codes)) - starts
+    for k in range(1, lengths.max()):
         live = lengths > k
         acc[live] = op(acc[live], values[order[starts[live] + k]])
-    return order[starts], acc, lengths
+    return first, acc, lengths
 
 
 def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
@@ -169,7 +176,7 @@ def _nonzero(stack: np.ndarray) -> np.ndarray:
 
 
 def _parse_mapping(group: Group, mapping: Mapping, arity: int, shape: tuple[int, ...]):
-    """(coordinate arrays, value stack) of a Mapping input, not yet normalised.
+    """(canonical coordinate arrays, value stack) of a Mapping input, not yet sorted or summed.
 
     All-zero values are dropped before their keys are even read.
     """
@@ -179,22 +186,22 @@ def _parse_mapping(group: Group, mapping: Mapping, arity: int, shape: tuple[int,
     if not live.all():
         keys = [k for k, keep in zip(keys, live.tolist()) if keep]
         stack = stack[live]
-    return _key_arrays(group, keys, arity), stack
+    return [group.canonical_many(c) for c in _key_arrays(group, keys, arity)], stack
 
 
 def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool, norms=None) -> None:
     """Give ``obj`` a canonical, sorted, duplicate-free store: the one normalisation.
 
-    ``coords`` holds one ``(n, coord_len)`` array per point of a key and
-    ``stack`` the n values, in any order.  Values whose keys coincide are
-    summed in row order.  A sum that cancels to zero is kept when
-    ``keep_cancelled`` (Mapping constructions); otherwise (derived objects)
-    every zero value is dropped.  ``norms`` are known block norms of the n
-    values, negative where unknown; a key with one value keeps its norm.
+    ``coords`` holds one canonical (group-law or ``_parse_mapping`` output)
+    ``(n, coord_len)`` array per point of a key and ``stack`` the n values, in
+    any order.  Values whose keys coincide are summed in row order.  A sum
+    that cancels to zero is kept when ``keep_cancelled`` (Mapping
+    constructions); otherwise (derived objects) every zero value is dropped.
+    ``norms`` are known block norms of the n values, negative where unknown;
+    a key with one value keeps its norm.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    coords = [group.canonical_many(c) for c in coords]
     (codes,) = _row_codes(np.hstack(coords))
     rows, stack, lengths = _reduce_by_key(codes, np.asarray(stack, dtype=complex))
     coords = [c[rows] for c in coords]
@@ -282,12 +289,11 @@ def _stores_sum(a, b):
 def _max_block_difference(a, b) -> float:
     """Max operator-norm difference between the blocks of two stores at matching keys."""
     _require_compatible(a, b)
-    mine, theirs = _row_codes(np.hstack(a._coords), np.hstack(b._coords))
-    keys = _distinct(np.concatenate([mine, theirs]))
+    keys, ranks = _ranks(np.concatenate(_row_codes(np.hstack(a._coords), np.hstack(b._coords))))
     left = np.zeros((len(keys), *a._stack.shape[1:]), dtype=complex)
     right = np.zeros_like(left)
-    left[np.searchsorted(keys, mine)] = a._stack
-    right[np.searchsorted(keys, theirs)] = b._stack
+    left[ranks[: len(a._stack)]] = a._stack
+    right[ranks[len(a._stack) :]] = b._stack
     # fmax skips NaN: a NaN difference never sets the maximum.
     return float(np.fmax.reduce(operator_norms(left - right), initial=0.0))
 
@@ -609,7 +615,7 @@ class Kernel:
         """
         g, (s, t) = self.group, self._coords
         index, cols, rows = _row_codes(pts, t, g.multiply_many(s, t))
-        if len(_distinct(index)) != len(pts):
+        if len(_ranks(index)[0]) != len(pts):
             raise ValueError("section points must be distinct")
         entry, j = _join(cols, index)
         at_row, i = _join(rows[entry], index)
@@ -632,7 +638,7 @@ class Kernel:
         n = len(pts)
         if mat.shape != (n * dim, n * dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {n} points of dim {dim}")
-        if len(_distinct(_row_codes(pts)[0])) != n:
+        if len(_ranks(_row_codes(pts)[0])[0]) != n:
             raise ValueError("section points must be distinct")
         blocks = mat.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
         i, j = np.nonzero(blocks.any(axis=(2, 3)))

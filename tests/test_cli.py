@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +192,35 @@ def test_overflowing_config_is_exit_2(tmp_path, capsys, task, config, message):
     assert run([task, "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err and "Traceback" not in err
+
+
+def test_profile_value_whose_scaling_overflows_is_exit_2(tmp_path, capsys):
+    """A drawn block of norm below 0.94 scaled to 1.7e308 would overflow to inf."""
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text(json.dumps({"group": "Z", "values": [{"s": [0], "value": 1.7e308}]}))
+    profile = {"kind": "file", "path": str(envelope), "t_radius": 6}
+    (tmp_path / "cfg.json").write_text(json.dumps({"group": "Z", "dim": 2, "radii": [4, 6], "profile": profile}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise, not reach stderr
+        assert run(["invert", "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: profile value 1.7e+308 overflows") and "Traceback" not in err
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expected", [(None, ["1", "1", "1"]), ("2", ["2", "1", "1"])])
+def test_import_defaults_to_one_blas_thread_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = f"import os, convdom; print(*(os.environ[k] for k in {THREAD_VARIABLES!r}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == expected
 
 
 def test_missing_subcommand_is_exit_2():

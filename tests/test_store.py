@@ -7,11 +7,13 @@ operation here is compared with a per-entry loop written in the test.
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from convdom import (
+    CovarianceElement,
     Cyclic,
     DiscreteHeisenberg,
     Envelope,
@@ -424,6 +426,60 @@ def test_covariance_operations_equal_per_entry_loops_bit_for_bit(group, x_radius
     assert f.l1_norm() == math.fsum(fibre_sup.values())
     worst = max(operator_norm(f.value_at(*k) - h.value_at(*k)) for k in set(f.entries) | set(h.entries))
     assert f.max_block_difference(h) == worst
+
+
+def test_product_far_out_on_Z_equals_per_entry_loop_bit_for_bit():
+    """First coordinates near 2**61: only the (y, x2) that meet are multiplied.
+
+    The far entries of h (x2 near 2**61) meet no entry of f, and y x2 for
+    them would leave the int64 range.
+    """
+    z1, rng, far = IntegerLattice(1), np.random.default_rng(5), 2**61
+    f = CovarianceElement(z1, 2, {((far + a,), (b,)): disc_draw(rng, (2, 2)) for a in range(-2, 3) for b in range(3)})
+    seconds = sorted({z1.multiply(z1.inverse(y), z) for y, z in f.entries})
+    near = {((a,), y2): disc_draw(rng, (2, 2)) for a in range(-2, 3) for y2 in seconds[::2]}
+    h = CovarianceElement(z1, 2, {**near, **{((far + a,), (a,)): disc_draw(rng, (2, 2)) for a in range(3)}})
+    with pytest.raises(ValueError, match="int64"):
+        z1.multiply((far,), (far,))
+    expected = product_loop(f, h)
+    terms = sum(y2 == z1.multiply(z1.inverse(y), z) for y, z in f.entries for _x2, y2 in h.entries)
+    assert terms > len(expected)  # some keys sum terms from several y
+    assert_mapping_equal(f.product(h).entries, expected)
+
+
+@pytest.mark.parametrize("group", [Z7, H3_3, Z2], ids=str)
+def test_product_with_an_empty_operand_is_empty(group):
+    f = random_covariance(group, 2, 3, x_radius=None if group.is_finite else 1)
+    zero = CovarianceElement(group, 2, {})
+    for a, b in ((f, zero), (zero, f), (zero, zero)):
+        x, y, blocks = a.product(b).arrays
+        assert x.shape == y.shape == (0, group.coord_len) and blocks.shape == (0, 2, 2)
+        assert product_loop(a, b) == {}
+
+
+def test_product_drops_sums_that_cancel():
+    """Over Z/5, the key (3, 0) gets M from y = 0 and -M from y = 1; (1, 0) gets one term."""
+    z5, eye = Cyclic(5), np.eye(2, dtype=complex)
+    m = np.array([[1 + 2j, -3j], [0.5, 2 - 1j]])
+    f = CovarianceElement(z5, 2, {((0,), (0,)): eye, ((1,), (0,)): eye})
+    h = CovarianceElement(z5, 2, {((3,), (0,)): m, ((2,), (4,)): -m, ((1,), (0,)): 2 * m})
+    expected = product_loop(f, h)
+    assert list(expected) == [((1,), (0,))]
+    assert_mapping_equal(f.product(h).entries, expected)
+
+
+def test_product_holds_one_first_coordinate_of_blocks_at_a_time():
+    """The product's traced peak on H3(Z/3) at d = 2: 19683 block products
+    held at once would take 1.2 MiB by themselves."""
+    f, h = random_covariance(H3_3, 2, 21), random_covariance(H3_3, 2, 22)
+    f.product(h)
+    tracemalloc.start()
+    try:
+        f.product(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20
 
 
 @pytest.mark.parametrize("group,x_radius,radius", COVARIANCE_CASES, ids=str)
