@@ -1,16 +1,17 @@
 """Discrete group arithmetic: integer lattices, cyclic groups, Heisenberg groups.
 
 A :class:`Group` object carries the group law, a fixed symmetric generating
-set, word lengths for the induced word metric, and breadth-first ball
-enumeration.  Each group states its law once, on ``(n, coord_len)`` int64
-arrays of points (the ``*_many`` methods the array-backed kernel store runs
-on).  The scalar methods run the same law on a one-row array and return
-plain tuples of Python ints.  A result whose exact coordinates could leave
-int64 raises ``ValueError`` instead of wrapping around.
+set and the closed-form word length of the induced word metric.  Each group
+states its law once, on ``(n, coord_len)`` int64 arrays of points (the
+``*_many`` methods the array-backed kernel store runs on).  The scalar
+methods run the same law on a one-row array and return plain tuples of
+Python ints.  A result whose exact coordinates could leave int64 raises
+``ValueError`` instead of wrapping around.
 
 Balls are the truncation windows used by every finite-section computation
-downstream, so their ordering is deterministic: sorted by word length, then
-lexicographically.
+downstream.  One routine enumerates them for every group: it filters a
+per-coordinate box that contains the ball by word length, and orders the
+points by word length, then lexicographically.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ import re
 import numpy as np
 
 Point = tuple[int, ...]
-
-# Safety cap for breadth-first searches on infinite groups.
-_MAX_BFS_RADIUS = 10_000
 
 # A result is refused when the float64 bound on one of its coordinates reaches
 # this; the margin below int64's 2**63 covers the rounding of the bound.
@@ -46,30 +44,61 @@ def _require_int64(group: "Group", bound: np.ndarray, what: str) -> None:
         raise ValueError(f"{group.name}: {what} would leave the int64 range")
 
 
+def _heisenberg_length(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Word lengths in H3(Z) of the points (a, b, c), elementwise with broadcasting.
+
+    The closed form of Blachère, "Word distance on the discrete Heisenberg
+    group", Colloq. Math. 95 (2003), for the generators (+-1,0,0), (0,+-1,0).
+    The automorphisms (a,b,c) -> (-a,b,-c), (a,-b,-c) and (b,a,ab-c) fix the
+    generating set, so they reduce every point to x, y >= 0 and c >= 0; the
+    rest is symmetric in x and y, so the swap is left out.  If c <= xy the
+    length is x + y.  Otherwise let S be the least integer with
+    floor(S/2) ceil(S/2) >= c, or m + ceil(c/m) with m = max(x, y) if that S
+    is below 2m; the length is 2 max(S, x + y) - x - y.  Every intermediate
+    fits int64 while |a||b| + |c| + |a| + |b| stays below 2**62.
+    """
+    c = np.where((a < 0) != (b < 0), -c, c)
+    x, y = np.abs(a), np.abs(b)
+    c = np.where(c < 0, x * y - c, c)
+    s = np.ceil(2 * np.sqrt(c.astype(float))).astype(np.int64)
+    s += (s // 2) * ((s + 1) // 2) < c  # float rounding can leave s one off either way
+    s -= ((s - 1) // 2) * (s // 2) >= np.maximum(c, 1)
+    m = np.maximum(x, y)
+    s = np.where(s < 2 * m, m - (-c // np.maximum(m, 1)), s)
+    top = np.maximum(s, x + y)
+    return np.where(c <= x * y, x + y, (top - x) + (top - y))
+
+
+def _span(bound: int, modulus: int | None) -> np.ndarray:
+    """The integers -bound..bound, or their distinct residues mod ``modulus``."""
+    if modulus is not None and 2 * bound + 1 >= modulus:
+        return np.arange(modulus)
+    span = np.arange(-bound, bound + 1)
+    return span if modulus is None else span % modulus
+
+
 class Group:
     """Descriptor of a finitely generated discrete group.
 
     Subclasses state the group law once, on ``(n, coord_len)`` int64 arrays:
-    ``_product_many``, ``inverse_many``, and ``_reduce_many`` when points
-    have a canonical residue; ``word_length_many`` when the word metric has
-    a closed form (otherwise it is read from the breadth-first layers).  The
-    scalar methods run that law on one row.  All instances are immutable
-    values; the breadth-first layer cache is internal memoization and does
-    not affect observable behaviour.
+    ``_product_many``, ``inverse_many``, the closed-form ``word_length_many``,
+    and ``_reduce_many`` when points have a canonical residue mod
+    ``_modulus``.  ``_ball_bounds`` gives, per coordinate, a bound on its
+    absolute value over each ball (the radius unless overridden);
+    :meth:`ball` filters that box.  The scalar
+    methods run the law on one row.  All instances are immutable values; the
+    memo of balls is internal and does not affect observable behaviour.
     """
 
     name: str
     coord_len: int
     is_finite: bool = False
     order: int | None = None
+    _modulus: int | None = None
     _gens: tuple[Point, ...]
 
     def __init__(self) -> None:
-        self._gen_array = self.canonical_many(self._gens)
-        # BFS layers: _layers[k] = sorted list of points at word length k.
-        self._layers: list[list[Point]] = [[self.identity]]
-        self._dist: dict[Point, int] = {self.identity: 0}
-        self._exhausted = False
+        self._balls: dict[int, list[Point]] = {}
 
     # -- group law on (n, coord_len) int64 arrays ---------------------------------
 
@@ -109,10 +138,12 @@ class Group:
         raise NotImplementedError
 
     def word_length_many(self, x: np.ndarray) -> np.ndarray:
-        """Word lengths of a canonical point array, read from the BFS layers."""
-        return np.fromiter(
-            (self._bfs_length(p) for p in map(tuple, x.tolist())), dtype=np.int64, count=len(x)
-        )
+        """Word lengths of a canonical point array."""
+        raise NotImplementedError
+
+    def _ball_bounds(self, radius: int) -> tuple[int, ...]:
+        """Per coordinate, a bound on |coordinate| over the ball of ``radius``."""
+        return (radius,) * self.coord_len
 
     # -- the same law on single points ----------------------------------------------
 
@@ -144,32 +175,7 @@ class Group:
         """Length of the shortest generator word equal to ``x``."""
         return int(self.word_length_many(self._row(x))[0])
 
-    # -- word metric ----------------------------------------------------------
-
-    def _expand_layers(self, radius: int) -> None:
-        gens = self._gen_array
-        while len(self._layers) <= radius and not self._exhausted:
-            frontier = np.array(self._layers[-1], dtype=np.int64)
-            depth = len(self._layers)
-            products = self.multiply_many(np.repeat(frontier, len(gens), axis=0), np.tile(gens, (len(frontier), 1)))
-            new = set(map(tuple, products.tolist())).difference(self._dist)
-            if not new:
-                self._exhausted = True
-                return
-            layer = sorted(new)
-            self._dist.update(dict.fromkeys(layer, depth))
-            self._layers.append(layer)
-
-    def _bfs_length(self, x: Point) -> int:
-        r = len(self._layers) - 1
-        while x not in self._dist:
-            if self._exhausted:
-                raise ValueError(f"{self.name}: {x!r} not generated by {self.generators()}")
-            if r > _MAX_BFS_RADIUS:
-                raise RuntimeError(f"{self.name}: word length search exceeded radius {r}")
-            r += 1
-            self._expand_layers(r)
-        return self._dist[x]
+    # -- balls ----------------------------------------------------------------
 
     def ball(self, radius: int) -> list[Point]:
         """All points of word length <= radius, ordered by (length, coords).
@@ -178,23 +184,24 @@ class Group:
         """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        self._expand_layers(radius)
-        out: list[Point] = []
-        for layer in self._layers[: radius + 1]:
-            out.extend(layer)
-        return out
+        if radius not in self._balls:
+            axes = [_span(bound, self._modulus) for bound in self._ball_bounds(radius)]
+            box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.coord_len)
+            lengths = self.word_length_many(box)
+            keep = np.flatnonzero(lengths <= radius)
+            keep = keep[np.lexsort((*box[keep].T[::-1], lengths[keep]))]
+            self._balls[radius] = list(map(tuple, box[keep].tolist()))
+        return list(self._balls[radius])
 
     def elements(self) -> list[Point]:
         """Every element, in ball order.  Finite groups only."""
         if not self.is_finite:
             raise ValueError(f"{self.name} is infinite; elements() needs a finite group")
-        self._expand_layers(self.order)  # the search exhausts the group before this radius
-        return self.ball(len(self._layers) - 1)
+        return self.ball(self.order)  # no element is longer than the order
 
     def diameter(self) -> int:
         """Largest word length in a finite group: the radius whose ball is the group."""
-        self.elements()
-        return len(self._layers) - 1
+        return self.word_length(self.elements()[-1])
 
     # -- value semantics ------------------------------------------------------
 
@@ -250,7 +257,7 @@ class Cyclic(Group):
     def __init__(self, modulus: int) -> None:
         if not 1 <= modulus <= 2**62:
             raise ValueError("cyclic modulus must be in [1, 2**62]")
-        self.modulus = modulus
+        self.modulus = self._modulus = modulus
         self.order = modulus
         self.coord_len = 1
         self.name = f"Z/{modulus}"
@@ -294,6 +301,11 @@ class _HeisenbergLaw:
         out[:, 2] = x[:, 0] * x[:, 1] - x[:, 2]
         return self._reduce_many(out)
 
+    def _ball_bounds(self, radius: int) -> tuple[int, ...]:
+        # A word with k letters (+-1,0,0) changes c by at most k at each of its
+        # other letters, so |c| <= k (radius - k) <= radius**2 / 4.
+        return (radius, radius, radius * radius // 4)
+
 
 class DiscreteHeisenberg(_HeisenbergLaw, Group):
     """Integer Heisenberg group H3(Z), generators (+-1,0,0) and (0,+-1,0)."""
@@ -303,6 +315,11 @@ class DiscreteHeisenberg(_HeisenbergLaw, Group):
     def __init__(self) -> None:
         self.name = "H3(Z)"
         super().__init__()
+
+    def word_length_many(self, x: np.ndarray) -> np.ndarray:
+        a = np.abs(x.astype(float))
+        _require_int64(self, a[:, 0] * a[:, 1] + a.sum(axis=1), "a word length")
+        return _heisenberg_length(x[:, 0], x[:, 1], x[:, 2])
 
 
 class HeisenbergMod(_HeisenbergLaw, Group):
@@ -314,7 +331,7 @@ class HeisenbergMod(_HeisenbergLaw, Group):
         # Below 2**31 the centre of a product of canonical points, at most p^2 - 1, fits in int64.
         if not (prime < 2**31 and _is_prime(prime)):
             raise ValueError(f"H3(Z/p) needs a prime modulus below 2**31, got {prime}")
-        self.prime = prime
+        self.prime = self._modulus = prime
         self.order = prime**3
         self.name = f"H3(Z/{prime})"
         gens = [(1, 0, 0), (prime - 1, 0, 0), (0, 1, 0), (0, prime - 1, 0)]
@@ -323,6 +340,25 @@ class HeisenbergMod(_HeisenbergLaw, Group):
 
     def _reduce_many(self, x: np.ndarray) -> np.ndarray:
         return x % self.prime
+
+    def word_length_many(self, x: np.ndarray) -> np.ndarray:
+        """The least H3(Z) length over the lifts of each point.
+
+        Reduction mod p maps the generators of H3(Z) onto these, so a word of
+        length n for a point here is one for some lift.  The lifts that can
+        be shortest have A in {a, a - p}, B in {b, b - p}, and C the residue
+        of c nearest [lo, hi] = [min(0, AB), max(0, AB)] from either side,
+        since the H3(Z) length is |A| + |B| on that interval and grows off it.
+        All 8 lifts of every point are evaluated at once; with p < 2**31
+        they stay inside the int64 range of :func:`_heisenberg_length`.
+        """
+        p = self.prime
+        a, b, c = x.T
+        lift_a, lift_b = np.stack([a, a - p])[:, None, None], np.stack([b, b - p])[None, :, None]
+        ab = lift_a * lift_b
+        lo, hi = np.minimum(ab, 0), np.maximum(ab, 0)
+        lift_c = np.concatenate([hi - (hi - c) % p, lo + (c - lo) % p], axis=2)
+        return _heisenberg_length(lift_a, lift_b, lift_c).min(axis=(0, 1, 2))
 
 
 _GROUP_PATTERNS = (

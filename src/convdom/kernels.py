@@ -594,18 +594,10 @@ class Kernel:
         return _subset(self, self._ball_mask(radius) & _nonzero(self._stack))
 
     def _ball_mask(self, radius: int, columns: bool = True) -> np.ndarray:
-        """Mask of the entries whose row x = s*t, and with ``columns`` their column t, lie in the ball.
-
-        t is tested first, against the radius or, for rows alone, against
-        radius + |s| >= |t|: the BFS word metric then grows only as far as the
-        points x that can lie in the ball.
-        """
+        """Mask of the entries whose row x = s*t, and with ``columns`` their column t, lie in the ball."""
         g, (s, t) = self.group, self._coords
-        bound = radius if columns else radius + g.word_length_many(s)
-        near = np.flatnonzero(g.word_length_many(t) <= bound)
-        keep = np.zeros(len(t), dtype=bool)
-        keep[near] = g.word_length_many(g.multiply_many(s[near], t[near])) <= radius
-        return keep
+        keep = g.word_length_many(g.multiply_many(s, t)) <= radius
+        return keep & (g.word_length_many(t) <= radius) if columns else keep
 
     def _section_index(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(entry, row, column) of each entry whose row s t and column t lie in a section.

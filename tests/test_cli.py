@@ -116,6 +116,20 @@ def test_envelope_word_length_outside_int64_is_exit_2(tmp_path, capsys):
     assert "Z^2: a word length would leave the int64 range" in capsys.readouterr().err
 
 
+def test_far_central_envelope_point_is_a_prompt_residual_failure(tmp_path, capsys):
+    # (0, 0, 10**6) has word length 4000: the kernel's support outgrows every
+    # window, so the residual reads inf and the run fails (1) at once.
+    envelope = tmp_path / "envelope.json"
+    values = [{"s": [1, 0, 0], "value": 0.3}, {"s": [0, 0, 1000000], "value": 0.2}]
+    envelope.write_text(json.dumps({"group": "H3(Z)", "values": values}))
+    profile = {"kind": "file", "path": str(envelope), "t_radius": 4}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"group": "H3(Z)", "dim": 1, "profile": profile, "radii": [2, 4]}))
+    assert run(["invert", "--config", config, "--out", tmp_path / "far"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("inverse_residual") and "worst=inf" in line for line in lines)
+
+
 def test_malformed_config_is_exit_2(tmp_path):
     config = tmp_path / "broken.json"
     config.write_text("{not json")

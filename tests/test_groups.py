@@ -10,14 +10,31 @@ from hypothesis import strategies as st
 from convdom import Cyclic, DiscreteHeisenberg, HeisenbergMod, IntegerLattice, parse_group
 
 
+def bfs_lengths(group, radius):
+    """Independent word metric: {point: length} for all products of at most `radius` generators.
+
+    A breadth-first search over the group law, for checking the closed forms.
+    """
+    lengths = {group.identity: 0}
+    current = {group.identity}
+    for k in range(1, radius + 1):
+        current = {group.multiply(p, g) for p in current for g in group.generators()} - lengths.keys()
+        lengths.update(dict.fromkeys(current, k))
+    return lengths
+
+
 def products_oracle(group, radius):
     """Independent ball oracle: all products of at most `radius` generators."""
-    current = {group.identity}
-    seen = {group.identity}
-    for _ in range(radius):
-        current = {group.multiply(p, g) for p in current for g in group.generators()}
-        seen |= current
-    return seen
+    return set(bfs_lengths(group, radius))
+
+
+def in_ball_order(lengths, radius):
+    """The points of `lengths` within `radius`, ordered by (length, coords)."""
+    return sorted((p for p, n in lengths.items() if n <= radius), key=lambda p: (lengths[p], p))
+
+
+def closed_form_lengths(group, points):
+    return dict(zip(points, group.word_length_many(group.canonical_many(points)).tolist()))
 
 
 def l1_ball_count(d, r):
@@ -108,6 +125,47 @@ def test_heisenberg_word_lengths():
     assert ball2 == sorted(ball2, key=lambda p: (h.word_length(p), p))
     assert set(ball2) == products_oracle(h, 2)
     assert len(ball2) == 17
+
+
+def test_heisenberg_closed_form_matches_breadth_first_search():
+    h = DiscreteHeisenberg()
+    lengths = bfs_lengths(h, 12)
+    assert closed_form_lengths(h, list(lengths)) == lengths
+    for r in range(13):
+        assert h.ball(r) == in_ball_order(lengths, r)
+
+
+@pytest.mark.parametrize(
+    "group", [HeisenbergMod(p) for p in (2, 3, 5, 7, 11, 13)] + [Cyclic(n) for n in (1, 2, 5, 6)], ids=str
+)
+def test_finite_closed_form_matches_breadth_first_search(group):
+    lengths = bfs_lengths(group, group.order)
+    assert len(lengths) == group.order
+    assert closed_form_lengths(group, list(lengths)) == lengths
+    assert group.elements() == in_ball_order(lengths, group.order)
+    assert group.diameter() == max(lengths.values())
+
+
+def test_heisenberg_far_points():
+    h = DiscreteHeisenberg()
+    assert h.word_length((0, 0, 64)) == 32
+    assert h.word_length((0, 0, 2**40)) == 2**22
+    with pytest.raises(ValueError, match="int64"):
+        h.word_length((2**31, 2**31, 0))
+    with pytest.raises(ValueError, match="int64"):  # length 2**63 + 1
+        h.word_length((2**63 - 1, 0, 1))
+
+
+@pytest.mark.parametrize("group", [IntegerLattice(2), Cyclic(5), DiscreteHeisenberg(), HeisenbergMod(3)], ids=str)
+def test_mutating_a_ball_leaves_the_next_unchanged(group):
+    first = group.ball(3)
+    expected = list(first)
+    first.append(group.identity)
+    first[0] = (7,) * group.coord_len
+    assert group.ball(3) == expected
+    if group.is_finite:
+        group.elements().clear()
+        assert len(group.elements()) == group.order
 
 
 def test_ball_ordering_and_monotonicity():

@@ -375,18 +375,6 @@ def test_residual_on_its_window_equals_the_whole_product_restricted(case):
             assert inverse_residual(kernel, z, candidate, radius) == residual_definition(kernel, z, candidate, radius)
 
 
-def test_residual_grows_the_word_metric_no_further_than_the_whole_product():
-    kernel = shift_kernel(DiscreteHeisenberg(), 1, 0.4, t_radius=6)
-    inverse, _report = finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(4, 6)))
-    layers = []
-    for residual in (inverse_residual, residual_definition):
-        group = DiscreteHeisenberg()  # a fresh breadth-first search, grown to radius 6
-        fresh = shift_kernel(group, 1, 0.4, t_radius=6)
-        residual(fresh, 1.0, Kernel(group, 1, inverse.entries), 2)
-        layers.append(len(group._layers))
-    assert layers[0] <= layers[1]
-
-
 # -- Neumann oracle -----------------------------------------------------------------
 
 
