@@ -20,11 +20,9 @@ from .covariance import (
     R_map,
     W_intertwine,
     W_inverse,
-    left_multiplication_matrix,
     matrix_function_convolve,
     matrix_function_norm,
     operator_matrix,
-    pi_matrix,
     pi_regular,
     symmetry_spectrum,
     theta_embed,
@@ -34,7 +32,6 @@ from .groups import Cyclic, DiscreteHeisenberg, Group, HeisenbergMod, IntegerLat
 from .inversion import (
     ContourNodeError,
     DecayReport,
-    IdealSubspace,
     InversionConfig,
     SectionInversionError,
     contour_inverse,
@@ -55,7 +52,6 @@ __all__ = [
     "Envelope",
     "Group",
     "HeisenbergMod",
-    "IdealSubspace",
     "IntegerLattice",
     "InversionConfig",
     "Kernel",
@@ -73,7 +69,6 @@ __all__ = [
     "generate_kernel",
     "ideal_project",
     "inverse_residual",
-    "left_multiplication_matrix",
     "matrix_function_convolve",
     "matrix_function_norm",
     "neumann_inverse",
@@ -81,7 +76,6 @@ __all__ = [
     "operator_norm",
     "operator_norms",
     "parse_group",
-    "pi_matrix",
     "pi_regular",
     "random_covariance",
     "random_test_vector",

@@ -39,7 +39,6 @@ from .generate import Profile, generate_kernel, generate_kernel_from_envelope, s
 from .groups import Group, parse_group
 from .inversion import (
     ContourNodeError,
-    IdealSubspace,
     InversionConfig,
     SectionInversionError,
     contour_inverse,
@@ -132,8 +131,12 @@ def _checked(key: str, value, default, name: str | None = None):
     return parse_group(value) if key == "group" else value
 
 
-def _kernel_from_profile(params: dict, group: Group, dim: int) -> Kernel:
-    """Seeded kernel of the config's profile: a profile shape, or an envelope file (kind "file")."""
+def _kernel_from_profile(params: dict, group: Group, dim: int, window: int | None) -> Kernel:
+    """Seeded kernel of the config's profile: a profile shape, or an envelope file (kind "file").
+
+    On an infinite group a null ``t_radius`` becomes ``window``, the largest
+    radius of an inversion task, so the kernel's columns cover its sections.
+    """
     data = params["profile"]
     if data is None:
         raise ConfigError("profile must be an object, got null")
@@ -145,6 +148,8 @@ def _kernel_from_profile(params: dict, group: Group, dim: int) -> Kernel:
         raise ConfigError(f"profile key {unread[0]!r} does not apply to kind {kind!r}")
     args = [_checked(key, data.get(key), default, f"profile {key}") for key, default in _PROFILE_KEYS[kind].items()]
     t_radius = _checked("t_radius", data.get("t_radius"), None, "profile t_radius")
+    if t_radius is None and not group.is_finite:
+        t_radius = window
     try:
         if kind == "file":
             envelope = formats.read_envelope(*args)
@@ -154,15 +159,13 @@ def _kernel_from_profile(params: dict, group: Group, dim: int) -> Kernel:
         raise ConfigError(f"unusable profile: {exc}") from None
     if kind != "file":
         return generate_kernel(group, dim, params["seed"], profile)[0]
-    if envelope.group != group:
-        raise ConfigError(f"profile envelope is over {envelope.group.name}, config group is {group.name}")
     return generate_kernel_from_envelope(group, dim, params["seed"], envelope, t_radius)[0]
 
 
 def _preset_kernel(params: dict, group: Group, dim: int, window: int) -> Kernel:
     preset = params["preset"]
     if params["profile"] is not None:
-        return _kernel_from_profile(params, group, dim)
+        return _kernel_from_profile(params, group, dim, window)
     if preset == "shift":
         return shift_kernel(group, dim, params["weight"], t_radius=window)
     if preset == "hermitian_band":
@@ -258,17 +261,15 @@ def task_ideal_approx(params: dict, out: Path | None) -> tuple[int, list[str]]:
     previous = np.inf
     monotone = True
     for level in params["levels"]:
-        subspace = IdealSubspace.compact_support(level)
-        projected = ideal_project(kernel, subspace)
-        measured = (kernel - projected).envelope_norm()
-        bound = beta.l1_distance(subspace.bound_for(beta))
+        support = beta.restrict(level)
+        measured = (kernel - ideal_project(kernel, support)).envelope_norm()
+        bound = beta.l1_distance(support)
         rows.append(f"{level},{measured!r},{bound!r}")
         worst_eq = max(worst_eq, abs(measured - bound) / max(1.0, beta.l1_norm()))
         if measured > previous + tol:
             monotone = False
         previous = measured
-    cap = IdealSubspace.truncation(max(beta.values.values()) + 1.0)
-    unchanged = ideal_project(kernel, cap).max_block_difference(kernel)
+    unchanged = ideal_project(kernel, beta.cap(max(beta.values.values()) + 1.0)).max_block_difference(kernel)
     results = [
         CheckResult("projection_error_equals_envelope_gap", worst_eq, tol),
         CheckResult("projection_error_monotone", 0.0 if monotone else 1.0, 0.0),
@@ -310,7 +311,7 @@ def task_kernel_io(params: dict, out: Path | None) -> tuple[int, list[str]]:
         except OSError as exc:
             raise ConfigError(f"cannot read input {params['input']}: {exc}") from None
     else:
-        kernel = _kernel_from_profile(params, params["group"], params["dim"])
+        kernel = _kernel_from_profile(params, params["group"], params["dim"], None)
     formats.write_kernel(out / "kernel.json", kernel)
     formats.write_envelope(out / "envelope.json", kernel.min_envelope())
     formats.write_covariance(out / "covariance.json", R_inverse(kernel))

@@ -259,59 +259,14 @@ def operator_matrix(kernel: Kernel) -> np.ndarray:
     return kernel.to_dense(pts)
 
 
-def pi_matrix(f: CovarianceElement) -> np.ndarray:
-    """Dense matrix of the regular representation on the doubled space."""
-    g = f.group
-    pts = _require_finite(g, "pi_matrix")
-    d = f.dim
-    pairs = [(x, z) for x in pts for z in pts]
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    size = len(pairs) * d
-    mat = np.zeros((size, size), dtype=complex)
-    col = 0
-    for x, z in pairs:
-        for i in range(d):
-            image = pi_regular(f, TestVector.basis(g, d, (x, z), i, doubled=True))
-            for key, val in image.values.items():
-                row = pair_index[key] * d
-                mat[row : row + d, col] = val
-            col += 1
-    return mat
-
-
-def left_multiplication_matrix(f: CovarianceElement) -> np.ndarray:
-    """Matrix of h -> f * h on the covariance algebra of a finite group.
-
-    The algebra is viewed as a vector space of dimension |G|^2 d^2 with the
-    basis of single-entry elements, ordered by (x, y, row, column).
-    """
-    g = f.group
-    pts = _require_finite(g, "left_multiplication_matrix")
-    index = {p: i for i, p in enumerate(pts)}
-    n = len(pts)
-    d = f.dim
-    d2 = d * d
-    size = n * n * d2
-    mat = np.zeros((size, size), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for (y, w), block in f.entries.items():
-        y_inv_w = g.multiply(g.inverse(y), w)
-        kron = np.kron(block, eye)
-        for a in pts:
-            row = (index[g.multiply(y, a)] * n + index[w]) * d2
-            col = (index[a] * n + index[y_inv_w]) * d2
-            mat[row : row + d2, col : col + d2] += kron
-    return mat
-
-
 def symmetry_spectrum(f: CovarianceElement) -> np.ndarray:
     """Spectrum of f in the covariance algebra of a finite group.
 
     Left multiplication by f on the full algebra (dimension |G|^2 d^2)
     factors exactly as (identity) tensor (dense operator image of R f), so
     its eigenvalues are those of the |G|d x |G|d operator matrix of R f,
-    each repeated |G|d times.  ``left_multiplication_matrix`` is the literal
-    matrix that the tests hold this against.
+    each repeated |G|d times.  The tests hold this against the eigenvalues of
+    the literal |G|^2 d^2 matrix of left multiplication.
     """
     eigs = np.linalg.eigvals(operator_matrix(R_map(f)))
     return np.repeat(eigs, len(eigs))

@@ -26,6 +26,8 @@ class Profile:
     kinds: "exponential" (rate ** length), "polynomial" ((1+length) ** -power),
     "banded" (1 inside the band, 0 outside).  t_radius bounds the column
     window; None means the whole group when finite, else max(radius, 4).
+    The CLI's inversion tasks replace None on an infinite group by their
+    largest radius, so the columns cover every section.
     """
 
     kind: str

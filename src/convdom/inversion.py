@@ -29,13 +29,10 @@ class SectionInversionError(RuntimeError):
     surface as other exception types.
     """
 
-    def __init__(self, radius: int, condition: float, message: str | None = None) -> None:
+    def __init__(self, radius: int, condition: float) -> None:
         self.radius = radius
         self.condition = condition
-        super().__init__(
-            message
-            or f"section at radius {radius} not invertible (condition estimate {condition:.3e})"
-        )
+        super().__init__(f"section at radius {radius} not invertible (condition estimate {condition:.3e})")
 
 
 class ContourNodeError(RuntimeError):
@@ -383,50 +380,18 @@ def contour_inverse(kernel: Kernel, radius_eps: float, nodes: int, cfg: Inversio
     return total.scale(1.0 / nodes)
 
 
-@dataclass(frozen=True)
-class IdealSubspace:
-    """Envelope constraint defining an approximation ideal.
+def ideal_project(kernel: Kernel, bound: Envelope) -> Kernel:
+    """Rescale a kernel onto the approximation ideal of an envelope bound.
 
-    compact_support(r) keeps envelope mass inside the ball of radius r;
-    truncation(level) caps the envelope pointwise at a constant level (the
-    compact cutoff is vacuous here since every stored envelope already has
-    finite support).
-    """
-
-    kind: str
-    radius: int | None = None
-    level: float | None = None
-
-    @classmethod
-    def compact_support(cls, radius: int) -> "IdealSubspace":
-        if radius < 0:
-            raise ValueError("support radius must be nonnegative")
-        return cls(kind="compact_support", radius=int(radius))
-
-    @classmethod
-    def truncation(cls, level: float) -> "IdealSubspace":
-        if level < 0:
-            raise ValueError("truncation level must be nonnegative")
-        return cls(kind="truncation", level=float(level))
-
-    def bound_for(self, beta: Envelope) -> Envelope:
-        if self.kind == "compact_support":
-            return beta.restrict(self.radius)
-        if self.kind == "truncation":
-            return beta.cap(self.level)
-        raise ValueError(f"unknown ideal subspace kind {self.kind!r}")
-
-
-def ideal_project(kernel: Kernel, subspace: IdealSubspace) -> Kernel:
-    """Rescale a kernel onto an approximation ideal.
-
-    With beta the minimal envelope and beta_n its constrained version, each
-    entry at coset s is multiplied by beta_n(s) / beta(s) (zero where beta
-    vanishes), which guarantees that the envelope norm of the difference is
-    at most the l1 distance of the two envelopes.
+    ``bound`` is the kernel's minimal envelope beta constrained to the ideal:
+    ``beta.restrict(n)`` for compact support in the ball of radius n, or
+    ``beta.cap(level)`` for truncation at a constant level.  Each entry at
+    coset s is multiplied by bound(s) / beta(s) (zero where beta vanishes),
+    which guarantees that the envelope norm of the difference is at most the
+    l1 distance of the two envelopes.  A bound above beta anywhere is refused.
     """
     (s, t, blocks), beta = kernel.arrays, kernel.min_envelope()
-    (points, full), (bound_points, bound) = beta.arrays, subspace.bound_for(beta).arrays
+    (points, full), (bound_points, bound) = beta.arrays, bound.arrays
     cosets, known, constrained = _row_codes(s, points, bound_points)
     i, j = _join(constrained, known)
     under = np.zeros(len(bound))  # beta at each constrained point, zero where it vanishes

@@ -68,23 +68,6 @@ def _blocks_from_dict(data: dict, cls, first: str, second: str):
     return cls(group, dim, entries)
 
 
-def kernel_from_dict(data: dict) -> Kernel:
-    return _blocks_from_dict(data, Kernel, "s", "t")
-
-
-def envelope_from_dict(data: dict) -> Envelope:
-    group = parse_group(data["group"])
-    return Envelope(group, {tuple(rec["s"]): float(rec["value"]) for rec in data["values"]})
-
-
-def covariance_from_dict(data: dict) -> CovarianceElement:
-    return _blocks_from_dict(data, CovarianceElement, "x", "y")
-
-
-def _dump(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-
-
 def _load(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
@@ -96,7 +79,7 @@ def write_kernel(path: str | Path, kernel: Kernel) -> None:
 
 
 def read_kernel(path: str | Path) -> Kernel:
-    return kernel_from_dict(_load(path))
+    return _blocks_from_dict(_load(path), Kernel, "s", "t")
 
 
 def write_envelope(path: str | Path, env: Envelope) -> None:
@@ -105,7 +88,8 @@ def write_envelope(path: str | Path, env: Envelope) -> None:
 
 
 def read_envelope(path: str | Path) -> Envelope:
-    return envelope_from_dict(_load(path))
+    data = _load(path)
+    return Envelope(parse_group(data["group"]), {tuple(rec["s"]): float(rec["value"]) for rec in data["values"]})
 
 
 def write_covariance(path: str | Path, f: CovarianceElement) -> None:
@@ -115,31 +99,24 @@ def write_covariance(path: str | Path, f: CovarianceElement) -> None:
 
 
 def read_covariance(path: str | Path) -> CovarianceElement:
-    return covariance_from_dict(_load(path))
+    return _blocks_from_dict(_load(path), CovarianceElement, "x", "y")
 
 
-def decay_csv_lines(report: DecayReport) -> list[str]:
+def write_decay_csv(path: str | Path, report: DecayReport) -> None:
     """CSV rows radius,word_length,envelope_value (bucket max per length)."""
     lines = ["radius,word_length,envelope_value"]
     for radius in sorted(report.envelope_by_radius):
         lengths, maxima, _ = report.envelope_by_radius[radius].by_word_length()
         lines += [f"{radius},{ell},{v!r}" for ell, v in zip(lengths.tolist(), maxima.tolist())]
-    return lines
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_decay_csv(path: str | Path, report: DecayReport) -> None:
-    Path(path).write_text("\n".join(decay_csv_lines(report)) + "\n")
-
-
-def report_summary(report: DecayReport) -> dict:
-    return {
+def write_report_summary(path: str | Path, report: DecayReport) -> None:
+    summary = {
         "stabilized": report.stabilized,
         "fitted_rate": report.fitted_rate,
         "r2": report.fit_r2,
         "l1_partial_sums": list(report.l1_partial_sums),
         "residual": report.residual,
     }
-
-
-def write_report_summary(path: str | Path, report: DecayReport) -> None:
-    _dump(report_summary(report), path)
+    Path(path).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")

@@ -104,8 +104,10 @@ def _ranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct code, ascending, and each code's rank; np.unique would import numpy.ma."""
     order = np.argsort(codes, kind="stable")
     starts = _run_starts(codes[order])
-    ranks = np.empty(len(codes), dtype=np.int64)
-    ranks[order] = np.repeat(np.arange(len(starts)), np.append(starts[1:], len(codes)) - starts)
+    step = np.zeros(len(codes), dtype=np.int64)
+    step[starts[1:]] = 1  # in sorted order the rank rises by one at each later run
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step, out=step)
     return order[starts], ranks
 
 
@@ -381,13 +383,15 @@ class Envelope:
         return _l1_sum(self._stack)
 
     def restrict(self, radius: int) -> "Envelope":
-        """Keep only points of word length <= radius."""
+        """Keep only points of word length <= radius: the bound of the ideal of support in that ball."""
+        if radius < 0:
+            raise ValueError("support radius must be nonnegative")
         (points,), g = self._coords, self.group
         keep = g.word_length_many(points) <= radius
         return Envelope._derived(g, points[keep], self._stack[keep])
 
     def cap(self, level: float) -> "Envelope":
-        """Pointwise minimum with a constant level."""
+        """Pointwise minimum with a constant level: the bound of the ideal truncated at that level."""
         if level < 0:
             raise ValueError("cap level must be nonnegative")
         return Envelope._derived(self.group, self._coords[0], np.minimum(self._stack, level))

@@ -15,7 +15,6 @@ from convdom import (
     Cyclic,
     DiscreteHeisenberg,
     HeisenbergMod,
-    IdealSubspace,
     IntegerLattice,
     InversionConfig,
     Kernel,
@@ -260,10 +259,10 @@ def test_criterion_10_ideal_approximation():
     kernel = Kernel(Z, 1, entries)
     beta = kernel.min_envelope()
     for n in range(2, 11):
-        subspace = IdealSubspace.compact_support(n)
-        projected = ideal_project(kernel, subspace)
+        support = beta.restrict(n)
+        projected = ideal_project(kernel, support)
         measured = (kernel - projected).envelope_norm()
-        bound = beta.l1_distance(subspace.bound_for(beta))
+        bound = beta.l1_distance(support)
         if measured > bound + 1e-12:
             failures.append(f"n={n}: measured {measured} above bound {bound}")
         shell_sum = 2.0 * (2.0**-n - 2.0**-30)

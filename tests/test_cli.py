@@ -47,6 +47,16 @@ def test_invert_writes_reports(tmp_path):
     assert summary["stabilized"] is True
 
 
+def test_profile_without_t_radius_covers_the_final_window(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"profile": {"kind": "exponential", "rate": 0.5, "radius": 2}}))
+    assert run(["invert", "--config", config, "--out", tmp_path / "run"]) in (0, 1)
+    written = json.loads((tmp_path / "run" / "inverse_kernel.json").read_text())
+    defaults = TASK_DEFAULTS["invert"]
+    inner = int(defaults["inner_ratio"] * max(defaults["radii"]))  # the final inner window, ball(20) on Z
+    assert {tuple(rec["t"]) for rec in written["entries"]} == {(t,) for t in range(-inner, inner + 1)}
+
+
 def test_two_sided_band_passes_the_residual_check(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"preset": "hermitian_band", "weight": 0.3}))
@@ -75,6 +85,13 @@ def test_ideal_approx_and_contour_pass(tmp_path):
     assert run(["ideal-approx", "--out", tmp_path / "ia"]) == 0
     assert (tmp_path / "ia" / "ideal_approx.csv").exists()
     assert run(["contour", "--out", tmp_path / "ct"]) == 0
+
+
+def test_ideal_approx_negative_level_is_exit_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"levels": [2, -1]}))
+    assert run(["ideal-approx", "--config", config]) == 2
+    assert "support radius must be nonnegative" in capsys.readouterr().err
 
 
 def test_kernel_io_round_trip(tmp_path):

@@ -14,16 +14,14 @@ from convdom import (
     TestVector,
     W_intertwine,
     W_inverse,
-    left_multiplication_matrix,
     operator_matrix,
-    pi_matrix,
     pi_regular,
     random_covariance,
     random_test_vector,
     symmetry_spectrum,
     theta_embed,
 )
-from convdom.covariance import matrix_function_convolve, matrix_function_norm
+from convdom.covariance import _require_finite, matrix_function_convolve, matrix_function_norm
 
 Z3 = Cyclic(3)
 Z4 = Cyclic(4)
@@ -54,6 +52,54 @@ def full_doubled_basis(group, dim):
         for z in pts
         for i in range(dim)
     ]
+
+
+# -- dense reference matrices, built entry by entry -------------------------------
+
+
+def pi_matrix(f: CovarianceElement) -> np.ndarray:
+    """Dense matrix of the regular representation on the doubled space."""
+    g = f.group
+    pts = _require_finite(g, "pi_matrix")
+    d = f.dim
+    pairs = [(x, z) for x in pts for z in pts]
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    size = len(pairs) * d
+    mat = np.zeros((size, size), dtype=complex)
+    col = 0
+    for x, z in pairs:
+        for i in range(d):
+            image = pi_regular(f, TestVector.basis(g, d, (x, z), i, doubled=True))
+            for key, val in image.values.items():
+                row = pair_index[key] * d
+                mat[row : row + d, col] = val
+            col += 1
+    return mat
+
+
+def left_multiplication_matrix(f: CovarianceElement) -> np.ndarray:
+    """Matrix of h -> f * h on the covariance algebra of a finite group.
+
+    The algebra is viewed as a vector space of dimension |G|^2 d^2 with the
+    basis of single-entry elements, ordered by (x, y, row, column).
+    """
+    g = f.group
+    pts = _require_finite(g, "left_multiplication_matrix")
+    index = {p: i for i, p in enumerate(pts)}
+    n = len(pts)
+    d = f.dim
+    d2 = d * d
+    size = n * n * d2
+    mat = np.zeros((size, size), dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    for (y, w), block in f.entries.items():
+        y_inv_w = g.multiply(g.inverse(y), w)
+        kron = np.kron(block, eye)
+        for a in pts:
+            row = (index[g.multiply(y, a)] * n + index[w]) * d2
+            col = (index[a] * n + index[y_inv_w]) * d2
+            mat[row : row + d2, col : col + d2] += kron
+    return mat
 
 
 # -- product and involution -------------------------------------------------------

@@ -13,7 +13,6 @@ from convdom import (
     Cyclic,
     DiscreteHeisenberg,
     HeisenbergMod,
-    IdealSubspace,
     IntegerLattice,
     InversionConfig,
     Kernel,
@@ -460,7 +459,7 @@ def exact_dyadic_kernel(radius=30):
 
 def test_compact_support_covering_is_noop():
     kernel = exact_dyadic_kernel(radius=5)
-    projected = ideal_project(kernel, IdealSubspace.compact_support(5))
+    projected = ideal_project(kernel, kernel.min_envelope().restrict(5))
     assert projected.max_block_difference(kernel) == 0.0
 
 
@@ -468,9 +467,9 @@ def test_projection_error_is_geometric_shell_sum():
     kernel = exact_dyadic_kernel(radius=30)
     beta = kernel.min_envelope()
     for n in range(2, 11):
-        subspace = IdealSubspace.compact_support(n)
-        measured = (kernel - ideal_project(kernel, subspace)).envelope_norm()
-        bound = beta.l1_distance(subspace.bound_for(beta))
+        support = beta.restrict(n)
+        measured = (kernel - ideal_project(kernel, support)).envelope_norm()
+        bound = beta.l1_distance(support)
         assert measured == bound
         analytic = 2.0 * (2.0**-n - 2.0**-30)
         assert abs(measured - analytic) <= 1e-15
@@ -478,13 +477,13 @@ def test_projection_error_is_geometric_shell_sum():
 
 def test_truncation_above_max_is_noop():
     kernel = exact_dyadic_kernel(radius=10)
-    projected = ideal_project(kernel, IdealSubspace.truncation(2.0))
+    projected = ideal_project(kernel, kernel.min_envelope().cap(2.0))
     assert projected.max_block_difference(kernel) == 0.0
 
 
 def test_truncation_caps_envelope():
     kernel = exact_dyadic_kernel(radius=4)
-    projected = ideal_project(kernel, IdealSubspace.truncation(0.25))
+    projected = ideal_project(kernel, kernel.min_envelope().cap(0.25))
     env = projected.min_envelope()
     assert max(env.values.values()) <= 0.25
     # Entries below the cap are untouched.
@@ -493,28 +492,28 @@ def test_truncation_caps_envelope():
 
 def test_nested_ideals_give_monotone_errors():
     kernel = exact_dyadic_kernel(radius=20)
+    beta = kernel.min_envelope()
     errors = []
     for n in range(1, 12):
-        projected = ideal_project(kernel, IdealSubspace.compact_support(n))
+        projected = ideal_project(kernel, beta.restrict(n))
         errors.append((kernel - projected).envelope_norm())
     assert errors == sorted(errors, reverse=True)
 
 
 def test_ideal_project_rejects_oversized_bound():
-    class Oversized:
-        def bound_for(self, beta):
-            return beta.cap(1e9).convolve(beta)  # exceeds beta somewhere
-
     kernel = exact_dyadic_kernel(radius=3)
+    beta = kernel.min_envelope()
+    oversized = beta.cap(1e9).convolve(beta)  # exceeds beta somewhere
     with pytest.raises(ValueError):
-        ideal_project(kernel, Oversized())
+        ideal_project(kernel, oversized)
 
 
-def test_ideal_subspace_validation():
+def test_ideal_bounds_refuse_negative_radius_and_level():
+    beta = exact_dyadic_kernel(radius=3).min_envelope()
+    with pytest.raises(ValueError, match="support radius must be nonnegative"):
+        beta.restrict(-1)
     with pytest.raises(ValueError):
-        IdealSubspace.compact_support(-1)
-    with pytest.raises(ValueError):
-        IdealSubspace.truncation(-0.5)
+        beta.cap(-0.5)
 
 
 # -- decay fitting -----------------------------------------------------------------

@@ -18,7 +18,6 @@ from convdom import (
     DiscreteHeisenberg,
     Envelope,
     HeisenbergMod,
-    IdealSubspace,
     IntegerLattice,
     Kernel,
     R_inverse,
@@ -678,14 +677,13 @@ def test_envelope_by_word_length_equals_bucketing_loops(group):
 def test_ideal_project_equals_per_entry_rescale(group):
     kernel, _ = generate_kernel(group, 2, 6, Profile.exponential(0.6, 2, 1))
     beta = kernel.min_envelope()
-    for subspace in (IdealSubspace.compact_support(1), IdealSubspace.truncation(0.3)):
-        bound = subspace.bound_for(beta)
+    for bound in (beta.restrict(1), beta.cap(0.3)):
         expected = {}
         for (s, t), mat in kernel.entries.items():
             factor = bound.value(s) / beta.value(s)
             if factor:
                 expected[(s, t)] = factor * mat
-        assert_entries_equal(ideal_project(kernel, subspace), nonzero_sorted(expected))
+        assert_entries_equal(ideal_project(kernel, bound), nonzero_sorted(expected))
 
 
 # -- the generator's rescaling and the submultiplicativity check on the stack -------------
