@@ -96,7 +96,7 @@ _TYPES = {
     "input": (str, type(None)),
     "t_radius": (int, type(None)),
 }
-_MINIMA = {"dim": 1, "trials": 1, "seed": 0}
+_MINIMA = {"dim": 1, "trials": 1, "seed": 0, "t_radius": 0}
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object", type(None): "null"}
 
 # The arguments of each profile kind's constructor before t_radius, with a value of each one's type.
@@ -124,8 +124,8 @@ def _checked(key: str, value, default, name: str | None = None):
         array = "[re, im]" if key == "z" else f"an array of {_JSON_NAMES[item].split()[1]}s" if item else ""
         names = [_JSON_NAMES.get(kind, array) for kind in types]
         raise ConfigError(f"{name or key} must be {' or '.join(names)}, got {json.dumps(value)}")
-    if key in _MINIMA and value < _MINIMA[key]:
-        raise ConfigError(f"{key} must be at least {_MINIMA[key]}, got {value}")
+    if key in _MINIMA and value is not None and value < _MINIMA[key]:
+        raise ConfigError(f"{name or key} must be at least {_MINIMA[key]}, got {value}")
     if key == "z":
         return complex(*value) if isinstance(value, list) else complex(value)
     return parse_group(value) if key == "group" else value

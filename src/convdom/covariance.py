@@ -39,6 +39,7 @@ from .kernels import (
     _scaled,
     _set_store,
     _stores_sum,
+    _window,
     operator_norm,
 )
 
@@ -64,9 +65,9 @@ class CovarianceElement:
     @classmethod
     def unit(cls, group: Group, dim: int) -> "CovarianceElement":
         """Multiplicative unit u(x, y) = delta_{x=e} I; finite groups only."""
-        eye = np.eye(dim, dtype=complex)
-        e = group.identity
-        return cls(group, dim, {(e, y): eye for y in group.elements()})
+        y = _window(group, None)
+        eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(y), dim, dim))
+        return _from_arrays(cls, group, dim, (np.zeros_like(y), y), eye)
 
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,12 +201,6 @@ def W_inverse(eta: TestVector) -> TestVector:
 # -- trivial-action embedding (finite groups) -------------------------------------
 
 
-def _require_finite(group: Group, what: str) -> list[Point]:
-    if not group.is_finite:
-        raise ValueError(f"{what} requires a finite group, got {group.name}")
-    return group.elements()
-
-
 def theta_embed(f: CovarianceElement) -> dict[Point, np.ndarray]:
     """Embed into matrix-valued functions under plain convolution.
 
@@ -216,7 +211,7 @@ def theta_embed(f: CovarianceElement) -> dict[Point, np.ndarray]:
     onto its image inside the trivial-action convolution algebra.
     """
     g, (x, y) = f.group, f._coords
-    pts = g.canonical_many(_require_finite(g, "theta_embed"))
+    pts = _window(g, None)
     n, d = len(pts), f.dim
     index, rows, cols = _row_codes(pts, y, g.multiply_many(g.inverse_many(x), y))
     row, col = _join(rows, index)[1], _join(cols, index)[1]
@@ -255,8 +250,7 @@ def matrix_function_norm(a: Mapping[Point, np.ndarray]) -> float:
 
 def operator_matrix(kernel: Kernel) -> np.ndarray:
     """Dense matrix of the integral operator over a whole finite group."""
-    pts = _require_finite(kernel.group, "operator_matrix")
-    return kernel.to_dense(pts)
+    return kernel.to_dense(_window(kernel.group, None))
 
 
 def symmetry_spectrum(f: CovarianceElement) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .groups import Group, Point
-from .kernels import Envelope, Kernel, TestVector, _l1_sum, operator_norms
+from .kernels import Envelope, Kernel, TestVector, _from_arrays, _l1_sum, _pairs, _window, operator_norms
 
 
 @dataclass(frozen=True)
@@ -174,26 +174,24 @@ def generate_kernel_from_envelope(
 def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None):
     """Random covariance element with uniform-disc entries.
 
-    The x support is the ball of x_radius (whole group when finite and
-    x_radius is None); fibers run over the whole finite group.
+    The x support is the ball of x_radius, or by default the whole group,
+    which ``Group.elements`` refuses on an infinite group.  Fibers run over
+    the whole group when it is finite, else over the same ball.
     """
     from .covariance import CovarianceElement
 
-    if not group.is_finite and x_radius is None:
-        raise ValueError("infinite groups need an explicit x_radius")
-    rng = np.random.default_rng(seed)
-    xs = group.elements() if x_radius is None else group.ball(x_radius)
-    ys = group.elements() if group.is_finite else group.ball(x_radius)
-    keys = [(x, y) for x in xs for y in ys]
-    return CovarianceElement(group, dim, dict(zip(keys, _random_disc(rng, len(keys), (dim, dim)))))
+    xs = _window(group, x_radius)
+    keys = _pairs(xs, _window(group, None) if group.is_finite else xs)
+    blocks = _random_disc(np.random.default_rng(seed), len(keys[0]), (dim, dim))
+    return _from_arrays(CovarianceElement, group, dim, keys, blocks)
 
 
 def random_test_vector(group: Group, dim: int, seed, radius: int, doubled: bool = False) -> TestVector:
     """Random test vector supported on a ball, uniform-disc coefficients."""
-    rng = np.random.default_rng(seed)
-    points = group.ball(radius)
-    keys = [(x, z) for x in points for z in points] if doubled else points
-    return TestVector(group, dim, dict(zip(keys, _random_disc(rng, len(keys), (dim,)))), doubled=doubled)
+    points = _window(group, radius)
+    keys = _pairs(points, points) if doubled else (points,)
+    values = _random_disc(np.random.default_rng(seed), len(keys[0]), (dim,))
+    return _from_arrays(TestVector, group, dim, keys, values)
 
 
 def shift_kernel(
@@ -202,6 +200,6 @@ def shift_kernel(
     """Weighted shift: value weight * I at coset ``step`` for every column in
     the window.  The classic test case is the weight-c shift by one on Z."""
     s = group.canonical(step) if step is not None else group.canonical((1,) + (0,) * (group.coord_len - 1))
-    block = complex(weight) * np.eye(dim, dtype=complex)
-    window = group.elements() if group.is_finite else group.ball(t_radius)
-    return Kernel(group, dim, {(s, t): block for t in window})
+    t = _window(group, None if group.is_finite else t_radius)
+    blocks = np.broadcast_to(complex(weight) * np.eye(dim, dtype=complex), (len(t), dim, dim))
+    return _from_arrays(Kernel, group, dim, _pairs(group.canonical_many([s]), t), blocks)

@@ -86,8 +86,8 @@ class Group:
     ``_modulus``.  ``_ball_bounds`` gives, per coordinate, a bound on its
     absolute value over each ball (the radius unless overridden);
     :meth:`ball` filters that box.  The scalar
-    methods run the law on one row.  All instances are immutable values; the
-    memo of balls is internal and does not affect observable behaviour.
+    methods run the law on one row.  All instances are immutable values:
+    every ball is computed afresh per call, and nothing is cached.
     """
 
     name: str
@@ -96,9 +96,6 @@ class Group:
     order: int | None = None
     _modulus: int | None = None
     _gens: tuple[Point, ...]
-
-    def __init__(self) -> None:
-        self._balls: dict[int, list[Point]] = {}
 
     # -- group law on (n, coord_len) int64 arrays ---------------------------------
 
@@ -184,14 +181,12 @@ class Group:
         """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        if radius not in self._balls:
-            axes = [_span(bound, self._modulus) for bound in self._ball_bounds(radius)]
-            box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.coord_len)
-            lengths = self.word_length_many(box)
-            keep = np.flatnonzero(lengths <= radius)
-            keep = keep[np.lexsort((*box[keep].T[::-1], lengths[keep]))]
-            self._balls[radius] = list(map(tuple, box[keep].tolist()))
-        return list(self._balls[radius])
+        axes = [_span(bound, self._modulus) for bound in self._ball_bounds(radius)]
+        box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.coord_len)
+        lengths = self.word_length_many(box)
+        keep = np.flatnonzero(lengths <= radius)
+        keep = keep[np.lexsort((*box[keep].T[::-1], lengths[keep]))]
+        return list(map(tuple, box[keep].tolist()))
 
     def elements(self) -> list[Point]:
         """Every element, in ball order.  Finite groups only."""
@@ -235,7 +230,6 @@ class IntegerLattice(Group):
             for i in range(dimension)
             for s in (1, -1)
         )
-        super().__init__()
 
     def _product_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x + y
@@ -267,7 +261,6 @@ class Cyclic(Group):
             self._gens = ((1,),)
         else:
             self._gens = ((1,), (modulus - 1,))
-        super().__init__()
 
     def _reduce_many(self, x: np.ndarray) -> np.ndarray:
         return x % self.modulus
@@ -310,11 +303,8 @@ class _HeisenbergLaw:
 class DiscreteHeisenberg(_HeisenbergLaw, Group):
     """Integer Heisenberg group H3(Z), generators (+-1,0,0) and (0,+-1,0)."""
 
+    name = "H3(Z)"
     _gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-
-    def __init__(self) -> None:
-        self.name = "H3(Z)"
-        super().__init__()
 
     def word_length_many(self, x: np.ndarray) -> np.ndarray:
         a = np.abs(x.astype(float))
@@ -336,7 +326,6 @@ class HeisenbergMod(_HeisenbergLaw, Group):
         self.name = f"H3(Z/{prime})"
         gens = [(1, 0, 0), (prime - 1, 0, 0), (0, 1, 0), (0, prime - 1, 0)]
         self._gens = tuple(dict.fromkeys(gens))
-        super().__init__()
 
     def _reduce_many(self, x: np.ndarray) -> np.ndarray:
         return x % self.prime

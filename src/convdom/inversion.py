@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import Envelope, Kernel, _join, _nonzero, _row_codes, _subset
+from .kernels import Envelope, Kernel, _join, _nonzero, _row_codes, _subset, _window
 
 
 class SectionInversionError(RuntimeError):
@@ -245,12 +245,11 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     # the sweep (at least one shell) and shrinks the residual's window.
     support = int(kernel.min_envelope().by_word_length()[0].max(initial=0))
     for radius in cfg.radii:
-        points = g.ball(radius)
-        full_group = g.is_finite and len(points) == g.order
+        pts = _window(g, radius)
+        full_group = g.is_finite and len(pts) == g.order
         inner_radius = radius if full_group else int(math.floor(cfg.inner_ratio * radius))
         # Balls are ordered by word length, so the window and slabs are ranges;
         # dropping the uncoupled points keeps that order.
-        pts = g.canonical_many(points)
         lengths = g.word_length_many(pts)
         window_size = int(np.searchsorted(lengths, inner_radius, side="right"))
         kept = _coupled(kernel, pts, window_size)

@@ -152,6 +152,19 @@ def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
     return list(points.reshape(len(keys), arity, group.coord_len).transpose(1, 0, 2))
 
 
+def _window(group: Group, radius: int | None) -> np.ndarray:
+    """The ball of ``radius`` as a canonical point array, or with None the whole group.
+
+    ``Group.elements`` refuses an infinite group.
+    """
+    return group.canonical_many(group.elements() if radius is None else group.ball(radius))
+
+
+def _pairs(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of a point of ``xs`` and one of ``ys``, as two arrays in nested-loop order, ``xs`` outer."""
+    return np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
+
+
 def _value_stack(keys: list, values: list, shape: tuple[int, ...]) -> np.ndarray:
     """Mapping values as an ``(n, *shape)`` complex stack."""
     if not values:
@@ -459,16 +472,11 @@ class Kernel:
     def identity(cls, group: Group, dim: int, window_radius: int | None = None) -> "Kernel":
         """Identity kernel delta_{x=y} I on a window of t values.
 
-        Finite groups default to the whole group; infinite groups require an
-        explicit window radius since the full identity has infinite support.
+        The window is the ball of ``window_radius``, or by default the whole
+        group.  ``Group.elements`` refuses that default on an infinite group,
+        where the full identity has infinite support.
         """
-        if window_radius is None:
-            if not group.is_finite:
-                raise ValueError("identity kernel on an infinite group needs a window radius")
-            window = group.elements()
-        else:
-            window = group.ball(window_radius)
-        t = group.canonical_many(window)
+        t = _window(group, window_radius)
         eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(t), dim, dim))
         return _from_arrays(cls, group, dim, (np.zeros_like(t), t), eye)
 

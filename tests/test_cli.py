@@ -304,6 +304,19 @@ def test_profile_key_the_kind_does_not_read_is_exit_2(tmp_path, capsys):
     assert "'t_radus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "task,group",
+    [("invert", "Z"), ("invert", "Z/9"), ("kernel-io", "Z^2"), ("kernel-io", "Z/5")],
+    ids=str,
+)
+def test_negative_profile_t_radius_is_exit_2_naming_it(tmp_path, capsys, task, group):
+    profile = {"kind": "exponential", "rate": 0.5, "radius": 2, "t_radius": -3}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"group": group, "profile": profile}))
+    assert run([task, "--config", config, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "config error: profile t_radius must be at least 0, got -3\n"
+
+
 def test_file_profile_runs_in_every_task(tmp_path):
     envelope = tmp_path / "envelope.json"
     values = [{"s": [1], "value": 0.25}, {"s": [-1], "value": 0.125}]

@@ -21,7 +21,7 @@ from convdom import (
     symmetry_spectrum,
     theta_embed,
 )
-from convdom.covariance import _require_finite, matrix_function_convolve, matrix_function_norm
+from convdom.covariance import matrix_function_convolve, matrix_function_norm
 
 Z3 = Cyclic(3)
 Z4 = Cyclic(4)
@@ -60,7 +60,7 @@ def full_doubled_basis(group, dim):
 def pi_matrix(f: CovarianceElement) -> np.ndarray:
     """Dense matrix of the regular representation on the doubled space."""
     g = f.group
-    pts = _require_finite(g, "pi_matrix")
+    pts = g.elements()
     d = f.dim
     pairs = [(x, z) for x in pts for z in pts]
     pair_index = {p: i for i, p in enumerate(pairs)}
@@ -84,7 +84,7 @@ def left_multiplication_matrix(f: CovarianceElement) -> np.ndarray:
     basis of single-entry elements, ordered by (x, y, row, column).
     """
     g = f.group
-    pts = _require_finite(g, "left_multiplication_matrix")
+    pts = g.elements()
     index = {p: i for i, p in enumerate(pts)}
     n = len(pts)
     d = f.dim
@@ -264,12 +264,24 @@ def test_theta_homomorphism_and_isometry():
         assert abs(matrix_function_norm(tf) - f.l1_norm()) <= 1e-12 * max(1.0, f.l1_norm())
 
 
-def test_theta_requires_finite_group():
-    f = CovarianceElement(IntegerLattice(1), 1, {((0,), (0,)): np.array([[1.0]])})
-    with pytest.raises(ValueError):
-        theta_embed(f)
-    with pytest.raises(ValueError):
-        symmetry_spectrum(f)
+Z = IntegerLattice(1)
+ON_Z = CovarianceElement(Z, 1, {((0,), (0,)): np.array([[1.0]])})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: theta_embed(ON_Z), id="theta_embed"),
+        pytest.param(lambda: symmetry_spectrum(ON_Z), id="symmetry_spectrum"),
+        pytest.param(lambda: operator_matrix(R_map(ON_Z)), id="operator_matrix"),
+        pytest.param(lambda: Kernel.identity(Z, 1), id="Kernel.identity"),
+        pytest.param(lambda: CovarianceElement.unit(Z, 1), id="CovarianceElement.unit"),
+        pytest.param(lambda: random_covariance(Z, 1, 5), id="random_covariance"),
+    ],
+)
+def test_whole_group_callers_need_a_finite_group(call):
+    with pytest.raises(ValueError, match=r"^Z is infinite"):
+        call()
 
 
 # -- spectra ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Group arithmetic: laws, word metric, ball enumeration."""
 
+import copy
 import itertools
 import math
 
@@ -166,6 +167,13 @@ def test_mutating_a_ball_leaves_the_next_unchanged(group):
     if group.is_finite:
         group.elements().clear()
         assert len(group.elements()) == group.order
+
+
+@pytest.mark.parametrize("group", [DiscreteHeisenberg(), HeisenbergMod(3)], ids=str)
+def test_ball_leaves_its_group_unchanged(group):
+    before = copy.deepcopy(vars(group))
+    group.ball(3)
+    assert vars(group) == before
 
 
 def test_ball_ordering_and_monotonicity():
