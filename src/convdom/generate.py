@@ -73,13 +73,6 @@ class Profile:
             return 1.0
         raise ValueError(f"unknown profile kind {self.kind!r}")
 
-    def column_window(self, group: Group) -> list[Point]:
-        if self.t_radius is not None:
-            return group.ball(self.t_radius)
-        if group.is_finite:
-            return group.elements()
-        return group.ball(max(self.radius, 4))
-
 
 def _random_disc(rng: np.random.Generator, count: int, shape: tuple[int, ...]) -> np.ndarray:
     """``count`` arrays of ``shape`` with coefficients uniform on the complex unit disc.
@@ -117,9 +110,14 @@ def _scaled_to(blocks: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _scaled_kernel(
-    group: Group, dim: int, rng: np.random.Generator, targets: Mapping[Point, float], columns: list[Point]
+    group: Group, dim: int, rng: np.random.Generator, targets: Mapping[Point, float], t_radius: int | None
 ) -> Kernel:
-    """Kernel of uniform-disc blocks scaled to targets[s], drawn one (s, t) at a time in targets-then-columns order."""
+    """Kernel of uniform-disc blocks scaled to targets[s], drawn one (s, t) at a time in targets-then-columns order.
+
+    The columns t are the ball of ``t_radius``, or with None the whole group,
+    which ``Group.elements`` refuses on an infinite group.
+    """
+    columns = group.elements() if t_radius is None else group.ball(t_radius)
     values = np.fromiter(targets.values(), dtype=float, count=len(targets))
     _l1_sum(values)  # targets whose l1 sum overflows are refused before any block is drawn
     keys = [(s, t) for s in targets for t in columns]
@@ -139,14 +137,16 @@ def generate_kernel(
     and the generator stream is drawn sequentially.
     """
     rng = np.random.default_rng(seed)
-    columns = profile.column_window(group)
+    t_radius = profile.t_radius
+    if t_radius is None and not group.is_finite:
+        t_radius = max(profile.radius, 4)
     ball = group.ball(profile.radius)
     intended: dict[Point, float] = {}
     for s, length in zip(ball, group.word_length_many(group.canonical_many(ball)).tolist()):
         target = profile.value(length)
         if target > 0.0:
             intended[s] = target
-    return _scaled_kernel(group, dim, rng, intended, columns), Envelope(group, intended)
+    return _scaled_kernel(group, dim, rng, intended, t_radius), Envelope(group, intended)
 
 
 def generate_kernel_from_envelope(
@@ -162,13 +162,9 @@ def generate_kernel_from_envelope(
             f"envelope lives on {envelope.group.name}, kernel requested on {group.name}"
         )
     rng = np.random.default_rng(seed)
-    if t_radius is not None:
-        columns = group.ball(t_radius)
-    elif group.is_finite:
-        columns = group.elements()
-    else:
-        columns = group.ball(int(group.word_length_many(envelope.arrays[0]).max(initial=0)) or 4)
-    return _scaled_kernel(group, dim, rng, envelope.values, columns), envelope
+    if t_radius is None and not group.is_finite:
+        t_radius = int(group.word_length_many(envelope.arrays[0]).max(initial=0)) or 4
+    return _scaled_kernel(group, dim, rng, envelope.values, t_radius), envelope
 
 
 def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None):

@@ -361,6 +361,8 @@ _GROUP_PATTERNS = (
 
 def parse_group(name: str) -> Group:
     """Parse a short group string: "Z^2", "H3(Z)", "Z/5", "H3(Z/3)"."""
+    if not isinstance(name, str):
+        raise ValueError(f"group descriptor must be a string, got {name!r}")
     text = name.strip()
     for pattern, make in _GROUP_PATTERNS:
         m = pattern.match(text)

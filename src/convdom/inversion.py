@@ -239,8 +239,7 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     z = cfg.z
     envelopes: dict[int, Envelope] = {}
     inner_radii: dict[int, int] = {}
-    extracted: dict[int, Kernel] = {}
-    covered_group = False
+    sections: list[Kernel] = []
     # Largest word length in the kernel's support: it sets the slab width of
     # the sweep (at least one shell) and shrinks the residual's window.
     support = int(kernel.min_envelope().by_word_length()[0].max(initial=0))
@@ -260,47 +259,42 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
         inv, _condition = _window_inverse(kernel, z, pts, edges, radius, cfg.condition_cap)
         if z != 0:
             _add_scaled_identity(inv, -(np.array([0, 1], dtype=complex) / z))
-        section = Kernel.from_dense(g, d, inv, pts[:window_size])
-        extracted[radius] = section
-        envelopes[radius] = section.min_envelope()
+        sections.append(Kernel.from_dense(g, d, inv, pts[:window_size]))
+        envelopes[radius] = sections[-1].min_envelope()
         inner_radii[radius] = inner_radius
-        covered_group = covered_group or full_group
         if full_group:
             break
-    final_radius = max(extracted)
-    result = extracted[final_radius]
-    if covered_group:
+    # The radii increase and the loop stops at the first whole-group section,
+    # so the last iteration's radius, window and section are the final ones.
+    if full_group:
         stabilized = True
-    elif len(extracted) >= 2:
-        radii = sorted(extracted)
-        common = min(inner_radii[radii[-1]], inner_radii[radii[-2]])
+    elif len(sections) >= 2:
+        common = min(list(inner_radii.values())[-2:])
         # Restrict both extractions to the same window before comparing, so
         # the envelope sup runs over identical column sets and the distance
         # measures convergence only.
-        last = extracted[radii[-1]].restrict_to_ball(common).min_envelope()
-        prev = extracted[radii[-2]].restrict_to_ball(common).min_envelope()
+        last = sections[-1].restrict_to_ball(common).min_envelope()
+        prev = sections[-2].restrict_to_ball(common).min_envelope()
         stabilized = last.l1_distance(prev) < cfg.stabilization_tol
     else:
         stabilized = False
     # The interior window is the inner window less the kernel's support radius
     # (a covered group stays whole; an empty window gives inf).  Every y that
     # (K B)(x, w) sums over lies in the inner window, so no truncation enters.
-    window = inner_radii[final_radius]
-    if not covered_group:
-        window -= support
+    window = inner_radius if full_group else inner_radius - support
     report = DecayReport(
         envelope_by_radius=envelopes,
         inner_radius_by_radius=inner_radii,
-        l1_partial_sums=envelopes[final_radius].shell_partial_sums(),
+        l1_partial_sums=envelopes[radius].shell_partial_sums(),
         stabilized=stabilized,
-        residual=inverse_residual(kernel, z, result, window) if window >= 0 else math.inf,
-        full_group=covered_group,
+        residual=inverse_residual(kernel, z, sections[-1], window) if window >= 0 else math.inf,
+        full_group=full_group,
     )
     try:
         report.fitted_rate, report.fit_r2 = fit_decay(report)
     except ValueError:
         pass
-    return result, report
+    return sections[-1], report
 
 
 def inverse_residual(kernel: Kernel, z: complex, inverse_kernel: Kernel, window_radius: int) -> float:
@@ -362,7 +356,7 @@ def contour_inverse(kernel: Kernel, radius_eps: float, nodes: int, cfg: Inversio
     cancelling the 1/alpha integrand factor exactly.  Each resolvent comes
     from :func:`finite_section_inverse` with z = alpha; the scalar parts
     1/alpha average to zero by the symmetry of the trapezoidal nodes, so the
-    node average of the extracted kernels is the whole answer.
+    node average of the returned kernels is the whole answer.
     """
     if nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")

@@ -30,6 +30,11 @@ def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
+# Records formatted per write: the writer holds the number objects and text of
+# this many records at a time, not of the whole file.
+_CHUNK_RECORDS = 4096
+
+
 def _write_records(path: str | Path, head: dict, key: str, fields: dict[str, np.ndarray]) -> None:
     """Write ``head`` plus ``key``: a list of one record per row of the ``fields`` arrays.
 
@@ -37,39 +42,61 @@ def _write_records(path: str | Path, head: dict, key: str, fields: dict[str, np.
     lists of numbers, or for a complex array the row-major [re, im] pairs of
     its row).  The bytes are those of ``json.dumps(..., indent=1,
     sort_keys=True) + "\n"`` on the same dict: the layout of one record is
-    built once as a ``%`` template and filled with json's number text.
+    built once as a ``%`` template and filled with json's number text.  The
+    records are formatted and written in chunks of ``_CHUNK_RECORDS``, so
+    memory stays bounded however many records the file holds.
     """
-    parts = [json.dumps({**head, key: []}, indent=1, sort_keys=True) + "\n"]
+    text = json.dumps({**head, key: []}, indent=1, sort_keys=True) + "\n"
     names = sorted(fields)
     n = len(fields[names[0]])
-    if n:
+    with open(path, "w") as out:
+        if not n:
+            out.write(text)
+            return
         columns = [fields[name] for name in names]
         columns = [np.stack([c.real, c.imag], -1).reshape(n, -1, 2) if np.iscomplexobj(c) else c for c in columns]
         layout = {name: np.full(c.shape[1:], "%s", dtype=object).tolist() for name, c in zip(names, columns)}
         template = "  " + json.dumps(layout, indent=1, sort_keys=True).replace('"%s"', "%s").replace("\n", "\n  ")
-        # Every number in record order, as Python ints and floats, then json's text for each.
-        flat = np.concatenate([c.reshape(n, -1).astype(object) for c in columns], axis=1).ravel().tolist()
-        numbers = json.dumps(flat)[1:-1].split(", ")
-        records = zip(*[iter(numbers)] * (len(numbers) // n))
         # json escapes quotes inside strings, so the key's line is the only match.
-        before, after = parts[0].split(f'\n "{key}": []', 1)
-        parts = [before, f'\n "{key}": [\n', ",\n".join([template % r for r in records]), "\n ]", after]
-    with open(path, "w") as out:
-        out.writelines(parts)  # in pieces: no copy of the whole text
+        before, after = text.split(f'\n "{key}": []', 1)
+        out.write(f'{before}\n "{key}": [\n')
+        for lo in range(0, n, _CHUNK_RECORDS):
+            rows = [c[lo : lo + _CHUNK_RECORDS] for c in columns]
+            # Every number in record order, as Python ints and floats, then json's text for each.
+            flat = np.concatenate([c.reshape(len(c), -1).astype(object) for c in rows], axis=1).ravel().tolist()
+            numbers = json.dumps(flat)[1:-1].split(", ")
+            records = zip(*[iter(numbers)] * (len(numbers) // len(rows[0])))
+            out.write((",\n" if lo else "") + ",\n".join([template % r for r in records]))
+        out.write(f"\n ]{after}")
 
 
-def _blocks_from_dict(data: dict, cls, first: str, second: str):
-    """A kernel (keys s, t) or a covariance element (keys x, y) from its file's data."""
+def _parsed(path: str | Path, kind: str, parse, *args):
+    """``parse(data, *args)`` of the JSON data in ``path``.
+
+    Text that is not JSON, or data not laid out as a ``kind`` file, is a
+    ValueError naming the file.
+    """
+    text = Path(path).read_text()
+    try:
+        return parse(json.loads(text), *args)
+    except (KeyError, TypeError, ValueError) as exc:
+        what = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: malformed {kind} file: {what}") from None
+
+
+def _blocks_args(data: dict, first: str, second: str) -> tuple:
+    """(group, dim, entries) of a kernel file (keys s, t) or a covariance file (keys x, y)."""
     group, dim = parse_group(data["group"]), int(data["dim"])
     entries = {
         (tuple(rec[first]), tuple(rec[second])): _pairs_to_matrix(rec["matrix"], dim)
         for rec in data["entries"]
     }
-    return cls(group, dim, entries)
+    return group, dim, entries
 
 
-def _load(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+def _envelope_args(data: dict) -> tuple:
+    """(group, values) of an envelope file."""
+    return parse_group(data["group"]), {tuple(rec["s"]): float(rec["value"]) for rec in data["values"]}
 
 
 def write_kernel(path: str | Path, kernel: Kernel) -> None:
@@ -79,7 +106,7 @@ def write_kernel(path: str | Path, kernel: Kernel) -> None:
 
 
 def read_kernel(path: str | Path) -> Kernel:
-    return _blocks_from_dict(_load(path), Kernel, "s", "t")
+    return Kernel(*_parsed(path, "kernel", _blocks_args, "s", "t"))
 
 
 def write_envelope(path: str | Path, env: Envelope) -> None:
@@ -88,8 +115,7 @@ def write_envelope(path: str | Path, env: Envelope) -> None:
 
 
 def read_envelope(path: str | Path) -> Envelope:
-    data = _load(path)
-    return Envelope(parse_group(data["group"]), {tuple(rec["s"]): float(rec["value"]) for rec in data["values"]})
+    return Envelope(*_parsed(path, "envelope", _envelope_args))
 
 
 def write_covariance(path: str | Path, f: CovarianceElement) -> None:
@@ -99,7 +125,7 @@ def write_covariance(path: str | Path, f: CovarianceElement) -> None:
 
 
 def read_covariance(path: str | Path) -> CovarianceElement:
-    return _blocks_from_dict(_load(path), CovarianceElement, "x", "y")
+    return CovarianceElement(*_parsed(path, "covariance", _blocks_args, "x", "y"))
 
 
 def write_decay_csv(path: str | Path, report: DecayReport) -> None:

@@ -302,15 +302,16 @@ def _stores_sum(a, b):
 
 
 def _max_block_difference(a, b) -> float:
-    """Max operator-norm difference between the blocks of two stores at matching keys."""
-    _require_compatible(a, b)
-    keys, ranks = _ranks(np.concatenate(_row_codes(np.hstack(a._coords), np.hstack(b._coords))))
-    left = np.zeros((len(keys), *a._stack.shape[1:]), dtype=complex)
-    right = np.zeros_like(left)
-    left[ranks[: len(a._stack)]] = a._stack
-    right[ranks[len(a._stack) :]] = b._stack
+    """Max operator-norm difference between the blocks of two stores at matching keys.
+
+    The difference is the store of a + (-b), which is a - b exactly; its
+    dropped zero blocks add nothing to a maximum that starts at 0.
+    """
+    # np.negative, not a scale by -1.0: complex multiplication by -1.0 turns
+    # a block whose two parts are infinite into NaN.
+    negated = _subset(b, _nonzero(b._stack), np.negative(b._stack))
     # fmax skips NaN: a NaN difference never sets the maximum.
-    return float(np.fmax.reduce(operator_norms(left - right), initial=0.0))
+    return float(np.fmax.reduce(_block_norms(_stores_sum(a, negated)), initial=0.0))
 
 
 def _block_norms(obj) -> np.ndarray:
@@ -536,22 +537,11 @@ class Kernel:
         return _from_arrays(Kernel, g, self.dim, coords, self._stack.conj().transpose(0, 2, 1))
 
     def apply(self, vec: "TestVector") -> "TestVector":
-        """Integral operator action (T_K f)(x) = sum_y K(x, y) f(y)."""
-        if vec.doubled:
-            raise ValueError("apply expects a single-variable test vector")
-        return self._act(vec)
+        """Integral operator action in the first variable: T_K on single vectors, T_K x id on doubled ones.
 
-    def apply_tensor(self, xi: "TestVector") -> "TestVector":
-        """Act in the first variable of a doubled vector: (T_K x id) xi."""
-        if not xi.doubled:
-            raise ValueError("apply_tensor expects a doubled test vector")
-        return self._act(xi)
-
-    def _act(self, vec: "TestVector") -> "TestVector":
-        """Sum K(x, y) v over vector entries v at (y, *rest), keyed by (x, *rest).
-
-        Terms are summed per key in the order of the kernel's entries, then of
-        the vector's.
+        (T_K f)(x) = sum_y K(x, y) f(y), and (T_K x id) xi (x, z) = sum_y
+        K(x, y) xi(y, z).  Terms are summed per key in the order of the
+        kernel's entries, then of the vector's.
         """
         self._require_vector(vec)
         g, (s, t), (y, *rest) = self.group, self._coords, vec._coords

@@ -171,7 +171,7 @@ def covariance_suite(
         worst.see("intertwiner_unitary", max(unitary_gap, _vec_distance(W_inverse(w_xi), xi)))
 
         scale = max(1.0, nf * xi.l2_norm())
-        diff = _vec_distance(W_intertwine(R_map(f).apply_tensor(xi)), pi_regular(f, w_xi))
+        diff = _vec_distance(W_intertwine(R_map(f).apply(xi)), pi_regular(f, w_xi))
         worst.see("intertwiner_diagram", diff / scale)
 
         tf, th = theta_embed(f), theta_embed(h)

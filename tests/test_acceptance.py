@@ -125,7 +125,7 @@ def test_criterion_04_intertwining_diagram():
         kernel = R_map(f)
         scale = max(1.0, f.l1_norm())
         for xi in basis:
-            gap = (W_intertwine(kernel.apply_tensor(xi)) - pi_regular(f, W_intertwine(xi))).l2_norm()
+            gap = (W_intertwine(kernel.apply(xi)) - pi_regular(f, W_intertwine(xi))).l2_norm()
             if gap > 1e-12 * scale:
                 failures.append(f"seed {seed}: diagram gap {gap}")
     _finish("4 intertwining W (Z/4, d=2, full basis)", failures)

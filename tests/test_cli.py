@@ -123,6 +123,42 @@ def test_kernel_file_outside_int64_is_exit_2(tmp_path, capsys, group, s, t, mess
     assert not (tmp_path / "io" / "covariance.json").exists()
 
 
+ONE_ENTRY = {"s": [1], "t": [0], "matrix": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "kind,data",
+    [
+        ("kernel", {"group": "Z", "dim": 1}),
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{"s": [1], "t": [0]}]}),
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "matrix": [["a", 0]]}]}),
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "s": 0}]}),
+        ("kernel", {"group": 5, "dim": 1, "entries": [ONE_ENTRY]}),
+        ("kernel", []),
+        ("envelope", {"group": "Z"}),
+        ("envelope", {"group": "Z", "values": [{"s": [1]}]}),
+        ("envelope", {"group": "Z", "values": [{"s": [1], "value": None}]}),
+        ("envelope", [1]),
+        ("kernel", '{"group": "Z",'),
+    ],
+    ids=[
+        "no-entries", "no-matrix", "string-coefficient", "scalar-point", "group-not-a-string", "kernel-list",
+        "no-values", "no-value", "null-value", "envelope-list", "not-json",
+    ],
+)
+def test_malformed_record_file_is_exit_2_naming_it(tmp_path, capsys, kind, data):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    if kind == "kernel":
+        args = ["--input", path]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"group": "Z", "dim": 1, "profile": {"kind": "file", "path": str(path)}}))
+        args = ["--config", config]
+    assert run(["kernel-io", *args, "--out", tmp_path / "io"]) == 2
+    assert f"{path}: malformed {kind} file: " in capsys.readouterr().err
+
+
 def test_envelope_word_length_outside_int64_is_exit_2(tmp_path, capsys):
     # The Z^2 word length of this point is 2**63, past int64.
     envelope = tmp_path / "envelope.json"

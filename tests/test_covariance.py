@@ -236,7 +236,7 @@ def test_W_intertwines_kernel_action_with_pi():
         f = random_covariance(Z4, 2, seed=400 + seed)
         kernel = R_map(f)
         for xi in full_doubled_basis(Z4, 2):
-            lhs = W_intertwine(kernel.apply_tensor(xi))
+            lhs = W_intertwine(kernel.apply(xi))
             rhs = pi_regular(f, W_intertwine(xi))
             assert (lhs - rhs).l2_norm() <= 1e-12 * max(1.0, f.l1_norm())
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ def special_kernel():
     return Kernel(Z2, 2, entries)
 
 
+def special_line_kernel(count):
+    """A d = 1 kernel on Z of ``count`` entries, cycling through signed zeros and non-finite values."""
+    values = [complex(-0.0, 1.5), complex(np.nan, -0.0), complex(np.inf, -np.inf), complex(0.1, 5e-324)]
+    return Kernel(Z, 1, {((s,), (0,)): np.array([[values[s % 4]]]) for s in range(count)})
+
+
 @pytest.mark.parametrize("group", WRITER_GROUPS, ids=str)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_kernel_writer_equals_json_dumps(tmp_path, group, dim):
@@ -147,11 +154,29 @@ def test_kernel_writer_equals_json_dumps(tmp_path, group, dim):
         special_kernel,
         lambda: Kernel.zero(Z, 2),
         lambda: Kernel(Z2, 1, {((FAR, -FAR), (-1, FAR - 1)): np.array([[complex(-0.0, 2.0)]])}),
+        # Record counts on both sides of the writer's chunk boundaries.
+        lambda: special_line_kernel(1),
+        lambda: special_line_kernel(formats._CHUNK_RECORDS - 1),
+        lambda: special_line_kernel(formats._CHUNK_RECORDS),
+        lambda: special_line_kernel(formats._CHUNK_RECORDS + 1),
+        lambda: special_line_kernel(2 * formats._CHUNK_RECORDS + 1),
     ],
-    ids=["special-values", "empty", "far-coordinates"],
+    ids=["special-values", "empty", "far-coordinates", "1", "chunk-1", "chunk", "chunk+1", "2chunks+1"],
 )
 def test_kernel_writer_edge_cases_equal_json_dumps(tmp_path, make):
     assert_written_as_json_dumps(tmp_path, formats.write_kernel, make(), kernel_loop_dict)
+
+
+def test_kernel_writer_memory_is_bounded_by_the_chunk(tmp_path):
+    """Formatted in chunks, the numbers and text of 20,000 records are never all held at once."""
+    kernel = special_line_kernel(20_000)
+    tracemalloc.start()
+    try:
+        formats.write_kernel(tmp_path / "kernel.json", kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,57 @@ def test_compose_equals_per_entry_loop_bit_for_bit(group, dim):
     assert_entries_equal(k12.compose(k12), compose_loop(k12, k12))
 
 
+def apply_loop(kernel, vec):
+    """T_K in the first variable, v(y, *rest) -> sum_y K(x, y) v(y, *rest), summed in (kernel entry, vector entry) order."""
+    g = kernel.group
+    out = {}
+    for (s, t), mat in kernel.entries.items():
+        for key, val in vec.values.items():
+            y, rest = (key[0], key[1:]) if vec.doubled else (key, ())
+            if y == t:
+                x = g.multiply(s, t)
+                k = (x, *rest) if vec.doubled else x
+                out[k] = out[k] + mat @ val if k in out else mat @ val
+    return nonzero_sorted(out)
+
+
+@pytest.mark.parametrize("group,dim", [(Z7, 1), (HeisenbergMod(3), 2), (Z2, 3)], ids=str)
+def test_apply_equals_per_entry_loop_on_single_and_doubled_vectors(group, dim):
+    kernel = seeded_kernel(group, dim, seed=41)
+    for doubled in (False, True):
+        vec = random_test_vector(group, dim, 42, radius=2, doubled=doubled)
+        assert_mapping_equal(kernel.apply(vec).values, apply_loop(kernel, vec))
+
+
+def line_kernel(values):
+    """A d = 1 kernel on Z with the given value at each (s, 0)."""
+    return Kernel(IntegerLattice(1), 1, {((s,), (0,)): np.array([[v]]) for s, v in values.items()})
+
+
+def block_difference_loop(a, b):
+    """Max over the keys of either kernel of operator_norm(a(k) - b(k)), NaN norms skipped."""
+    zero = np.zeros((a.dim, a.dim), dtype=complex)
+    keys = set(a.entries) | set(b.entries)
+    norms = [operator_norm(a.entries.get(k, zero) - b.entries.get(k, zero)) for k in keys]
+    return max((n for n in norms if not math.isnan(n)), default=0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (seeded_kernel(Z2, 2, seed=7, t_radius=3), seeded_kernel(Z2, 2, seed=8, radius=2)),
+        lambda: (Kernel.zero(Z2, 2), seeded_kernel(Z2, 2, seed=8)),
+        lambda: (line_kernel({1: complex(np.nan, 1.0), 2: 1 + 2j}), line_kernel({2: 0.5 - 1j, 3: 1j})),
+        lambda: (line_kernel({1: complex(np.inf, 0.0), 2: 1 + 2j}), line_kernel({2: 0.5 - 1j})),
+        lambda: (line_kernel({2: 1 + 2j}), line_kernel({1: complex(np.inf, -np.inf), 2: 0.5 - 1j})),
+    ],
+    ids=["keys-on-one-side", "empty-left", "nan-block", "inf-left", "inf-right"],
+)
+def test_max_block_difference_equals_per_key_loop(make):
+    a, b = make()
+    assert a.max_block_difference(b) == block_difference_loop(a, b)
+
+
 @pytest.mark.parametrize("group,radius", [(Z7, 3), (Z2, 3)], ids=str)
 def test_dense_round_trip(group, radius):
     # On Z^2 the kernel is cut to the window first, so every pair lies inside it.
@@ -731,7 +782,7 @@ def test_generated_kernels_equal_per_entry_rescale_bit_for_bit(group, dim):
     kernel, _ = generate_kernel(group, dim, 11, profile)
     in_ball_order = {s: profile.value(group.word_length(s)) for s in group.ball(profile.radius)}
     targets = {s: target for s, target in in_ball_order.items() if target > 0.0}
-    expected = generate_loop(group, dim, 11, targets, profile.column_window(group))
+    expected = generate_loop(group, dim, 11, targets, group.ball(profile.t_radius))
     assert_entries_equal(kernel, expected.entries)
     envelope = Envelope(group, {s: 0.3 ** (1 + i) for i, s in enumerate(group.ball(1))})
     kernel, _ = generate_kernel_from_envelope(group, dim, 12, envelope, t_radius=1)
