@@ -253,7 +253,7 @@ def task_decay(params: dict, out: Path | None) -> tuple[int, list[str]]:
 
 def task_ideal_approx(params: dict, out: Path | None) -> tuple[int, list[str]]:
     profile = Profile.exponential(params["rate"], params["radius"], t_radius=0)
-    kernel, intended = generate_kernel(params["group"], params["dim"], params["seed"], profile)
+    kernel, _ = generate_kernel(params["group"], params["dim"], params["seed"], profile)
     beta = kernel.min_envelope()
     tol = params["tolerance"]
     rows = ["level,measured,envelope_bound"]
@@ -269,7 +269,7 @@ def task_ideal_approx(params: dict, out: Path | None) -> tuple[int, list[str]]:
         if measured > previous + tol:
             monotone = False
         previous = measured
-    unchanged = ideal_project(kernel, beta.cap(max(beta.values.values()) + 1.0)).max_block_difference(kernel)
+    unchanged = ideal_project(kernel, beta.cap(beta.arrays[1].max() + 1.0)).max_block_difference(kernel)
     results = [
         CheckResult("projection_error_equals_envelope_gap", worst_eq, tol),
         CheckResult("projection_error_monotone", 0.0 if monotone else 1.0, 0.0),

@@ -38,8 +38,8 @@ from .kernels import (
     _run_starts,
     _scaled,
     _set_store,
+    _stores_difference,
     _stores_sum,
-    _window,
     operator_norm,
 )
 
@@ -65,7 +65,7 @@ class CovarianceElement:
     @classmethod
     def unit(cls, group: Group, dim: int) -> "CovarianceElement":
         """Multiplicative unit u(x, y) = delta_{x=e} I; finite groups only."""
-        y = _window(group, None)
+        y = group.window()
         eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(y), dim, dim))
         return _from_arrays(cls, group, dim, (np.zeros_like(y), y), eye)
 
@@ -133,7 +133,7 @@ class CovarianceElement:
         return _stores_sum(self, other)
 
     def __sub__(self, other: "CovarianceElement") -> "CovarianceElement":
-        return self + other.scale(-1.0)
+        return _stores_difference(self, other)
 
     def max_block_difference(self, other: "CovarianceElement") -> float:
         return _max_block_difference(self, other)
@@ -211,7 +211,7 @@ def theta_embed(f: CovarianceElement) -> dict[Point, np.ndarray]:
     onto its image inside the trivial-action convolution algebra.
     """
     g, (x, y) = f.group, f._coords
-    pts = _window(g, None)
+    pts = g.window()
     n, d = len(pts), f.dim
     index, rows, cols = _row_codes(pts, y, g.multiply_many(g.inverse_many(x), y))
     row, col = _join(rows, index)[1], _join(cols, index)[1]
@@ -250,7 +250,7 @@ def matrix_function_norm(a: Mapping[Point, np.ndarray]) -> float:
 
 def operator_matrix(kernel: Kernel) -> np.ndarray:
     """Dense matrix of the integral operator over a whole finite group."""
-    return kernel.to_dense(_window(kernel.group, None))
+    return kernel.to_dense(kernel.group.window())
 
 
 def symmetry_spectrum(f: CovarianceElement) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .groups import Group, Point
-from .kernels import Envelope, Kernel, TestVector, _from_arrays, _l1_sum, _pairs, _window, operator_norms
+from .kernels import Envelope, Kernel, TestVector, _from_arrays, _l1_sum, _pairs, operator_norms
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,9 @@ def generate_kernel(
     t_radius = profile.t_radius
     if t_radius is None and not group.is_finite:
         t_radius = max(profile.radius, 4)
-    ball = group.ball(profile.radius)
+    ball = group.window(profile.radius)
     intended: dict[Point, float] = {}
-    for s, length in zip(ball, group.word_length_many(group.canonical_many(ball)).tolist()):
+    for s, length in zip(map(tuple, ball.tolist()), group.word_length_many(ball).tolist()):
         target = profile.value(length)
         if target > 0.0:
             intended[s] = target
@@ -171,20 +171,20 @@ def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None)
     """Random covariance element with uniform-disc entries.
 
     The x support is the ball of x_radius, or by default the whole group,
-    which ``Group.elements`` refuses on an infinite group.  Fibers run over
+    which ``Group.window`` refuses on an infinite group.  Fibers run over
     the whole group when it is finite, else over the same ball.
     """
     from .covariance import CovarianceElement
 
-    xs = _window(group, x_radius)
-    keys = _pairs(xs, _window(group, None) if group.is_finite else xs)
+    xs = group.window(x_radius)
+    keys = _pairs(xs, group.window() if group.is_finite else xs)
     blocks = _random_disc(np.random.default_rng(seed), len(keys[0]), (dim, dim))
     return _from_arrays(CovarianceElement, group, dim, keys, blocks)
 
 
 def random_test_vector(group: Group, dim: int, seed, radius: int, doubled: bool = False) -> TestVector:
     """Random test vector supported on a ball, uniform-disc coefficients."""
-    points = _window(group, radius)
+    points = group.window(radius)
     keys = _pairs(points, points) if doubled else (points,)
     values = _random_disc(np.random.default_rng(seed), len(keys[0]), (dim,))
     return _from_arrays(TestVector, group, dim, keys, values)
@@ -196,6 +196,6 @@ def shift_kernel(
     """Weighted shift: value weight * I at coset ``step`` for every column in
     the window.  The classic test case is the weight-c shift by one on Z."""
     s = group.canonical(step) if step is not None else group.canonical((1,) + (0,) * (group.coord_len - 1))
-    t = _window(group, None if group.is_finite else t_radius)
+    t = group.window(None if group.is_finite else t_radius)
     blocks = np.broadcast_to(complex(weight) * np.eye(dim, dtype=complex), (len(t), dim, dim))
     return _from_arrays(Kernel, group, dim, _pairs(group.canonical_many([s]), t), blocks)

@@ -9,9 +9,10 @@ Python ints.  A result whose exact coordinates could leave int64 raises
 ``ValueError`` instead of wrapping around.
 
 Balls are the truncation windows used by every finite-section computation
-downstream.  One routine enumerates them for every group: it filters a
-per-coordinate box that contains the ball by word length, and orders the
-points by word length, then lexicographically.
+downstream.  One routine, ``Group.window``, enumerates them for every group
+as a canonical point array: it filters a per-coordinate box that contains the
+ball by word length, and orders the points by word length, then
+lexicographically.
 """
 
 from __future__ import annotations
@@ -85,9 +86,11 @@ class Group:
     and ``_reduce_many`` when points have a canonical residue mod
     ``_modulus``.  ``_ball_bounds`` gives, per coordinate, a bound on its
     absolute value over each ball (the radius unless overridden);
-    :meth:`ball` filters that box.  The scalar
-    methods run the law on one row.  All instances are immutable values:
-    every ball is computed afresh per call, and nothing is cached.
+    :meth:`window` filters that box into the canonical point array of a ball
+    or of the whole group, and :meth:`ball` and :meth:`elements` are its
+    tuple views.  The scalar methods run the law on one row.  All instances
+    are immutable values: every ball is computed afresh per call, and
+    nothing is cached.
     """
 
     name: str
@@ -174,29 +177,36 @@ class Group:
 
     # -- balls ----------------------------------------------------------------
 
-    def ball(self, radius: int) -> list[Point]:
-        """All points of word length <= radius, ordered by (length, coords).
+    def window(self, radius: int | None = None) -> np.ndarray:
+        """Canonical ``(n, coord_len)`` int64 array of the points of word length <= radius.
 
-        Finite groups cap the ball at the whole group.
+        Rows are ordered by (length, coords).  Finite groups cap the ball at
+        the whole group; with None the window is the whole group, which an
+        infinite group refuses.
         """
+        if radius is None:
+            if not self.is_finite:
+                raise ValueError(f"{self.name} is infinite; the whole-group window needs a finite group")
+            radius = self.order  # no element is longer than the order
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         axes = [_span(bound, self._modulus) for bound in self._ball_bounds(radius)]
         box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.coord_len)
         lengths = self.word_length_many(box)
         keep = np.flatnonzero(lengths <= radius)
-        keep = keep[np.lexsort((*box[keep].T[::-1], lengths[keep]))]
-        return list(map(tuple, box[keep].tolist()))
+        return box[keep[np.lexsort((*box[keep].T[::-1], lengths[keep]))]]
+
+    def ball(self, radius: int) -> list[Point]:
+        """The points of :meth:`window` as tuples, for callers that hash them."""
+        return list(map(tuple, self.window(radius).tolist()))
 
     def elements(self) -> list[Point]:
-        """Every element, in ball order.  Finite groups only."""
-        if not self.is_finite:
-            raise ValueError(f"{self.name} is infinite; elements() needs a finite group")
-        return self.ball(self.order)  # no element is longer than the order
+        """Every element as a tuple, in ball order.  Finite groups only."""
+        return list(map(tuple, self.window().tolist()))
 
     def diameter(self) -> int:
         """Largest word length in a finite group: the radius whose ball is the group."""
-        return self.word_length(self.elements()[-1])
+        return self.word_length(self.window()[-1])
 
     # -- value semantics ------------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import Envelope, Kernel, _join, _nonzero, _row_codes, _subset, _window
+from .kernels import Envelope, Kernel, _join, _nonzero, _row_codes, _subset
 
 
 class SectionInversionError(RuntimeError):
@@ -244,7 +244,7 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     # the sweep (at least one shell) and shrinks the residual's window.
     support = int(kernel.min_envelope().by_word_length()[0].max(initial=0))
     for radius in cfg.radii:
-        pts = _window(g, radius)
+        pts = g.window(radius)
         full_group = g.is_finite and len(pts) == g.order
         inner_radius = radius if full_group else int(math.floor(cfg.inner_ratio * radius))
         # Balls are ordered by word length, so the window and slabs are ranges;

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -150,14 +150,6 @@ def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
                     group.canonical(point)
             raise ValueError(f"{group.name}: keys must be {'pairs of ' if arity > 1 else ''}int64 points")
     return list(points.reshape(len(keys), arity, group.coord_len).transpose(1, 0, 2))
-
-
-def _window(group: Group, radius: int | None) -> np.ndarray:
-    """The ball of ``radius`` as a canonical point array, or with None the whole group.
-
-    ``Group.elements`` refuses an infinite group.
-    """
-    return group.canonical_many(group.elements() if radius is None else group.ball(radius))
 
 
 def _pairs(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,17 +293,21 @@ def _stores_sum(a, b):
     return _from_arrays(type(a), a.group, a.dim, coords, np.concatenate([a._stack, b._stack]), norms)
 
 
+def _stores_difference(a, b):
+    """Difference of two stores of one class: the store of a + (-b), which is a - b exactly."""
+    # np.negative, not a scale by -1.0: complex multiplication by -1.0 turns
+    # a block whose two parts are infinite into NaN.
+    return _stores_sum(a, _subset(b, _nonzero(b._stack), np.negative(b._stack)))
+
+
 def _max_block_difference(a, b) -> float:
     """Max operator-norm difference between the blocks of two stores at matching keys.
 
-    The difference is the store of a + (-b), which is a - b exactly; its
-    dropped zero blocks add nothing to a maximum that starts at 0.
+    The difference store drops zero blocks, which add nothing to a maximum
+    that starts at 0.
     """
-    # np.negative, not a scale by -1.0: complex multiplication by -1.0 turns
-    # a block whose two parts are infinite into NaN.
-    negated = _subset(b, _nonzero(b._stack), np.negative(b._stack))
     # fmax skips NaN: a NaN difference never sets the maximum.
-    return float(np.fmax.reduce(_block_norms(_stores_sum(a, negated)), initial=0.0))
+    return float(np.fmax.reduce(_block_norms(_stores_difference(a, b)), initial=0.0))
 
 
 def _block_norms(obj) -> np.ndarray:
@@ -474,10 +470,10 @@ class Kernel:
         """Identity kernel delta_{x=y} I on a window of t values.
 
         The window is the ball of ``window_radius``, or by default the whole
-        group.  ``Group.elements`` refuses that default on an infinite group,
+        group.  ``Group.window`` refuses that default on an infinite group,
         where the full identity has infinite support.
         """
-        t = _window(group, window_radius)
+        t = group.window(window_radius)
         eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(t), dim, dim))
         return _from_arrays(cls, group, dim, (np.zeros_like(t), t), eye)
 
@@ -582,12 +578,7 @@ class Kernel:
         return _stores_sum(self, other)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
-        return self + other.scale(-1.0)
-
-    def __mul__(self, c: complex) -> "Kernel":
-        return self.scale(c)
-
-    __rmul__ = __mul__
+        return _stores_difference(self, other)
 
     # -- windows and dense sections -------------------------------------------------
 
@@ -615,10 +606,10 @@ class Kernel:
         at_row, i = _join(rows[entry], index)
         return entry[at_row], i, j[at_row]
 
-    def to_dense(self, points: Iterable[Point]) -> np.ndarray:
-        """Dense section matrix [K(x, y)] over an ordered list of points."""
+    def to_dense(self, points: np.ndarray | Sequence[Point]) -> np.ndarray:
+        """Dense section matrix [K(x, y)] over ordered points: a point array or a sequence of points."""
         d = self.dim
-        pts = self.group.canonical_many(list(points))
+        pts = self.group.canonical_many(points)
         n = len(pts)
         entry, i, j = self._section_index(pts)
         mat = np.zeros((n, d, n, d), dtype=complex)
@@ -626,9 +617,9 @@ class Kernel:
         return mat.reshape(n * d, n * d)
 
     @classmethod
-    def from_dense(cls, group: Group, dim: int, mat: np.ndarray, points: Iterable[Point]) -> "Kernel":
+    def from_dense(cls, group: Group, dim: int, mat: np.ndarray, points: np.ndarray | Sequence[Point]) -> "Kernel":
         """Inverse of :meth:`to_dense`: read blocks back into (s, t) storage."""
-        pts = group.canonical_many(list(points))
+        pts = group.canonical_many(points)
         n = len(pts)
         if mat.shape != (n * dim, n * dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {n} points of dim {dim}")
@@ -650,7 +641,7 @@ class Kernel:
 def section_operator_norm(kernel: Kernel, radius: int) -> float:
     """|T_K| on the ball truncation of given radius: the largest singular value
     of the section matrix, which the envelope norm bounds."""
-    return float(np.linalg.norm(kernel.to_dense(kernel.group.ball(radius)), 2))
+    return float(np.linalg.norm(kernel.to_dense(kernel.group.window(radius)), 2))
 
 
 class TestVector:
@@ -746,7 +737,7 @@ class TestVector:
         return _stores_sum(self, other)
 
     def __sub__(self, other: "TestVector") -> "TestVector":
-        return self + other.scale(-1.0)
+        return _stores_difference(self, other)
 
     def __repr__(self) -> str:
         kind = "doubled" if self.doubled else "single"

@@ -115,7 +115,7 @@ def kernel_axiom_suite(
         worst.see("contractive_on_sections", section_operator_norm(k1, radius=3) - n1)
 
         rng = np.random.default_rng(seeds[4])
-        points = group.ball(2)
+        points = group.window(2)
         a = points[int(rng.integers(len(points)))]
         b = points[int(rng.integers(len(points)))]
         one = k1.conjugate_by_translation(a, "left").conjugate_by_translation(b, "right")
@@ -220,7 +220,7 @@ def conjugation_suite(
         kernel, _ = generate_kernel(group, dim, seeds[0], profile)
         vec = random_test_vector(group, dim, seeds[1], radius=2)
         rng = np.random.default_rng(seeds[2])
-        points = group.ball(3)
+        points = group.window(3)
         a = points[int(rng.integers(len(points)))]
         a_inv = group.inverse(a)
         norm = kernel.envelope_norm()

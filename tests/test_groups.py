@@ -3,7 +3,9 @@
 import copy
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,23 @@ def test_finite_closed_form_matches_breadth_first_search(group):
     assert group.diameter() == max(lengths.values())
 
 
+@pytest.mark.parametrize(
+    "group", [IntegerLattice(1), IntegerLattice(2), Cyclic(7), DiscreteHeisenberg(), HeisenbergMod(3)], ids=str
+)
+def test_window_is_the_ball_as_a_canonical_array(group):
+    for r in range(7):
+        window = group.window(r)
+        assert window.dtype == np.int64
+        assert np.array_equal(window, group.canonical_many(group.ball(r)))  # row for row, in ball order
+    if group.is_finite:
+        assert np.array_equal(group.window(), group.canonical_many(group.elements()))
+    else:
+        with pytest.raises(ValueError, match=rf"^{re.escape(group.name)} is infinite"):
+            group.window()
+    with pytest.raises(ValueError, match="nonnegative"):
+        group.window(-1)
+
+
 def test_heisenberg_far_points():
     h = DiscreteHeisenberg()
     assert h.word_length((0, 0, 64)) == 32
@@ -163,6 +182,9 @@ def test_mutating_a_ball_leaves_the_next_unchanged(group):
     expected = list(first)
     first.append(group.identity)
     first[0] = (7,) * group.coord_len
+    assert group.ball(3) == expected
+    window = group.window(3)
+    window[0] = 7
     assert group.ball(3) == expected
     if group.is_finite:
         group.elements().clear()

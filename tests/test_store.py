@@ -147,7 +147,7 @@ def test_sum_inherits_the_norms_of_keys_with_one_contributor(cached, monkeypatch
     for operand in {"both": (a, b), "left": (a,), "right": (b,), "difference": (a, b)}[cached]:
         operand.min_envelope()
     total = a - b if cached == "difference" else a + b
-    # A scaled operand carries no norms: a - b is a + (-1) b.
+    # A negated operand carries no norms: a - b is a + (-b).
     inherited = {"both": only_a | only_b, "left": only_a, "right": only_b, "difference": only_a}[cached]
     known = known_norms(total)
     assert {key for key, k in zip(total.support(), known) if k} == inherited
@@ -291,14 +291,46 @@ def test_max_block_difference_equals_per_key_loop(make):
     assert a.max_block_difference(b) == block_difference_loop(a, b)
 
 
+def stored(obj):
+    """The key -> value view of a store of any of the three classes."""
+    return obj.values if isinstance(obj, TestVector) else obj.entries
+
+
+@pytest.mark.parametrize(
+    "make,norm",
+    [
+        (line_kernel, Kernel.envelope_norm),
+        (lambda values: TestVector(IntegerLattice(1), 1, {(s,): [v] for s, v in values.items()}), TestVector.l2_norm),
+        (
+            lambda values: CovarianceElement(Cyclic(3), 1, {((s,), (0,)): [[v]] for s, v in values.items()}),
+            CovarianceElement.l1_norm,
+        ),
+    ],
+    ids=["Kernel", "TestVector", "CovarianceElement"],
+)
+def test_difference_equals_per_key_subtraction_with_infinite_blocks(make, norm):
+    # b alone holds inf - inf j at s = 1: the difference there is -inf + inf j, not NaN.
+    a, b = make({2: 1 + 2j}), make({1: complex(np.inf, -np.inf), 2: 0.5 - 1j})
+    zero = np.zeros_like(next(iter(stored(b).values())))
+    keys = sorted(set(stored(a)) | set(stored(b)))
+    expected = {k: stored(a).get(k, zero) - stored(b).get(k, zero) for k in keys}
+    assert_mapping_equal(stored(a - b), nonzero_sorted(expected))
+    assert norm(a - b) == math.inf
+
+
 @pytest.mark.parametrize("group,radius", [(Z7, 3), (Z2, 3)], ids=str)
 def test_dense_round_trip(group, radius):
     # On Z^2 the kernel is cut to the window first, so every pair lies inside it.
     kernel = seeded_kernel(group, 2, seed=3, radius=2, t_radius=3).restrict_to_ball(radius)
     points = group.ball(radius)
-    back = Kernel.from_dense(group, 2, kernel.to_dense(points), points)
+    dense = kernel.to_dense(points)
+    back = Kernel.from_dense(group, 2, dense, points)
     assert_entries_equal(back, dict(kernel.entries))
     assert back.max_block_difference(kernel) == 0.0
+    # A point array stands for its tuple list, also one that is not canonical (Z/7 points shifted by 7).
+    for array in (group.canonical_many(points), group.canonical_many(points) + 7 * group.is_finite):
+        assert np.array_equal(kernel.to_dense(array), dense)
+        assert_entries_equal(Kernel.from_dense(group, 2, dense, array), dict(kernel.entries))
 
 
 def test_dense_section_points_must_be_distinct():
