@@ -21,11 +21,10 @@ front to back in the order the per-entry definition lists their terms
 (``np.add.reduceat`` would pair them differently), so every operation is
 bit-reproducible and equal, bit for bit, to its entry-by-entry definition.
 
-A store computes the operator norms of its blocks once, on first use.  A
-block that passes into a derived store unchanged keeps its norm: through a
-mask, or as the one term at its key in a sum.  A scaled, adjoint or
-multiplied block is normed afresh, because its computed norm need not be
-bit for bit that of its source.
+Every consumer of block norms takes a maximum: of each fibre for envelopes,
+of all blocks for block differences.  ``_run_sups`` forms these maxima from
+cheap bounds on each block and runs LAPACK only on the blocks whose bound
+reaches their run's maximum, so a store keeps no norms.
 """
 
 from __future__ import annotations
@@ -111,27 +110,24 @@ def _ranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], ranks
 
 
-def _reduce_by_key(
-    codes: np.ndarray, values: np.ndarray, op=np.add
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reduce_by_key(codes: np.ndarray, values: np.ndarray, op=np.add) -> tuple[np.ndarray, np.ndarray]:
     """Reduce the rows of ``values`` that share a code with ``op``, in ascending code order.
 
     Each reduction runs front to back in row order, as ``acc = op(acc, value)``
     over the rows would: a sum by default, a max with ``np.fmax``.  Returns
-    the first row of each code, the results and the number of rows reduced
-    into each.
+    the first row of each code and the results.
     """
     order = np.argsort(codes, kind="stable")
     starts = _run_starts(codes[order])
     first = order[starts]
     if len(starts) == len(codes):  # no code repeats
-        return first, values[first], np.ones(len(codes), dtype=np.int64)
+        return first, values[first]
     acc = values[first]
     lengths = np.append(starts[1:], len(codes)) - starts
     for k in range(1, lengths.max()):
         live = lengths > k
         acc[live] = op(acc[live], values[order[starts[live] + k]])
-    return first, acc, lengths
+    return first, acc
 
 
 def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
@@ -196,7 +192,7 @@ def _parse_mapping(group: Group, mapping: Mapping, arity: int, shape: tuple[int,
     return [group.canonical_many(c) for c in _key_arrays(group, keys, arity)], stack
 
 
-def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool, norms=None) -> None:
+def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool) -> None:
     """Give ``obj`` a canonical, sorted, duplicate-free store: the one normalisation.
 
     ``coords`` holds one canonical (group-law or ``_parse_mapping`` output)
@@ -204,37 +200,30 @@ def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool,
     any order.  Values whose keys coincide are summed in row order.  A sum
     that cancels to zero is kept when ``keep_cancelled`` (Mapping
     constructions); otherwise (derived objects) every zero value is dropped.
-    ``norms`` are known block norms of the n values, negative where unknown;
-    a key with one value keeps its norm.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     (codes,) = _row_codes(np.hstack(coords))
-    rows, stack, lengths = _reduce_by_key(codes, np.asarray(stack, dtype=complex))
+    rows, stack = _reduce_by_key(codes, np.asarray(stack, dtype=complex))
     coords = [c[rows] for c in coords]
-    if norms is not None:
-        # A sum of several blocks is a new block: its norm is not known.
-        norms = np.where(lengths == 1, norms[rows], -1.0)
     if not keep_cancelled:
         live = _nonzero(stack)
         coords, stack = [c[live] for c in coords], stack[live]
-        norms = None if norms is None else norms[live]
-    _install(obj, group, dim, coords, stack, norms)
+    _install(obj, group, dim, coords, stack)
 
 
-def _install(obj, group: Group, dim: int, coords, stack, norms) -> None:
-    """Give ``obj`` a normalised store, read-only, with its known block norms (or None)."""
+def _install(obj, group: Group, dim: int, coords, stack) -> None:
+    """Give ``obj`` a normalised store, read-only."""
     for arr in (*coords, stack):
         arr.setflags(write=False)
     obj.group, obj.dim = group, dim
-    obj._coords, obj._stack, obj._norms = tuple(coords), stack, norms
-    obj._mapping = None
+    obj._coords, obj._stack, obj._mapping = tuple(coords), stack, None
 
 
-def _from_arrays(cls, group: Group, dim: int, coords, stack, norms=None):
+def _from_arrays(cls, group: Group, dim: int, coords, stack):
     """A derived ``cls`` from store arrays in any order: equal keys summed in row order, zeros dropped."""
     obj = cls.__new__(cls)
-    _set_store(obj, group, dim, coords, stack, keep_cancelled=False, norms=norms)
+    _set_store(obj, group, dim, coords, stack, keep_cancelled=False)
     return obj
 
 
@@ -242,15 +231,12 @@ def _subset(obj, keep: np.ndarray, stack: np.ndarray | None = None):
     """A store of ``obj``'s class with the rows of ``obj`` under the mask ``keep``.
 
     The rows stay sorted and distinct, so nothing is normalised again.  With
-    ``stack``, its rows replace ``obj``'s values; otherwise the values, and
-    their known norms, are ``obj``'s own.  The caller drops zero values with
-    the mask.
+    ``stack``, its rows replace ``obj``'s values.  The caller drops zero
+    values with the mask.
     """
-    own = stack is None
-    stack = obj._stack if own else stack
-    norms = obj._norms[keep] if own and obj._norms is not None else None
+    stack = obj._stack if stack is None else stack
     new = type(obj).__new__(type(obj))
-    _install(new, obj.group, obj.dim, [c[keep] for c in obj._coords], stack[keep], norms)
+    _install(new, obj.group, obj.dim, [c[keep] for c in obj._coords], stack[keep])
     return new
 
 
@@ -280,17 +266,10 @@ def _require_compatible(a, b) -> None:
 
 
 def _stores_sum(a, b):
-    """Sum of two stores of one class; values at a common key are added as a + b.
-
-    A key of one operand only keeps its block, and with it any known norm.
-    """
+    """Sum of two stores of one class; values at a common key are added as a + b."""
     _require_compatible(a, b)
     coords = [np.concatenate(pair) for pair in zip(a._coords, b._coords)]
-    norms = None
-    if a._norms is not None or b._norms is not None:
-        known = [np.full(len(x._stack), -1.0) if x._norms is None else x._norms for x in (a, b)]
-        norms = np.concatenate(known)
-    return _from_arrays(type(a), a.group, a.dim, coords, np.concatenate([a._stack, b._stack]), norms)
+    return _from_arrays(type(a), a.group, a.dim, coords, np.concatenate([a._stack, b._stack]))
 
 
 def _stores_difference(a, b):
@@ -306,28 +285,57 @@ def _max_block_difference(a, b) -> float:
     The difference store drops zero blocks, which add nothing to a maximum
     that starts at 0.
     """
-    # fmax skips NaN: a NaN difference never sets the maximum.
-    return float(np.fmax.reduce(_block_norms(_stores_difference(a, b)), initial=0.0))
+    stack = _stores_difference(a, b)._stack
+    # One run of all blocks, none if there are none; fmax skips NaN: a NaN
+    # difference never sets the maximum.
+    return float(np.fmax.reduce(_run_sups(stack, np.arange(min(len(stack), 1))), initial=0.0))
 
 
-def _block_norms(obj) -> np.ndarray:
-    """Operator norm of every block of a store, computed once; only norms not yet known are computed."""
-    norms = obj._norms
-    if norms is None:
-        norms = operator_norms(obj._stack)
-    elif (unknown := norms < 0).any():  # a NaN norm is known
-        norms[unknown] = operator_norms(obj._stack[unknown])
-    obj._norms = norms
-    return norms
+# Relative margin on the bounds of a block's operator norm.  It is far wider
+# than the rounding of a Frobenius norm, a column norm or LAPACK's largest
+# singular value of a small block.
+_NORM_MARGIN = 1e-12
+
+
+def _run_sups(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``fmax`` of the operator norms of each run of a block stack; runs begin at ``starts``, the first at 0.
+
+    The result is ``np.fmax.reduceat(operator_norms(stack), starts)`` bit for
+    bit on finite blocks.  For d >= 2, sigma_max <= ||A||_F and sigma_max >=
+    max_j ||A e_j|| (Golub-Van Loan, Matrix Computations, 4th ed.), so a block
+    whose Frobenius norm, widened by the margin, stays below the largest
+    column norm in its run, narrowed by it, cannot set the run's maximum: it
+    counts as 0 and only the other blocks go to LAPACK.  So do the blocks
+    whose squared norms leave the safe range, except that one with a
+    non-finite coefficient is inf if a part is infinite and NaN otherwise, the
+    ``hypot`` rule of d = 1.
+    """
+    if stack.shape[1] == 1:
+        return np.fmax.reduceat(operator_norms(stack), starts)
+    columns = np.zeros(stack.shape[::2])  # squared column norms, (n, d)
+    with np.errstate(over="ignore"):  # an overflowed square leaves the safe range
+        for row in stack.transpose(1, 0, 2):
+            columns += row.real**2 + row.imag**2
+        upper, lower = columns.sum(axis=1), columns.max(axis=1)  # squared bounds
+    # In this range the sums of squares neither overflowed nor lost the largest
+    # coefficient to underflow.  It is False for NaN.
+    safe = (upper >= 2.0**-800) & (upper <= 2.0**800)
+    best = np.maximum.reduceat(np.where(safe, lower, 0.0), starts)
+    best = np.repeat(best, np.diff(starts, append=len(stack)))
+    sent = np.flatnonzero(~safe | (upper * (1 + _NORM_MARGIN) ** 2 >= best * (1 - _NORM_MARGIN) ** 2))
+    blocks = stack[sent]
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    norms = np.zeros(len(stack))
+    norms[sent[finite]] = operator_norms(blocks[finite])
+    norms[sent[~finite]] = np.where(np.isinf(blocks[~finite]).any(axis=(1, 2)), np.inf, np.nan)
+    return np.fmax.reduceat(norms, starts)
 
 
 def _fibre_sups(obj) -> tuple[np.ndarray, np.ndarray]:
     """Start row of each fibre (the rows of one first coordinate) and its largest block norm."""
-    first = obj._coords[0]
-    starts = _run_starts(first)
+    starts = _run_starts(obj._coords[0])
     # fmax skips NaN norms: a NaN block never sets the maximum.
-    best = np.fmax.reduceat(_block_norms(obj), starts) if len(first) else np.zeros(0)
-    return starts, best
+    return starts, _run_sups(obj._stack, starts)
 
 
 def _l1_sum(values: np.ndarray) -> float:
@@ -355,7 +363,7 @@ class Envelope:
         live = vals != 0.0
         (points,) = _key_arrays(group, [k for k, keep in zip(keys, live.tolist()) if keep], 1)
         points = group.canonical_many(points)
-        rows, merged, _ = _reduce_by_key(_row_codes(points)[0], vals[live], np.fmax)
+        rows, merged = _reduce_by_key(_row_codes(points)[0], vals[live], np.fmax)
         self._set(group, points[rows], merged)
 
     def _set(self, group: Group, points: np.ndarray, values: np.ndarray) -> "Envelope":
@@ -413,7 +421,7 @@ class Envelope:
         g, (s,), (y,) = self.group, self._coords, other._coords
         i, j = np.repeat(np.arange(len(s)), len(y)), np.tile(np.arange(len(y)), len(s))
         points = g.multiply_many(s[i], y[j])
-        rows, sums, _ = _reduce_by_key(_row_codes(points)[0], self._stack[i] * other._stack[j])
+        rows, sums = _reduce_by_key(_row_codes(points)[0], self._stack[i] * other._stack[j])
         return Envelope._derived(g, points[rows], sums)
 
     def l1_distance(self, other: "Envelope") -> float:
@@ -422,13 +430,13 @@ class Envelope:
             raise ValueError("envelope groups differ")
         # a + (-b) is a - b exactly; a point of one envelope only keeps its value.
         codes = np.concatenate(_row_codes(self._coords[0], other._coords[0]))
-        _, differences, _ = _reduce_by_key(codes, np.concatenate([self._stack, -other._stack]))
+        _, differences = _reduce_by_key(codes, np.concatenate([self._stack, -other._stack]))
         return _l1_sum(np.abs(differences))
 
     def by_word_length(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Word lengths present (ascending), with the max and the front-to-back sum of the values at each."""
         lengths = self.group.word_length_many(self._coords[0])
-        rows, maxima, _ = _reduce_by_key(lengths, self._stack, np.fmax)
+        rows, maxima = _reduce_by_key(lengths, self._stack, np.fmax)
         return lengths[rows], maxima, _reduce_by_key(lengths, self._stack)[1]
 
     def shell_partial_sums(self) -> list[float]:

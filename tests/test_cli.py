@@ -389,6 +389,19 @@ def test_non_finite_profile_envelope_is_exit_2(tmp_path, capsys, value):
     assert not (tmp_path / "io" / "kernel.json").exists()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("value,status", [("NaN", 0), ("Infinity", 2)])
+def test_non_finite_kernel_file_is_read_alike_at_every_dim(tmp_path, capsys, dim, value, status):
+    # A NaN block drops out of the envelope; an infinite one gives an envelope value the envelope refuses.
+    matrix = [["%s", 0.0]] + [[0.25, 0.0]] * (dim * dim - 1)
+    entries = [{"s": [1], "t": [0], "matrix": matrix}, {"s": [1], "t": [1], "matrix": [[1.0, 0.0]] * (dim * dim)}]
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"group": "Z", "dim": dim, "entries": entries}).replace('"%s"', value))
+    assert run(["kernel-io", "--input", kernel, "--out", tmp_path / "io"]) == status
+    if status:
+        assert "config error: envelope value at (1,) is not finite: inf" in capsys.readouterr().err
+
+
 # Report text recorded before the covariance algebra and the test vectors moved
 # onto the shared block store; refactors must reproduce it exactly.
 GOLDEN_REPORTS = {

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convdom import (
     CovarianceElement,
@@ -105,14 +107,7 @@ def test_min_envelope_equals_per_entry_max(group, dim):
     assert kernel.min_envelope().values == best
 
 
-# -- cached block norms ---------------------------------------------------------------
-
-
-def known_norms(store):
-    """Mask of the block norms a store knows; each equals a fresh operator_norms of its block, bit for bit."""
-    known = store._norms >= 0
-    assert np.array_equal(store._norms[known], operator_norms(store.arrays[-1][known]))
-    return known
+# -- block norms only where a maximum can land ----------------------------------------
 
 
 def count_normed_blocks(monkeypatch):
@@ -123,51 +118,87 @@ def count_normed_blocks(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("group,dim", [(Z2, 1), (Z2, 2), (DiscreteHeisenberg(), 3)], ids=str)
-def test_restriction_inherits_every_cached_norm(group, dim, monkeypatch):
-    kernel = seeded_kernel(group, dim, seed=6, t_radius=3)
-    kernel.min_envelope()
-    sizes = count_normed_blocks(monkeypatch)
-    part = kernel.restrict_to_ball(2)
-    assert 0 < len(part.support()) < len(kernel.support())
-    assert known_norms(part).all()
+def adversarial_fibres(data, dim):
+    """Fibres of d x d blocks built to defeat the cheap bounds on operator norms.
+
+    Each block is drawn at random, copied from the block before it (a tie),
+    rank one (Frobenius norm equals sigma), one nonzero column (both bounds
+    equal sigma), that block times 1 + 2^-52 (norms about one ulp apart), or
+    its rows reversed (equal sigma, other rounding), at scales from 1e-300 to
+    1e300, on both sides of the range where squared sums are safe; a zero
+    entry cancels two opposite blocks.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = st.sampled_from(["random", "tie", "rank-one", "column", "ulp", "reversed", "zero"])
+    scales = st.sampled_from([1e-300, 1e-160, 1e-125, 1e-3, 1.0, 1e125, 1e160, 1e300])
+    fibres = []
+    for _ in range(data.draw(st.integers(1, 4), label="fibres")):
+        blocks, last = [], None
+        for _ in range(data.draw(st.integers(1, 6), label="length")):
+            kind, scale = data.draw(kinds, label="kind"), data.draw(scales, label="scale")
+            u, v = (rng.normal(size=(dim, 2)) @ [1, 1j] for _ in range(2))
+            if kind == "random" or (last is None and kind in ("tie", "ulp", "reversed")):
+                block = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            elif kind == "rank-one":
+                block = np.outer(scale * u, v.conj())
+            elif kind == "column":
+                block = np.outer(scale * u, np.eye(dim)[rng.integers(dim)])
+            elif kind == "tie":
+                block = last
+            elif kind == "ulp":
+                block = last * (1 + 2.0**-52)
+            elif kind == "reversed":
+                block = last[::-1]
+            else:
+                block = np.zeros((dim, dim), dtype=complex)
+            blocks.append(block)
+            last = block if kind != "zero" else last
+        fibres.append(blocks)
+    return fibres
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3, 4]))
+def test_fibre_maxima_equal_per_entry_operator_norm_max_bit_for_bit(data, dim):
+    fibres = adversarial_fibres(data, dim)
+    group = Cyclic(1000)
+    entries = {}
+    for s, blocks in enumerate(fibres):
+        for t, block in enumerate(blocks):
+            if np.count_nonzero(block):
+                entries[(s,), (t,)] = block
+            else:  # two opposite blocks on one key of Z/1000: the constructor keeps their zero sum
+                entries[(s,), (t,)], entries[(s + 1000,), (t + 1000,)] = np.eye(dim), -np.eye(dim)
+    kernel = Kernel(group, dim, entries)
+    assert len(kernel.support()) == sum(map(len, fibres))
     best = {}
-    for (s, _t), mat in part.entries.items():
+    for (s, _t), mat in kernel.entries.items():
         best[s] = max(best.get(s, 0.0), operator_norm(mat))
-    assert part.min_envelope().values == best
-    assert sizes == []
+    starts, sups = kernels._fibre_sups(kernel)
+    assert dict(zip(map(tuple, kernel.arrays[0][starts].tolist()), sups.tolist())) == best
+    assert kernel.max_block_difference(Kernel.zero(group, dim)) == max(best.values())
 
 
-@pytest.mark.parametrize("cached", ["both", "left", "right", "difference"])
-def test_sum_inherits_the_norms_of_keys_with_one_contributor(cached, monkeypatch):
-    a = seeded_kernel(Z2, 2, seed=7, t_radius=3)
-    b = seeded_kernel(Z2, 2, seed=8, radius=2, t_radius=2)
-    only_a, only_b = set(a.support()) - set(b.support()), set(b.support()) - set(a.support())
-    assert only_a and only_b and set(a.support()) & set(b.support())
-    for operand in {"both": (a, b), "left": (a,), "right": (b,), "difference": (a, b)}[cached]:
-        operand.min_envelope()
-    total = a - b if cached == "difference" else a + b
-    # A negated operand carries no norms: a - b is a + (-b).
-    inherited = {"both": only_a | only_b, "left": only_a, "right": only_b, "difference": only_a}[cached]
-    known = known_norms(total)
-    assert {key for key, k in zip(total.support(), known) if k} == inherited
+def test_fibre_maxima_below_the_range_of_safe_squares():
+    # The squared coefficients round to subnormals, so b's column bound (2 ulp)
+    # reads above a's Frobenius bound (1 ulp), though a has the larger norm.
+    a = np.array([[2.5e-162, 0.0], [0.0, 0.0]])
+    b = np.array([[1.6e-162, 0.0], [1.6e-162, 0.0]])
+    assert operator_norm(a) > operator_norm(b)
+    kernel = Kernel(IntegerLattice(1), 2, {((0,), (0,)): a, ((0,), (1,)): b})
+    assert kernel.min_envelope().values == {(0,): operator_norm(a)}
+
+
+def test_min_envelope_norms_fewer_blocks_than_it_holds(monkeypatch):
+    # Each fibre of a generated kernel ties at its profile value; a product's fibres do not.
+    kernel = seeded_kernel(Z2, 2, seed=7, t_radius=3).compose(seeded_kernel(Z2, 2, seed=8, t_radius=3))
     sizes = count_normed_blocks(monkeypatch)
-    total.min_envelope()
-    assert sizes == [len(total.support()) - len(inherited)]
-    assert np.array_equal(total._norms, operator_norms(total.arrays[2]))
-
-
-def test_value_changes_carry_no_norms():
-    kernel = seeded_kernel(Z2, 2, seed=9)
-    kernel.min_envelope()
-    points = Z2.ball(3)
-    derived = [
-        kernel.scale(1.0),
-        kernel.involution(),
-        kernel.compose(Kernel.identity(Z2, 2, 4)),
-        Kernel.from_dense(Z2, 2, kernel.to_dense(points), points),
-    ]
-    assert all(k._norms is None for k in derived)
+    envelope = kernel.min_envelope()
+    assert 0 < sum(sizes) < len(kernel.support())
+    best = {}
+    for (s, _t), mat in kernel.entries.items():
+        best[s] = max(best.get(s, 0.0), operator_norm(mat))
+    assert envelope.values == best
 
 
 # -- constructor normalisation -----------------------------------------------------------
@@ -262,17 +293,36 @@ def test_apply_equals_per_entry_loop_on_single_and_doubled_vectors(group, dim):
         assert_mapping_equal(kernel.apply(vec).values, apply_loop(kernel, vec))
 
 
-def line_kernel(values):
-    """A d = 1 kernel on Z with the given value at each (s, 0)."""
-    return Kernel(IntegerLattice(1), 1, {((s,), (0,)): np.array([[v]]) for s, v in values.items()})
+def line_kernel(values, dim=1):
+    """A kernel on Z with a block at each (s, 0): the given value at its top left, 0.25 elsewhere."""
+    blocks = {}
+    for s, v in values.items():
+        blocks[(s,), (0,)] = np.full((dim, dim), 0.25, dtype=complex)
+        blocks[(s,), (0,)][0, 0] = v
+    return Kernel(IntegerLattice(1), dim, blocks)
+
+
+def reference_norm(mat):
+    """operator_norm of a finite block; otherwise inf if a part is infinite and NaN if not, as hypot has it."""
+    if np.isfinite(mat).all():
+        return operator_norm(mat)
+    return math.inf if np.isinf(mat).any() else math.nan
 
 
 def block_difference_loop(a, b):
-    """Max over the keys of either kernel of operator_norm(a(k) - b(k)), NaN norms skipped."""
+    """Max over the keys of either kernel of the norm of a(k) - b(k), NaN norms skipped."""
     zero = np.zeros((a.dim, a.dim), dtype=complex)
     keys = set(a.entries) | set(b.entries)
-    norms = [operator_norm(a.entries.get(k, zero) - b.entries.get(k, zero)) for k in keys]
+    norms = [reference_norm(a.entries.get(k, zero) - b.entries.get(k, zero)) for k in keys]
     return max((n for n in norms if not math.isnan(n)), default=0.0)
+
+
+NON_FINITE_PAIRS = {
+    "nan-block": lambda dim: (line_kernel({1: complex(np.nan, 1.0), 2: 1 + 2j}, dim), line_kernel({2: 0.5 - 1j, 3: 1j}, dim)),
+    "inf-left": lambda dim: (line_kernel({1: complex(np.inf, 0.0), 2: 1 + 2j}, dim), line_kernel({2: 0.5 - 1j}, dim)),
+    "inf-right": lambda dim: (line_kernel({2: 1 + 2j}, dim), line_kernel({1: complex(np.inf, -np.inf), 2: 0.5 - 1j}, dim)),
+    "inf-and-nan": lambda dim: (line_kernel({1: complex(np.inf, np.nan)}, dim), line_kernel({1: 1.0, 2: 1j}, dim)),
+}
 
 
 @pytest.mark.parametrize(
@@ -280,15 +330,26 @@ def block_difference_loop(a, b):
     [
         lambda: (seeded_kernel(Z2, 2, seed=7, t_radius=3), seeded_kernel(Z2, 2, seed=8, radius=2)),
         lambda: (Kernel.zero(Z2, 2), seeded_kernel(Z2, 2, seed=8)),
-        lambda: (line_kernel({1: complex(np.nan, 1.0), 2: 1 + 2j}), line_kernel({2: 0.5 - 1j, 3: 1j})),
-        lambda: (line_kernel({1: complex(np.inf, 0.0), 2: 1 + 2j}), line_kernel({2: 0.5 - 1j})),
-        lambda: (line_kernel({2: 1 + 2j}), line_kernel({1: complex(np.inf, -np.inf), 2: 0.5 - 1j})),
+        *(lambda make=make, dim=dim: make(dim) for make in NON_FINITE_PAIRS.values() for dim in (1, 2, 3)),
     ],
-    ids=["keys-on-one-side", "empty-left", "nan-block", "inf-left", "inf-right"],
+    ids=["keys-on-one-side", "empty-left", *(name + f"-d{dim}" * (dim > 1) for name in NON_FINITE_PAIRS for dim in (1, 2, 3))],
 )
 def test_max_block_difference_equals_per_key_loop(make):
     a, b = make()
     assert a.max_block_difference(b) == block_difference_loop(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", list(NON_FINITE_PAIRS))
+def test_min_envelope_of_non_finite_blocks_follows_the_hypot_rule(name, dim):
+    # A NaN fibre maximum drops out of the envelope; an infinite one stays and makes the norm inf.
+    for kernel in NON_FINITE_PAIRS[name](dim):
+        best = {}
+        for (s, _t), mat in kernel.entries.items():
+            best[s] = np.fmax(best.get(s, 0.0), reference_norm(mat))
+        expected = {s: v for s, v in best.items() if v > 0.0}
+        assert kernel.min_envelope().values == expected
+        assert kernel.envelope_norm() == math.fsum(expected.values())
 
 
 def stored(obj):
