@@ -33,6 +33,7 @@ from .kernels import (
     _max_block_difference,
     _parse_mapping,
     _ranks,
+    _reduce_by_key,
     _require_compatible,
     _row_codes,
     _run_starts,
@@ -97,11 +98,9 @@ class CovarianceElement:
         y2 = y^-1 z, in storage order, and adds f(y, z) h(x2, y2) at
         (y x2, z).  One key pass joins all pairs and keys each term by the dense
         ranks of y x2 (formed once per (y, x2) that meets) and of z, in one int64.
-        The block products are then formed one first coordinate y at a time, in
-        sorted order, so only one y's blocks are held.  Within one y the keys are
-        distinct, so each y's products are added into a result stack seeded with
-        -0.0, the exact identity of +: every key's sum is its terms in the order
-        of the entry-by-entry loop, bit for bit.
+        The block products are formed inside the sum per key, one term per key
+        at a time, and each key's sum is its terms in the order of the
+        entry-by-entry loop, bit for bit.
         """
         _require_compatible(self, other)
         g, (y, z), (x2, y2) = self.group, self._coords, other._coords
@@ -111,12 +110,8 @@ class CovarianceElement:
         points = np.concatenate([g.multiply_many(y[i[met_first]], x2[j[met_first]]), z])
         point_first, point = _ranks(_row_codes(points)[0])
         key = point[key] * len(point_first) + point[len(met_first) :][i]  # replaces the (y, x2) rank
-        key_first, slot = _ranks(key)
-        sums = np.full((len(key_first), self.dim, self.dim), complex(-0.0, -0.0))
-        bounds = np.searchsorted(i, _run_starts(y)).tolist()
-        for lo, hi in zip(bounds, [*bounds[1:], len(i)]):
-            sums[slot[lo:hi]] += np.matmul(self._stack[i[lo:hi]], other._stack[j[lo:hi]])
-        xr, zr = np.divmod(key[key_first], len(point_first))
+        first, sums = _reduce_by_key(key, lambda at: np.matmul(self._stack[i[at]], other._stack[j[at]]))
+        xr, zr = np.divmod(key[first], len(point_first))
         return _from_arrays(CovarianceElement, g, self.dim, (points[point_first[xr]], points[point_first[zr]]), sums)
 
     def involution(self) -> "CovarianceElement":

@@ -320,7 +320,7 @@ def inverse_residual(kernel: Kernel, z: complex, inverse_kernel: Kernel, window_
     return residual.envelope_norm()
 
 
-def neumann_inverse(kernel: Kernel, z: complex, terms: int) -> tuple[Kernel, float]:
+def neumann_inverse(kernel: Kernel, z: complex, terms: int, window_radius: int | None = None) -> tuple[Kernel, float]:
     """Truncated Neumann series for the inverse of z + T_K.
 
     Returns the non-scalar part sum_{n=1..terms} (-1)^n z^{-n-1} K^n together
@@ -328,6 +328,10 @@ def neumann_inverse(kernel: Kernel, z: complex, terms: int) -> tuple[Kernel, flo
     K over |z|.  The represented inverse is 1/z plus the returned kernel,
     matching the convention of :func:`finite_section_inverse`.  Requires
     q < 1; otherwise the series diverges in norm and the call is refused.
+    With ``window_radius``, only the entries whose row x = s t lies in that
+    ball are formed: the powers start from those rows of K and are
+    right-multiplied by the whole of K, so each entry has the terms of the
+    whole series in the same order.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -337,9 +341,9 @@ def neumann_inverse(kernel: Kernel, z: complex, terms: int) -> tuple[Kernel, flo
     q = kernel.envelope_norm() / abs(z)
     if q >= 1.0:
         raise ValueError(f"Neumann series divergent: envelope norm ratio q = {q:.6g} >= 1")
-    acc = kernel.scale(-1.0 / (z * z))
-    power = kernel
+    power = kernel if window_radius is None else _subset(kernel, kernel._ball_mask(window_radius, columns=False))
     coeff = -1.0 / (z * z)
+    acc = power.scale(coeff)
     for _ in range(2, terms + 1):
         power = power.compose(kernel)
         coeff = coeff * (-1.0 / z)

@@ -13,13 +13,14 @@ in lexicographic key order.  ``_set_store`` is its one normalisation; the
 other private helpers are the operations the classes share.  Derivations
 that keep the order (``restrict_to_ball``, ``scale``) mask the parent's rows
 instead of normalising again.  Every operation runs on whole arrays through
-the batched group law: composition is a join on the row point s*t, one
-batched matrix product and a segment sum; envelopes are a segment max of
-operator norms; dense sections are fancy indexing; translations and
-coordinate changes remap coordinate arrays.  Sums over equal keys are taken
-front to back in the order the per-entry definition lists their terms
-(``np.add.reduceat`` would pair them differently), so every operation is
-bit-reproducible and equal, bit for bit, to its entry-by-entry definition.
+the batched group law: composition is a join on the row point s*t and a sum
+per key that forms its block products as it adds them, so it holds one term
+per key at a time; envelopes are a segment max of operator norms; dense
+sections are fancy indexing; translations and coordinate changes remap
+coordinate arrays.  Sums over equal keys are taken front to back in the
+order the per-entry definition lists their terms (``np.add.reduceat`` would
+pair them differently), so every operation is bit-reproducible and equal,
+bit for bit, to its entry-by-entry definition.
 
 Every consumer of block norms takes a maximum: of each fibre for envelopes,
 of all blocks for block differences.  ``_run_sups`` forms these maxima from
@@ -55,27 +56,33 @@ def operator_norms(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.norm(blocks, 2, axis=(1, 2))
 
 
-def _row_codes(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Int64 codes of the rows of integer arrays of equal width, one array of codes each.
+def _row_codes(*keys) -> list[np.ndarray]:
+    """Int64 codes of the rows of integer keys of equal width, one array of codes each.
 
-    Equal rows get equal codes across all arrays, and codes order as the rows
-    order lexicographically, so sorts and joins on codes are sorts and joins
-    on points.
+    A key is an ``(n, k)`` array, or a tuple of such arrays of equal length
+    whose columns are read side by side.  Equal rows get equal codes across
+    all keys, and codes order as the rows order lexicographically, so sorts
+    and joins on codes are sorts and joins on points.  The codes are mixed
+    radix, first column most significant, built one column at a time; rows
+    that span 2**62 codes or more are ranked by ``np.unique`` instead.
     """
-    rows = np.concatenate(arrays)
-    if not len(rows):
-        return [np.zeros(0, dtype=np.int64) for _ in arrays]
-    lo = rows.min(axis=0)
-    # Python ints: a column spanning 2**63 or more would wrap in int64.
-    span = [hi - low + 1 for hi, low in zip(rows.max(axis=0).tolist(), lo.tolist())]
-    if math.prod(span) < 2**62:
-        # Mixed radix, first column most significant.
-        weights = np.array([math.prod(span[k + 1 :]) for k in range(len(span))], dtype=np.int64)
-        codes = (rows - lo) @ weights
-    else:
-        codes = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
-    ends = np.cumsum([len(a) for a in arrays]).tolist()
-    return [codes[end - len(a) : end] for a, end in zip(arrays, ends)]
+    columns = [[column for a in (key if isinstance(key, tuple) else (key,)) for column in a.T] for key in keys]
+    # Python ints: a column spanning 2**63 or more would wrap in int64.  Empty keys have no bounds.
+    lows = [min((int(c.min()) for c in same if len(c)), default=0) for same in zip(*columns)]
+    highs = [max((int(c.max()) for c in same if len(c)), default=0) for same in zip(*columns)]
+    spans = [hi - low + 1 for hi, low in zip(highs, lows)]
+    if math.prod(spans) >= 2**62:
+        rows = [np.column_stack(c) for c in columns]
+        codes = np.unique(np.concatenate(rows), axis=0, return_inverse=True)[1].reshape(-1)
+        return np.split(codes, np.cumsum([len(r) for r in rows[:-1]]))
+    codes = []
+    for first, *rest in columns:
+        code = first - lows[0]
+        for column, low, span in zip(rest, lows[1:], spans[1:]):
+            code *= span  # column - low < span: codes stay below the product of the spans
+            code += column - low
+        codes.append(code)
+    return codes
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,24 +117,29 @@ def _ranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], ranks
 
 
-def _reduce_by_key(codes: np.ndarray, values: np.ndarray, op=np.add) -> tuple[np.ndarray, np.ndarray]:
+def _reduce_by_key(codes: np.ndarray, values, op=np.add) -> tuple[np.ndarray, np.ndarray]:
     """Reduce the rows of ``values`` that share a code with ``op``, in ascending code order.
 
-    Each reduction runs front to back in row order, as ``acc = op(acc, value)``
-    over the rows would: a sum by default, a max with ``np.fmax``.  Returns
+    ``values`` is an array of rows, or a function that forms the rows at an
+    array of row indices.  Each reduction runs front to back in row order, as
+    ``acc = op(acc, value)`` over the rows would: a sum by default, a max with
+    ``np.fmax``.  It runs in layers, the first row of every code, then the
+    second of every code that has one, and so on, each layer added in place,
+    so a function is asked for at most one row per code at a time.  Returns
     the first row of each code and the results.
     """
+    form = values if callable(values) else values.__getitem__
     order = np.argsort(codes, kind="stable")
     starts = _run_starts(codes[order])
-    first = order[starts]
     if len(starts) == len(codes):  # no code repeats
-        return first, values[first]
-    acc = values[first]
-    lengths = np.append(starts[1:], len(codes)) - starts
+        return order, form(order)
+    lengths = np.diff(starts, append=len(codes))
+    runs = np.argsort(-lengths, kind="stable")  # longest first: the codes with a k-th row lead
+    acc = form(order[starts[runs]])
     for k in range(1, lengths.max()):
-        live = lengths > k
-        acc[live] = op(acc[live], values[order[starts[live] + k]])
-    return first, acc
+        live = np.count_nonzero(lengths > k)
+        op(acc[:live], form(order[starts[runs[:live]] + k]), out=acc[:live])
+    return order[starts], acc[np.argsort(runs)]
 
 
 def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
@@ -197,14 +209,16 @@ def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool)
 
     ``coords`` holds one canonical (group-law or ``_parse_mapping`` output)
     ``(n, coord_len)`` array per point of a key and ``stack`` the n values, in
-    any order.  Values whose keys coincide are summed in row order.  A sum
-    that cancels to zero is kept when ``keep_cancelled`` (Mapping
-    constructions); otherwise (derived objects) every zero value is dropped.
+    any order, or a function that forms the values at an array of row indices
+    (see ``_reduce_by_key``).  Values whose keys coincide are summed in row
+    order.  A sum that cancels to zero is kept when ``keep_cancelled``
+    (Mapping constructions); otherwise (derived objects) every zero value is
+    dropped.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    (codes,) = _row_codes(np.hstack(coords))
-    rows, stack = _reduce_by_key(codes, np.asarray(stack, dtype=complex))
+    (codes,) = _row_codes(tuple(coords))
+    rows, stack = _reduce_by_key(codes, stack if callable(stack) else np.asarray(stack, dtype=complex))
     coords = [c[rows] for c in coords]
     if not keep_cancelled:
         live = _nonzero(stack)
@@ -221,7 +235,10 @@ def _install(obj, group: Group, dim: int, coords, stack) -> None:
 
 
 def _from_arrays(cls, group: Group, dim: int, coords, stack):
-    """A derived ``cls`` from store arrays in any order: equal keys summed in row order, zeros dropped."""
+    """A derived ``cls`` from store arrays in any order: equal keys summed in row order, zeros dropped.
+
+    ``stack`` may be a function that forms the values at row indices, as ``_set_store`` takes it.
+    """
     obj = cls.__new__(cls)
     _set_store(obj, group, dim, coords, stack, keep_cancelled=False)
     return obj
@@ -526,13 +543,13 @@ class Kernel:
         Each entry (s1, t1) of the left factor meets the right entries whose
         row point s2*t2 is t1, in storage order; the product lands at
         (s1*s2, t2), and products landing on one key are summed in that order.
+        The products are formed inside that sum, so at most one per key is held.
         """
         _require_compatible(self, other)
         g, (s1, t1), (s2, t2) = self.group, self._coords, other._coords
-        cols, rows = _row_codes(t1, g.multiply_many(s2, t2))
-        i, j = _join(cols, rows)
-        products = np.matmul(self._stack[i], other._stack[j])
-        return _from_arrays(Kernel, g, self.dim, (g.multiply_many(s1[i], s2[j]), t2[j]), products)
+        i, j = _join(*_row_codes(t1, g.multiply_many(s2, t2)))
+        coords = (g.multiply_many(s1[i], s2[j]), t2[j])
+        return _from_arrays(Kernel, g, self.dim, coords, lambda at: np.matmul(self._stack[i[at]], other._stack[j[at]]))
 
     def involution(self) -> "Kernel":
         """Adjoint kernel K*(x, y) = K(y, x)^H."""
@@ -549,8 +566,7 @@ class Kernel:
         """
         self._require_vector(vec)
         g, (s, t), (y, *rest) = self.group, self._coords, vec._coords
-        cols, firsts = _row_codes(t, y)
-        i, j = _join(cols, firsts)
+        i, j = _join(*_row_codes(t, y))
         terms = np.matmul(self._stack[i], vec._stack[j, :, None])[:, :, 0]
         coords = (g.multiply_many(s[i], t[i]), *(r[j] for r in rest))
         return _from_arrays(TestVector, g, self.dim, coords, terms)
@@ -714,8 +730,7 @@ class TestVector:
         complex sum starting at 0.
         """
         _require_compatible(self, other)
-        mine, theirs = _row_codes(np.hstack(self._coords), np.hstack(other._coords))
-        i, j = _join(mine, theirs)
+        i, j = _join(*_row_codes(self._coords, other._coords))
         # A conjugated row times a column is np.vdot of the two, bit for bit.
         terms = np.matmul(self._stack[i, None].conj(), other._stack[j, :, None])[:, 0, 0]
         return complex(np.cumsum(np.append(0j, terms))[-1])

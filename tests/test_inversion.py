@@ -392,6 +392,19 @@ def test_neumann_matches_finite_sections():
     assert gap <= bound + cfg.stabilization_tol
 
 
+@pytest.mark.parametrize("group,radius", [(IntegerLattice(2), 3), (DiscreteHeisenberg(), 2), (Z8, 1)], ids=str)
+def test_neumann_on_a_window_equals_the_whole_series_on_its_rows(group, radius):
+    """The windowed series holds the whole series' entries with row x = s t in the ball, bit for bit."""
+    kernel, _ = generate_kernel(group, 2, 9, Profile.exponential(0.9, 1, 4))
+    z = 2.0 * kernel.envelope_norm() + 0.5j
+    whole, bound = neumann_inverse(kernel, z, terms=4)
+    window, window_bound = neumann_inverse(kernel, z, terms=4, window_radius=radius)
+    rows = inversion._subset(whole, whole._ball_mask(radius, columns=False))
+    assert 0 < len(window.entries) < len(whole.entries) and window_bound == bound
+    assert list(window.entries) == list(rows.entries)
+    assert all(window.entries[k].tobytes() == v.tobytes() for k, v in rows.entries.items())
+
+
 def test_neumann_refuses_divergent_series():
     kernel = shift_kernel(Z, 1, 2.0, t_radius=5)
     with pytest.raises(ValueError):

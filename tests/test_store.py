@@ -257,6 +257,55 @@ def test_rows_sort_like_tuples_when_a_column_spans_past_int64():
     assert line.support() == [((-(2**62),), (0,)), ((0,), (0,)), ((2**62,), (0,))]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_row_codes_equal_the_mixed_radix_formula(data):
+    """Codes of int64 rows anywhere in range: the mixed-radix code when the spans'
+    product is below 2**62, else the rank among the distinct rows (np.unique)."""
+    width = data.draw(st.integers(1, 3), label="width")
+    columns = []
+    for _ in range(width):
+        span = data.draw(st.integers(1, 2 ** data.draw(st.integers(0, 64))), label="span")
+        low = data.draw(st.integers(-(2**63), 2**63 - span), label="low")
+        columns.append(data.draw(st.lists(st.integers(low, low + span - 1), min_size=1, max_size=12), label="column"))
+    n = min(map(len, columns))
+    rows = [tuple(c[r] for c in columns) for r in range(n)]
+    lows = [min(c[:n]) for c in columns]
+    spans = [max(c[:n]) - lo + 1 for c, lo in zip(columns, lows)]
+    if math.prod(spans) < 2**62:
+        expected = [sum((v - lo) * math.prod(spans[k + 1 :]) for k, (v, lo) in enumerate(zip(row, lows))) for row in rows]
+    else:
+        expected = [sorted(set(rows)).index(row) for row in rows]
+    arr = np.array(rows, dtype=np.int64).reshape(n, width)
+    cut = data.draw(st.integers(0, n), label="cut")
+    assert [c.tolist() for c in kernels._row_codes(arr[:cut], arr[cut:])] == [expected[:cut], expected[cut:]]
+    # A tuple key reads its arrays' columns side by side, as one wide row.
+    split = data.draw(st.integers(1, width), label="split")
+    (codes,) = kernels._row_codes((arr[:, :split], arr[:, split:]) if split < width else (arr,))
+    assert codes.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "low,high",
+    [(2**62 - 5, 2**62 + 5), (-(2**62) - 5, -(2**62) + 5), (2**63 - 9, 2**63 - 1), (-(2**63), -(2**63) + 9)],
+    ids=str,
+)
+def test_row_codes_near_the_ends_of_int64(low, high):
+    """Columns far out whose spans stay small are coded without wrapping."""
+    values = np.arange(low, high + 1, dtype=np.int64)
+    rows = np.stack([values, values[::-1]], axis=1)
+    (codes,) = kernels._row_codes(rows)
+    span = high - low + 1
+    assert codes.tolist() == [(a - low) * span + (b - low) for a, b in rows.tolist()]
+
+
+def test_row_codes_of_rows_spanning_2_62_rank_the_distinct_rows():
+    """A product of spans of exactly 2**62 takes the np.unique ranks; empty keys get empty codes."""
+    rows = np.array([[2**31 - 1, 0], [0, 2**31 - 1], [0, 0], [2**31 - 1, 0]], dtype=np.int64)
+    assert [c.tolist() for c in kernels._row_codes(rows[:2], rows[2:])] == [[2, 1], [0, 2]]
+    assert [c.tolist() for c in kernels._row_codes(rows[:0], rows[:0])] == [[], []]
+
+
 # -- operations against their per-entry definitions ------------------------------------------
 
 
@@ -269,6 +318,58 @@ def test_compose_equals_per_entry_loop_bit_for_bit(group, dim):
     assert_entries_equal(k1.compose(k2), compose_loop(k1, k2))
     k12 = k1 + k2
     assert_entries_equal(k12.compose(k12), compose_loop(k12, k12))
+
+
+def test_compose_equals_per_entry_loop_on_skewed_and_non_finite_terms():
+    """Over Z at d = 2: 40 terms land on (0, 0) beside keys with one term; other
+    keys sum signed zeros, NaN and infinities, and one cancels to zero."""
+    line = IntegerLattice(1)
+    rng = np.random.default_rng(3)
+    left, right = {}, {}
+
+    def meet(x, y, a, b):
+        """A left entry with row x and column y, and a right entry with row y and column 0."""
+        left[(x - y,), (y,)], right[(y,), (0,)] = a, b
+
+    for k in range(40):
+        meet(0, -k, *(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))))
+    for k in range(5):
+        meet(100 + k, 50 + k, *(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))))
+    signed = np.array([[-0.0, 1.0], [-0.0, -0.0]], dtype=complex)
+    meet(300, 10, signed, signed)
+    meet(300, 11, signed, -signed)
+    meet(400, 20, np.array([[np.inf, 0.0], [1.0, -0.0]]), np.array([[0.0, 1.0], [np.nan, 2.0]]))
+    meet(400, 21, np.array([[np.inf, 1j], [0.0, -np.inf]]), np.eye(2))
+    m = np.array([[1.0 + 2j, -3j], [0.5, 2.0 - 1j]])
+    meet(500, 30, np.eye(2), m)
+    meet(500, 31, np.eye(2), -m)
+    k1, k2 = Kernel(line, 2, left), Kernel(line, 2, right)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN on purpose
+        expected, got = compose_loop(k1, k2), k1.compose(k2)
+    assert ((0,), (0,)) in expected and ((400,), (0,)) in expected and ((500,), (0,)) not in expected
+    assert_entries_equal(got, expected)
+
+
+def test_compose_holds_about_one_block_product_per_key():
+    """A Z^2 kernel at d = 2 composed with a dense random kernel on the window of
+    radius 8: 273,325 block products summed into 32,045 keys.  The products alone
+    take 16.7 MiB; the traced peak stays below twice that."""
+    k1 = seeded_kernel(Z2, 2, seed=31, radius=2, t_radius=12)
+    pts = Z2.window(8)
+    rng = np.random.default_rng(32)
+    n = 2 * len(pts)
+    k2 = Kernel.from_dense(Z2, 2, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), pts)
+    (_, t1), (s2, t2) = k1.arrays[:2], k2.arrays[:2]
+    i, _ = kernels._join(*kernels._row_codes(t1, Z2.multiply_many(s2, t2)))
+    product_bytes = len(i) * 4 * 16
+    assert (len(i), len(k1.compose(k2).arrays[2])) == (273325, 32045)
+    tracemalloc.start()
+    try:
+        k1.compose(k2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * product_bytes
 
 
 def apply_loop(kernel, vec):
