@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Envelope, Kernel, _join, _nonzero, _row_codes, _subset
+from .kernels import Envelope, Kernel, _join, _nonzero, _row_codes, _stores_sum, _subset
 
 
 class SectionInversionError(RuntimeError):
@@ -219,82 +219,112 @@ def _coupled(kernel: Kernel, points: np.ndarray, window: int) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
+@dataclass(frozen=True)
+class _Section:
+    """One radius's section solve: the inverse kernel on its inner window and the numbers behind it."""
+
+    kernel: Kernel  # the window inverse of z + T_K, 1/z removed
+    inner_radius: int
+    full_group: bool  # the section covers the whole finite group
+    solved: int  # coupled points the sweep solved
+    window_size: int  # points of the inner window
+    condition: float  # ||A||_1 times Hager's estimate of ||A^-1||_1
+
+
+def _support_radius(kernel: Kernel) -> int:
+    """Largest word length in the kernel's support: the slab width of the sweep (at least one shell)."""
+    return int(kernel.min_envelope().by_word_length()[0].max(initial=0))
+
+
+def _solve_section(
+    kernel: Kernel, z: complex, radius: int, inner_ratio: float, support: int, condition_cap: float
+) -> _Section:
+    """Invert z + T_K on the ball section of one radius and extract the inner window's kernel.
+
+    The inner window is the ball of radius inner_ratio * radius, or the whole
+    section when it covers a finite group.  Its inverse comes from a Schur
+    sweep over slabs of shells ``support`` wide (see :func:`_window_inverse`),
+    and the scalar part 1/z is removed (for z != 0).  The sweep solves only the
+    ball points joined to the window by a chain of kernel entries (see
+    :func:`_coupled`).  A singular coupled part, or a condition estimate or
+    elimination pivot of it beyond condition_cap, raises
+    :class:`SectionInversionError`; the uncoupled rest is never inspected.
+    """
+    g = kernel.group
+    pts = g.window(radius)
+    full_group = g.is_finite and len(pts) == g.order
+    inner_radius = radius if full_group else int(math.floor(inner_ratio * radius))
+    # Balls are ordered by word length, so the window and slabs are ranges;
+    # dropping the uncoupled points keeps that order.
+    lengths = g.word_length_many(pts)
+    window_size = int(np.searchsorted(lengths, inner_radius, side="right"))
+    kept = _coupled(kernel, pts, window_size)
+    pts, lengths = pts[kept], lengths[kept]
+    cuts = np.searchsorted(lengths, range(inner_radius, radius, max(support, 1)), side="right")
+    # Pruning can empty the outer slabs: drop the repeated edges they leave.
+    edges = list(dict.fromkeys([0, *cuts.tolist(), len(pts)]))
+    inv, condition = _window_inverse(kernel, z, pts, edges, radius, condition_cap)
+    if z != 0:
+        _add_scaled_identity(inv, -(np.array([0, 1], dtype=complex) / z))
+    window = Kernel.from_dense(g, kernel.dim, inv, pts[:window_size])
+    return _Section(window, inner_radius, full_group, len(pts), window_size, condition)
+
+
 def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel, DecayReport]:
     """Invert z + T_K by growing ball sections and extract the inverse kernel.
 
-    For each radius the inverse of the section on the inner ball of radius
-    inner_ratio * r comes from a Schur sweep over slabs of shells (see
-    :func:`_window_inverse`), and the scalar part 1/z is removed (for z != 0).
-    The sweep solves only the ball points joined to that window by a chain
-    of kernel entries (see :func:`_coupled`); when the window is the whole
-    ball, that is every point.  A singular coupled part, or a condition
-    estimate or elimination pivot of it beyond condition_cap, raises
-    :class:`SectionInversionError`; the uncoupled rest is never inspected.  The
-    run counts as stabilized when the two largest radii give envelopes within
+    Each radius is one :func:`_solve_section`: the inverse of the section on
+    the inner ball of radius inner_ratio * r, with the scalar part 1/z removed
+    (for z != 0), solved only on the ball points coupled to that window.  A
+    failed solve raises :class:`SectionInversionError`.  The radii stop at the
+    first section that covers a whole finite group.  The run counts as
+    stabilized when the two largest radii give envelopes within
     stabilization_tol in l1 on their common inner window, or when the section
-    covers a whole finite group (no truncation error at all).
+    covers a whole finite group (no truncation error at all).  The report adds
+    the residual on the interior window and the decay fit.
     """
-    g = kernel.group
-    d = kernel.dim
     z = cfg.z
+    # The support radius sets the sweep's slab width and shrinks the residual's window.
+    support = _support_radius(kernel)
+    sections: dict[int, _Section] = {}
     envelopes: dict[int, Envelope] = {}
-    inner_radii: dict[int, int] = {}
-    sections: list[Kernel] = []
-    # Largest word length in the kernel's support: it sets the slab width of
-    # the sweep (at least one shell) and shrinks the residual's window.
-    support = int(kernel.min_envelope().by_word_length()[0].max(initial=0))
     for radius in cfg.radii:
-        pts = g.window(radius)
-        full_group = g.is_finite and len(pts) == g.order
-        inner_radius = radius if full_group else int(math.floor(cfg.inner_ratio * radius))
-        # Balls are ordered by word length, so the window and slabs are ranges;
-        # dropping the uncoupled points keeps that order.
-        lengths = g.word_length_many(pts)
-        window_size = int(np.searchsorted(lengths, inner_radius, side="right"))
-        kept = _coupled(kernel, pts, window_size)
-        pts, lengths = pts[kept], lengths[kept]
-        cuts = np.searchsorted(lengths, range(inner_radius, radius, max(support, 1)), side="right")
-        # Pruning can empty the outer slabs: drop the repeated edges they leave.
-        edges = list(dict.fromkeys([0, *cuts.tolist(), len(pts)]))
-        inv, _condition = _window_inverse(kernel, z, pts, edges, radius, cfg.condition_cap)
-        if z != 0:
-            _add_scaled_identity(inv, -(np.array([0, 1], dtype=complex) / z))
-        sections.append(Kernel.from_dense(g, d, inv, pts[:window_size]))
-        envelopes[radius] = sections[-1].min_envelope()
-        inner_radii[radius] = inner_radius
-        if full_group:
+        sections[radius] = section = _solve_section(kernel, z, radius, cfg.inner_ratio, support, cfg.condition_cap)
+        envelopes[radius] = section.kernel.min_envelope()
+        if section.full_group:
             break
     # The radii increase and the loop stops at the first whole-group section,
-    # so the last iteration's radius, window and section are the final ones.
-    if full_group:
+    # so the last iteration's radius and section are the final ones.
+    if section.full_group:
         stabilized = True
     elif len(sections) >= 2:
-        common = min(list(inner_radii.values())[-2:])
+        prev, last = list(sections.values())[-2:]
+        common = min(prev.inner_radius, last.inner_radius)
         # Restrict both extractions to the same window before comparing, so
         # the envelope sup runs over identical column sets and the distance
         # measures convergence only.
-        last = sections[-1].restrict_to_ball(common).min_envelope()
-        prev = sections[-2].restrict_to_ball(common).min_envelope()
-        stabilized = last.l1_distance(prev) < cfg.stabilization_tol
+        last_envelope = last.kernel.restrict_to_ball(common).min_envelope()
+        prev_envelope = prev.kernel.restrict_to_ball(common).min_envelope()
+        stabilized = last_envelope.l1_distance(prev_envelope) < cfg.stabilization_tol
     else:
         stabilized = False
     # The interior window is the inner window less the kernel's support radius
     # (a covered group stays whole; an empty window gives inf).  Every y that
     # (K B)(x, w) sums over lies in the inner window, so no truncation enters.
-    window = inner_radius if full_group else inner_radius - support
+    window = section.inner_radius - (0 if section.full_group else support)
     report = DecayReport(
         envelope_by_radius=envelopes,
-        inner_radius_by_radius=inner_radii,
+        inner_radius_by_radius={r: s.inner_radius for r, s in sections.items()},
         l1_partial_sums=envelopes[radius].shell_partial_sums(),
         stabilized=stabilized,
-        residual=inverse_residual(kernel, z, sections[-1], window) if window >= 0 else math.inf,
-        full_group=full_group,
+        residual=inverse_residual(kernel, z, section.kernel, window) if window >= 0 else math.inf,
+        full_group=section.full_group,
     )
     try:
         report.fitted_rate, report.fit_r2 = fit_decay(report)
     except ValueError:
         pass
-    return sections[-1], report
+    return section.kernel, report
 
 
 def inverse_residual(kernel: Kernel, z: complex, inverse_kernel: Kernel, window_radius: int) -> float:
@@ -357,24 +387,32 @@ def contour_inverse(kernel: Kernel, radius_eps: float, nodes: int, cfg: Inversio
 
     Uses the residue form of the inversion integral: the mean over |alpha| =
     eps of the resolvents (alpha + T_K)^{-1}, the circle's parametrization
-    cancelling the 1/alpha integrand factor exactly.  Each resolvent comes
-    from :func:`finite_section_inverse` with z = alpha; the scalar parts
-    1/alpha average to zero by the symmetry of the trapezoidal nodes, so the
-    node average of the returned kernels is the whole answer.
+    cancelling the 1/alpha integrand factor exactly.  Each node solves one
+    section, the one whose kernel :func:`finite_section_inverse` with z = alpha
+    would return: at the first radius of cfg that covers a finite group, or
+    else at the last.  A node whose solve fails raises
+    :class:`ContourNodeError`.  The scalar parts 1/alpha average to zero by the
+    symmetry of the trapezoidal nodes, so the node average of the section
+    kernels is the whole answer.  Their sum is one store sum, which adds each
+    key's blocks in node order, as a left fold of ``+`` does; where the fold
+    would drop a key whose running sum cancels and restart it, the sum adds
+    to the zero block, so a zero coefficient can differ in sign.
     """
     if nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")
     if radius_eps <= 0:
         raise ValueError("contour radius must be positive")
-    total: Kernel | None = None
+    g = kernel.group
+    radius = next((r for r in cfg.radii if g.is_finite and r >= g.diameter()), cfg.radii[-1])
+    support = _support_radius(kernel)
+    parts = []
     for j in range(nodes):
         alpha = radius_eps * cmath.exp(2j * math.pi * j / nodes)
         try:
-            part, _report = finite_section_inverse(kernel, replace(cfg, z=alpha))
+            parts.append(_solve_section(kernel, alpha, radius, cfg.inner_ratio, support, cfg.condition_cap).kernel)
         except SectionInversionError as exc:
             raise ContourNodeError(j, alpha) from exc
-        total = part if total is None else total + part
-    return total.scale(1.0 / nodes)
+    return _stores_sum(*parts).scale(1.0 / nodes)
 
 
 def ideal_project(kernel: Kernel, bound: Envelope) -> Kernel:

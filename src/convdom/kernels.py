@@ -282,11 +282,14 @@ def _require_compatible(a, b) -> None:
         raise ValueError(f"operands live in different spaces: {a!r} vs {b!r}")
 
 
-def _stores_sum(a, b):
-    """Sum of two stores of one class; values at a common key are added as a + b."""
-    _require_compatible(a, b)
-    coords = [np.concatenate(pair) for pair in zip(a._coords, b._coords)]
-    return _from_arrays(type(a), a.group, a.dim, coords, np.concatenate([a._stack, b._stack]))
+def _stores_sum(first, *rest):
+    """Sum of stores of one class; the values at a common key are added front to back, as first + ... + last."""
+    for other in rest:
+        _require_compatible(first, other)
+    stores = (first, *rest)
+    coords = [np.concatenate(same) for same in zip(*(store._coords for store in stores))]
+    with np.errstate(invalid="ignore"):  # inf + (-inf) is NaN, as IEEE arithmetic defines it
+        return _from_arrays(type(first), first.group, first.dim, coords, np.concatenate([s._stack for s in stores]))
 
 
 def _stores_difference(a, b):

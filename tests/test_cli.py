@@ -8,8 +8,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from convdom import io as formats
 from convdom.cli import TASK_DEFAULTS, main
 from convdom.groups import Cyclic
 from convdom.suites import conjugation_suite, covariance_suite, kernel_axiom_suite, symmetry_suite
@@ -389,17 +391,46 @@ def test_non_finite_profile_envelope_is_exit_2(tmp_path, capsys, value):
     assert not (tmp_path / "io" / "kernel.json").exists()
 
 
+def write_non_finite_kernel(path, dim, value):
+    """A kernel file on Z whose block at (1, 0) has ``value`` as its first coefficient."""
+    matrix = [["%s", 0.0]] + [[0.25, 0.0]] * (dim * dim - 1)
+    entries = [{"s": [1], "t": [0], "matrix": matrix}, {"s": [1], "t": [1], "matrix": [[1.0, 0.0]] * (dim * dim)}]
+    path.write_text(json.dumps({"group": "Z", "dim": dim, "entries": entries}).replace('"%s"', value))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("value,status", [("NaN", 0), ("Infinity", 2)])
 def test_non_finite_kernel_file_is_read_alike_at_every_dim(tmp_path, capsys, dim, value, status):
     # A NaN block drops out of the envelope; an infinite one gives an envelope value the envelope refuses.
-    matrix = [["%s", 0.0]] + [[0.25, 0.0]] * (dim * dim - 1)
-    entries = [{"s": [1], "t": [0], "matrix": matrix}, {"s": [1], "t": [1], "matrix": [[1.0, 0.0]] * (dim * dim)}]
     kernel = tmp_path / "kernel.json"
-    kernel.write_text(json.dumps({"group": "Z", "dim": dim, "entries": entries}).replace('"%s"', value))
+    write_non_finite_kernel(kernel, dim, value)
     assert run(["kernel-io", "--input", kernel, "--out", tmp_path / "io"]) == status
     if status:
         assert "config error: envelope value at (1,) is not finite: inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("reader,check", [("read_kernel", "kernel"), ("read_covariance", "covariance")])
+def test_round_trip_that_reads_nan_back_as_zero_fails(tmp_path, capsys, monkeypatch, dim, reader, check):
+    # A NaN block difference would drop out of a maximum of block norms, so
+    # the check must see a NaN read back as 0 itself.
+    write_non_finite_kernel(tmp_path / "kernel.json", dim, "NaN")
+    original = getattr(formats, reader)
+
+    def nan_to_zero(path):
+        read = original(path)
+        if Path(path).parent != tmp_path / "io":
+            return read
+        s, t, blocks = read.arrays
+        entries = {(tuple(x), tuple(y)): b for x, y, b in zip(s.tolist(), t.tolist(), np.nan_to_num(blocks, nan=0.0))}
+        return type(read)(read.group, read.dim, entries)
+
+    monkeypatch.setattr(formats, reader, nan_to_zero)
+    assert run(["kernel-io", "--input", tmp_path / "kernel.json", "--out", tmp_path / "io"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{check}_round_trip_exact" in next(line for line in lines if line.endswith("FAIL"))
+    assert any(line.startswith(f"{check}_round_trip_exact") and "worst=inf" in line for line in lines)
 
 
 # Report text recorded before the covariance algebra and the test vectors moved

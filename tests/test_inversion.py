@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from convdom import (
     ContourNodeError,
     Cyclic,
     DiscreteHeisenberg,
+    Envelope,
     HeisenbergMod,
     IntegerLattice,
     InversionConfig,
@@ -460,6 +462,136 @@ def test_contour_rejects_too_few_nodes():
     kernel = Kernel.identity(Z8, 1).scale(2.0)
     with pytest.raises(ValueError):
         contour_inverse(kernel, radius_eps=1.0, nodes=4, cfg=InversionConfig(radii=(4,)))
+
+
+def contour_fold_reference(kernel, radius_eps, nodes, cfg):
+    """The contour as a left fold of ``+`` over whole finite_section_inverse runs, then scaled."""
+    total = None
+    for j in range(nodes):
+        alpha = radius_eps * cmath.exp(2j * math.pi * j / nodes)
+        part, _report = finite_section_inverse(kernel, replace(cfg, z=alpha))
+        total = part if total is None else total + part
+    return total.scale(1.0 / nodes)
+
+
+def assert_same_bytes(got, expected):
+    assert [a.tobytes() for a in got.arrays] == [a.tobytes() for a in expected.arrays]
+
+
+def _contour_case(group, dim, scalar=2.0, weight=0.3):
+    kernel = Kernel.identity(group, dim).scale(scalar) + shift_kernel(group, dim, weight)
+    return kernel, InversionConfig(radii=(group.diameter(),))
+
+
+# (kernel, cfg, nodes): the contour task's defaults on Z/8, larger blocks on
+# Z/5 and a non-abelian group, and a truncated group whose node solves only
+# the last radius.
+CONTOUR_CASES = {
+    "Z/8-defaults": (*_contour_case(Z8, 1), 64),
+    "Z/5-d3": (*_contour_case(Cyclic(5), 3), 16),
+    "H3(Z/3)-d2": (*_contour_case(HeisenbergMod(3), 2), 16),
+    "Z-radii-4-8": (
+        Kernel.identity(Z, 1, 12).scale(2.0) + shift_kernel(Z, 1, 0.3, t_radius=12),
+        InversionConfig(radii=(4, 8)),
+        16,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
+def test_contour_equals_fold_of_finite_sections_bit_for_bit(name, monkeypatch):
+    kernel, cfg, nodes = CONTOUR_CASES[name]
+    expected = contour_fold_reference(kernel, 1.0, nodes, cfg)
+    radii, solve = [], inversion._solve_section
+
+    def spy(kernel, z, radius, *rest):
+        radii.append(radius)
+        return solve(kernel, z, radius, *rest)
+
+    monkeypatch.setattr(inversion, "_solve_section", spy)
+    assert_same_bytes(contour_inverse(kernel, 1.0, nodes, cfg), expected)
+    assert radii == [cfg.radii[-1]] * nodes
+
+
+def test_contour_sum_of_a_key_that_cancels_at_a_node(monkeypatch):
+    # The node kernels at (1, 0) are 1, -1 and -0.0 + 0.5j, then absent.  The
+    # fold drops the key once it cancels and restarts from -0.0 + 0.5j; the one
+    # reduction adds that value to the zero block, which gives +0.0 + 0.5j.  So
+    # the two agree in every key and value, and a bit differs only where both
+    # coefficients are zero: here the real part at (1, 0).
+    nodes = 8
+    parts = [Kernel(Z8, 1, {((2,), (j,)): [[1.0 + j]]}) for j in range(nodes)]
+    for j, v in enumerate([1.0, -1.0, complex(-0.0, 0.5)]):
+        parts[j] = parts[j] + Kernel(Z8, 1, {((1,), (0,)): [[v]]})
+
+    def crafted(kernel, z, radius, *_rest):
+        j = round(cmath.phase(z) / (2 * math.pi / nodes)) % nodes
+        return inversion._Section(parts[j], radius, True, Z8.order, Z8.order, 1.0)
+
+    monkeypatch.setattr(inversion, "_solve_section", crafted)
+    kernel, cfg = _contour_case(Z8, 1)
+    got = contour_inverse(kernel, 1.0, nodes, cfg)
+    expected = contour_fold_reference(kernel, 1.0, nodes, cfg)
+    assert [a.tobytes() for a in got.arrays[:2]] == [a.tobytes() for a in expected.arrays[:2]]
+    got_parts, expected_parts = got.arrays[2].view(float), expected.arrays[2].view(float)
+    assert np.array_equal(got_parts, expected_parts)
+    differ = got_parts.view(np.int64) != expected_parts.view(np.int64)
+    assert (got_parts[differ] == 0).all()
+
+
+def test_contour_nodes_make_no_report_calls(monkeypatch):
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(inversion, "inverse_residual")
+    counted(inversion, "fit_decay")
+    counted(Envelope, "l1_distance")
+    kernel, cfg, nodes = CONTOUR_CASES["Z-radii-4-8"]
+    contour_inverse(kernel, 1.0, nodes, cfg)
+    assert calls == []
+    contour_fold_reference(kernel, 1.0, nodes, cfg)  # the wrappers do count
+    assert {"inverse_residual", "fit_decay", "l1_distance"} <= set(calls)
+
+
+def test_contour_node_fails_only_on_its_own_section():
+    # -1 + S^2 on Z/8 at alpha = 1 (node 0): the section of radius 1 solves
+    # only the window point 0, where alpha - 1 = 0; the whole group is the
+    # invertible shift S^2.  finite_section_inverse fails at radius 1, which
+    # it never returns; the node solves radius 4 alone.
+    kernel = Kernel.identity(Z8, 1).scale(-1.0) + shift_kernel(Z8, 1, 1.0, step=(2,))
+    cfg = InversionConfig(radii=(1, 4))
+    with pytest.raises(SectionInversionError):
+        finite_section_inverse(kernel, replace(cfg, z=1.0))
+    assert_same_bytes(contour_inverse(kernel, 1.0, 16, cfg), contour_fold_reference(kernel, 1.0, 16, replace(cfg, radii=(4,))))
+
+
+@pytest.mark.parametrize(
+    "kernel,cfg",
+    [
+        geometric_shift_setup(),
+        (hermitian_band(), InversionConfig(z=0.5j, radii=(6, 10, 14), inner_ratio=0.75)),
+        (DECOUPLED_SECTIONS["band-H3(Z)"][0], InversionConfig(z=-2 + 1j, radii=(4, 6), inner_ratio=0.5)),
+        (_contour_case(HeisenbergMod(3), 2)[0], InversionConfig(z=0.0, radii=(1, 2, 9))),
+    ],
+    ids=["shift-Z", "band-Z", "band-H3(Z)", "H3(Z/3)-covered"],
+)
+def test_section_solve_returns_the_finite_section_kernel(kernel, cfg):
+    got, report = finite_section_inverse(kernel, cfg)
+    support = inversion._support_radius(kernel)
+    section = inversion._solve_section(kernel, cfg.z, report.final_radius(), cfg.inner_ratio, support, cfg.condition_cap)
+    assert_same_bytes(section.kernel, got)
+    assert section.inner_radius == report.final_inner_radius()
+    assert section.full_group == report.full_group
+    assert section.window_size <= section.solved
+    assert 1.0 - 1e-12 <= section.condition <= cfg.condition_cap
 
 
 # -- ideal projection ----------------------------------------------------------------

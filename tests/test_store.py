@@ -458,18 +458,18 @@ def stored(obj):
     return obj.values if isinstance(obj, TestVector) else obj.entries
 
 
-@pytest.mark.parametrize(
-    "make,norm",
-    [
-        (line_kernel, Kernel.envelope_norm),
-        (lambda values: TestVector(IntegerLattice(1), 1, {(s,): [v] for s, v in values.items()}), TestVector.l2_norm),
-        (
-            lambda values: CovarianceElement(Cyclic(3), 1, {((s,), (0,)): [[v]] for s, v in values.items()}),
-            CovarianceElement.l1_norm,
-        ),
-    ],
-    ids=["Kernel", "TestVector", "CovarianceElement"],
-)
+# (store from {s: value}, its norm) for each of the three store classes.
+STORE_CLASSES = {
+    "Kernel": (line_kernel, Kernel.envelope_norm),
+    "TestVector": (lambda values: TestVector(IntegerLattice(1), 1, {(s,): [v] for s, v in values.items()}), TestVector.l2_norm),
+    "CovarianceElement": (
+        lambda values: CovarianceElement(Cyclic(3), 1, {((s,), (0,)): [[v]] for s, v in values.items()}),
+        CovarianceElement.l1_norm,
+    ),
+}
+
+
+@pytest.mark.parametrize("make,norm", list(STORE_CLASSES.values()), ids=list(STORE_CLASSES))
 def test_difference_equals_per_key_subtraction_with_infinite_blocks(make, norm):
     # b alone holds inf - inf j at s = 1: the difference there is -inf + inf j, not NaN.
     a, b = make({2: 1 + 2j}), make({1: complex(np.inf, -np.inf), 2: 0.5 - 1j})
@@ -478,6 +478,17 @@ def test_difference_equals_per_key_subtraction_with_infinite_blocks(make, norm):
     expected = {k: stored(a).get(k, zero) - stored(b).get(k, zero) for k in keys}
     assert_mapping_equal(stored(a - b), nonzero_sorted(expected))
     assert norm(a - b) == math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make,_norm", list(STORE_CLASSES.values()), ids=list(STORE_CLASSES))
+def test_sum_of_opposite_infinities_is_nan_without_a_warning(make, _norm):
+    a, b = make({1: complex(np.inf, 1.0), 2: 1j}), make({1: complex(-np.inf, 1.0)})
+    total = stored(a + b)
+    assert list(total) == list(stored(a))
+    at_one, at_two = total.values()
+    assert np.isnan(np.real(at_one)).all() and (np.imag(at_one) == 2.0).all()
+    assert np.array_equal(at_two, list(stored(a).values())[1])
 
 
 @pytest.mark.parametrize("group,radius", [(Z7, 3), (Z2, 3)], ids=str)
