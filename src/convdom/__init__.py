@@ -41,7 +41,7 @@ from .inversion import (
     inverse_residual,
     neumann_inverse,
 )
-from .kernels import Envelope, Kernel, TestVector, operator_norm, operator_norms, section_operator_norm
+from .kernels import Envelope, Kernel, TestVector, operator_norms, section_operator_norm
 
 __all__ = [
     "CovarianceElement",
@@ -73,7 +73,6 @@ __all__ = [
     "matrix_function_norm",
     "neumann_inverse",
     "operator_matrix",
-    "operator_norm",
     "operator_norms",
     "parse_group",
     "pi_regular",

@@ -42,12 +42,12 @@ from .inversion import (
     InversionConfig,
     SectionInversionError,
     _solve_section,
-    _support_radius,
     contour_inverse,
     finite_section_inverse,
     ideal_project,
     neumann_inverse,
 )
+from .io import _is
 from .kernels import Kernel
 from .suites import CheckResult, conjugation_suite, covariance_suite, kernel_axiom_suite, symmetry_suite
 
@@ -108,11 +108,6 @@ _PROFILE_KEYS = {
     "banded": {"width": 2},
     "file": {"path": ""},
 }
-
-
-def _is(value, kind: type) -> bool:
-    """JSON typing: an integer is also a number, and a boolean is neither."""
-    return not isinstance(value, bool) and (isinstance(value, kind) or (kind is float and isinstance(value, int)))
 
 
 def _checked(key: str, value, default, name: str | None = None):
@@ -295,7 +290,7 @@ def task_contour(params: dict, out: Path | None) -> tuple[int, list[str]]:
         kernel = kernel + shift_kernel(group, dim, params["weight"])
     cfg = InversionConfig(radii=(window,), condition_cap=params["condition_cap"])
     contour = contour_inverse(kernel, params["eps"], params["nodes"], cfg)
-    direct = _solve_section(kernel, 0j, window, cfg.inner_ratio, _support_radius(kernel), cfg.condition_cap).kernel
+    direct = _solve_section(kernel, 0j, window, cfg).kernel
     gap = contour.max_block_difference(direct)
     status, lines = _check_lines([CheckResult("contour_matches_direct_inverse", gap, params["cross_tol"])])
     if out is not None:

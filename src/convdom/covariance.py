@@ -41,7 +41,7 @@ from .kernels import (
     _set_store,
     _stores_difference,
     _stores_sum,
-    operator_norm,
+    operator_norms,
 )
 
 
@@ -236,8 +236,10 @@ def matrix_function_convolve(
 
 
 def matrix_function_norm(a: Mapping[Point, np.ndarray]) -> float:
-    """l1-type norm: sum over x of the operator norm of a(x)."""
-    return float(sum(operator_norm(a[x]) for x in sorted(a)))
+    """l1-type norm: sum over x of the operator norm of a(x), added in sorted x order."""
+    if not a:
+        return 0.0
+    return float(sum(operator_norms(np.stack([a[x] for x in sorted(a)])).tolist()))
 
 
 # -- dense representations and spectra (finite groups) ------------------------------

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .groups import Group, Point
-from .kernels import Envelope, Kernel, TestVector, _from_arrays, _l1_sum, _pairs, operator_norms
+from .kernels import Envelope, Kernel, TestVector, _from_arrays, _l1_sum, _pairs, _row_codes, operator_norms
 
 
 @dataclass(frozen=True)
@@ -110,20 +109,19 @@ def _scaled_to(blocks: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _scaled_kernel(
-    group: Group, dim: int, rng: np.random.Generator, targets: Mapping[Point, float], t_radius: int | None
+    group: Group, dim: int, rng: np.random.Generator, points: np.ndarray, values: np.ndarray, t_radius: int | None
 ) -> Kernel:
-    """Kernel of uniform-disc blocks scaled to targets[s], drawn one (s, t) at a time in targets-then-columns order.
+    """Kernel of uniform-disc blocks scaled to values[i] at s = points[i], drawn one (s, t) at a time, points outer.
 
-    The columns t are the ball of ``t_radius``, or with None the whole group,
-    which ``Group.elements`` refuses on an infinite group.
+    The columns t are the window of ``t_radius``, or with None the whole
+    group, which ``Group.window`` refuses on an infinite group.  The points
+    are canonical and distinct.
     """
-    columns = group.elements() if t_radius is None else group.ball(t_radius)
-    values = np.fromiter(targets.values(), dtype=float, count=len(targets))
     _l1_sum(values)  # targets whose l1 sum overflows are refused before any block is drawn
-    keys = [(s, t) for s in targets for t in columns]
-    blocks = _random_disc(rng, len(keys), (dim, dim))
-    scale = np.repeat(values, len(columns))
-    return Kernel(group, dim, dict(zip(keys, _scaled_to(blocks, scale))))
+    columns = group.window(t_radius)
+    keys = _pairs(points, columns)
+    blocks = _random_disc(rng, len(keys[0]), (dim, dim))
+    return _from_arrays(Kernel, group, dim, keys, _scaled_to(blocks, np.repeat(values, len(columns))))
 
 
 def generate_kernel(
@@ -141,12 +139,12 @@ def generate_kernel(
     if t_radius is None and not group.is_finite:
         t_radius = max(profile.radius, 4)
     ball = group.window(profile.radius)
-    intended: dict[Point, float] = {}
-    for s, length in zip(map(tuple, ball.tolist()), group.word_length_many(ball).tolist()):
-        target = profile.value(length)
-        if target > 0.0:
-            intended[s] = target
-    return _scaled_kernel(group, dim, rng, intended, t_radius), Envelope(group, intended)
+    values = np.array([profile.value(length) for length in group.word_length_many(ball).tolist()])
+    live = values > 0.0
+    points, values = ball[live], values[live]
+    kernel = _scaled_kernel(group, dim, rng, points, values, t_radius)
+    order = np.argsort(_row_codes(points)[0], kind="stable")  # ball order to point order
+    return kernel, Envelope._derived(group, points[order], values[order])
 
 
 def generate_kernel_from_envelope(
@@ -162,9 +160,10 @@ def generate_kernel_from_envelope(
             f"envelope lives on {envelope.group.name}, kernel requested on {group.name}"
         )
     rng = np.random.default_rng(seed)
+    points, values = envelope.arrays
     if t_radius is None and not group.is_finite:
-        t_radius = int(group.word_length_many(envelope.arrays[0]).max(initial=0)) or 4
-    return _scaled_kernel(group, dim, rng, envelope.values, t_radius), envelope
+        t_radius = int(group.word_length_many(points).max(initial=0)) or 4
+    return _scaled_kernel(group, dim, rng, points, values, t_radius), envelope
 
 
 def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None):

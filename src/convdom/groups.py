@@ -87,10 +87,9 @@ class Group:
     ``_modulus``.  ``_ball_bounds`` gives, per coordinate, a bound on its
     absolute value over each ball (the radius unless overridden);
     :meth:`window` filters that box into the canonical point array of a ball
-    or of the whole group, and :meth:`ball` and :meth:`elements` are its
-    tuple views.  The scalar methods run the law on one row.  All instances
-    are immutable values: every ball is computed afresh per call, and
-    nothing is cached.
+    or of the whole group, and :meth:`ball` is its tuple view.  The scalar
+    methods run the law on one row.  All instances are immutable values:
+    every ball is computed afresh per call, and nothing is cached.
     """
 
     name: str
@@ -196,13 +195,9 @@ class Group:
         keep = np.flatnonzero(lengths <= radius)
         return box[keep[np.lexsort((*box[keep].T[::-1], lengths[keep]))]]
 
-    def ball(self, radius: int) -> list[Point]:
-        """The points of :meth:`window` as tuples, for callers that hash them."""
+    def ball(self, radius: int | None = None) -> list[Point]:
+        """The points of :meth:`window` as tuples, for callers that hash them; None is the whole group, as there."""
         return list(map(tuple, self.window(radius).tolist()))
-
-    def elements(self) -> list[Point]:
-        """Every element as a tuple, in ball order.  Finite groups only."""
-        return list(map(tuple, self.window().tolist()))
 
     def diameter(self) -> int:
         """Largest word length in a finite group: the radius whose ball is the group."""

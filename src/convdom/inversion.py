@@ -232,38 +232,37 @@ class _Section:
 
 
 def _support_radius(kernel: Kernel) -> int:
-    """Largest word length in the kernel's support: the slab width of the sweep (at least one shell)."""
-    return int(kernel.min_envelope().by_word_length()[0].max(initial=0))
+    """Largest word length in the kernel's support (0 for the zero kernel)."""
+    return int(kernel.group.word_length_many(kernel.min_envelope().arrays[0]).max(initial=0))
 
 
-def _solve_section(
-    kernel: Kernel, z: complex, radius: int, inner_ratio: float, support: int, condition_cap: float
-) -> _Section:
+def _solve_section(kernel: Kernel, z: complex, radius: int, cfg: InversionConfig) -> _Section:
     """Invert z + T_K on the ball section of one radius and extract the inner window's kernel.
 
-    The inner window is the ball of radius inner_ratio * radius, or the whole
-    section when it covers a finite group.  Its inverse comes from a Schur
-    sweep over slabs of shells ``support`` wide (see :func:`_window_inverse`),
-    and the scalar part 1/z is removed (for z != 0).  The sweep solves only the
-    ball points joined to the window by a chain of kernel entries (see
-    :func:`_coupled`).  A singular coupled part, or a condition estimate or
-    elimination pivot of it beyond condition_cap, raises
-    :class:`SectionInversionError`; the uncoupled rest is never inspected.
+    The inner window is the ball of radius cfg.inner_ratio * radius, or the
+    whole section when it covers a finite group.  Its inverse comes from a
+    Schur sweep over slabs of shells as wide as the kernel's support radius,
+    at least one (see :func:`_window_inverse`), and the scalar part 1/z is
+    removed (for z != 0).  The sweep solves only the ball points joined to the
+    window by a chain of kernel entries (see :func:`_coupled`).  A singular
+    coupled part, or a condition estimate or elimination pivot of it beyond
+    cfg.condition_cap, raises :class:`SectionInversionError`; the uncoupled
+    rest is never inspected.
     """
     g = kernel.group
     pts = g.window(radius)
     full_group = g.is_finite and len(pts) == g.order
-    inner_radius = radius if full_group else int(math.floor(inner_ratio * radius))
+    inner_radius = radius if full_group else int(math.floor(cfg.inner_ratio * radius))
     # Balls are ordered by word length, so the window and slabs are ranges;
     # dropping the uncoupled points keeps that order.
     lengths = g.word_length_many(pts)
     window_size = int(np.searchsorted(lengths, inner_radius, side="right"))
     kept = _coupled(kernel, pts, window_size)
     pts, lengths = pts[kept], lengths[kept]
-    cuts = np.searchsorted(lengths, range(inner_radius, radius, max(support, 1)), side="right")
+    cuts = np.searchsorted(lengths, range(inner_radius, radius, max(_support_radius(kernel), 1)), side="right")
     # Pruning can empty the outer slabs: drop the repeated edges they leave.
     edges = list(dict.fromkeys([0, *cuts.tolist(), len(pts)]))
-    inv, condition = _window_inverse(kernel, z, pts, edges, radius, condition_cap)
+    inv, condition = _window_inverse(kernel, z, pts, edges, radius, cfg.condition_cap)
     if z != 0:
         _add_scaled_identity(inv, -(np.array([0, 1], dtype=complex) / z))
     window = Kernel.from_dense(g, kernel.dim, inv, pts[:window_size])
@@ -284,12 +283,10 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     the residual on the interior window and the decay fit.
     """
     z = cfg.z
-    # The support radius sets the sweep's slab width and shrinks the residual's window.
-    support = _support_radius(kernel)
     sections: dict[int, _Section] = {}
     envelopes: dict[int, Envelope] = {}
     for radius in cfg.radii:
-        sections[radius] = section = _solve_section(kernel, z, radius, cfg.inner_ratio, support, cfg.condition_cap)
+        sections[radius] = section = _solve_section(kernel, z, radius, cfg)
         envelopes[radius] = section.kernel.min_envelope()
         if section.full_group:
             break
@@ -311,7 +308,7 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     # The interior window is the inner window less the kernel's support radius
     # (a covered group stays whole; an empty window gives inf).  Every y that
     # (K B)(x, w) sums over lies in the inner window, so no truncation enters.
-    window = section.inner_radius - (0 if section.full_group else support)
+    window = section.inner_radius - (0 if section.full_group else _support_radius(kernel))
     report = DecayReport(
         envelope_by_radius=envelopes,
         inner_radius_by_radius={r: s.inner_radius for r, s in sections.items()},
@@ -404,12 +401,11 @@ def contour_inverse(kernel: Kernel, radius_eps: float, nodes: int, cfg: Inversio
         raise ValueError("contour radius must be positive")
     g = kernel.group
     radius = next((r for r in cfg.radii if g.is_finite and r >= g.diameter()), cfg.radii[-1])
-    support = _support_radius(kernel)
     parts = []
     for j in range(nodes):
         alpha = radius_eps * cmath.exp(2j * math.pi * j / nodes)
         try:
-            parts.append(_solve_section(kernel, alpha, radius, cfg.inner_ratio, support, cfg.condition_cap).kernel)
+            parts.append(_solve_section(kernel, alpha, radius, cfg).kernel)
         except SectionInversionError as exc:
             raise ContourNodeError(j, alpha) from exc
     return _stores_sum(*parts).scale(1.0 / nodes)

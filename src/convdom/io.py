@@ -23,9 +23,19 @@ from .inversion import DecayReport
 from .kernels import Envelope, Kernel
 
 
+def _is(value, kind: type) -> bool:
+    """JSON typing: an integer is also a number, and a boolean is neither."""
+    return not isinstance(value, bool) and (isinstance(value, kind) or (kind is float and isinstance(value, int)))
+
+
 def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
+    if not isinstance(pairs, list):
+        raise ValueError(f"matrix must be an array of [re, im] pairs, got {json.dumps(pairs)}")
     if len(pairs) != dim * dim:
         raise ValueError(f"matrix record has {len(pairs)} coefficients, expected {dim * dim}")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(_is(x, float) for x in pair)):
+            raise ValueError(f"matrix coefficient must be an [re, im] pair of numbers, got {json.dumps(pair)}")
     flat = np.array([complex(re, im) for re, im in pairs])
     return flat.reshape(dim, dim)
 
@@ -79,24 +89,53 @@ def _parsed(path: str | Path, kind: str, parse, *args):
     text = Path(path).read_text()
     try:
         return parse(json.loads(text), *args)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         what = f"no key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: malformed {kind} file: {what}") from None
 
 
+def _keyed(records, names: tuple[str, ...], value_of) -> dict:
+    """{key: value_of(record)} over a list of records; a key is the point at each of ``names``, or a pair of them.
+
+    A point is an array of integers.  A key written twice is refused: one of
+    its records would silently replace the other.  Keys that differ as
+    written but name one element are left to the constructor to combine.
+    """
+    if not isinstance(records, list):
+        raise ValueError(f"records must be an array, got {json.dumps(records)}")
+    out = {}
+    for rec in records:
+        points = []
+        for name in names:
+            point = rec[name]
+            if not (isinstance(point, list) and all(_is(c, int) for c in point)):
+                raise ValueError(f"{name} must be an array of integers, got {json.dumps(point)}")
+            points.append(tuple(point))
+        key = tuple(points) if len(names) > 1 else points[0]
+        if key in out:
+            raise ValueError("two records at " + ", ".join(f"{n} = {list(p)}" for n, p in zip(names, points)))
+        out[key] = value_of(rec)
+    return out
+
+
 def _blocks_args(data: dict, first: str, second: str) -> tuple:
     """(group, dim, entries) of a kernel file (keys s, t) or a covariance file (keys x, y)."""
-    group, dim = parse_group(data["group"]), int(data["dim"])
-    entries = {
-        (tuple(rec[first]), tuple(rec[second])): _pairs_to_matrix(rec["matrix"], dim)
-        for rec in data["entries"]
-    }
-    return group, dim, entries
+    group, dim = parse_group(data["group"]), data["dim"]
+    if not _is(dim, int) or dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {json.dumps(dim)}")
+    return group, dim, _keyed(data["entries"], (first, second), lambda rec: _pairs_to_matrix(rec["matrix"], dim))
+
+
+def _value(rec: dict) -> float:
+    """The value of an envelope record: a number."""
+    if not _is(rec["value"], float):
+        raise ValueError(f"value must be a number, got {json.dumps(rec['value'])}")
+    return float(rec["value"])
 
 
 def _envelope_args(data: dict) -> tuple:
     """(group, values) of an envelope file."""
-    return parse_group(data["group"]), {tuple(rec["s"]): float(rec["value"]) for rec in data["values"]}
+    return parse_group(data["group"]), _keyed(data["values"], ("s",), _value)
 
 
 def write_kernel(path: str | Path, kernel: Kernel) -> None:

@@ -39,15 +39,8 @@ import numpy as np
 from .groups import Group, Point
 
 
-def operator_norm(mat: np.ndarray) -> float:
-    """Largest singular value; plain modulus for 1x1 blocks."""
-    if mat.shape == (1, 1):
-        return abs(complex(mat[0, 0]))
-    return float(np.linalg.norm(mat, 2))
-
-
 def operator_norms(blocks: np.ndarray) -> np.ndarray:
-    """:func:`operator_norm` of every block of an ``(n, d, d)`` stack, bit for bit."""
+    """Largest singular value of every block of an ``(n, d, d)`` stack; of 1x1 blocks, the modulus ``abs`` gives."""
     if blocks.shape[1] == 1:
         # abs(complex) is hypot(re, im); np.abs rounds differently.
         return np.hypot(blocks[:, 0, 0].real, blocks[:, 0, 0].imag)

@@ -82,7 +82,7 @@ def test_criterion_02_contractive_representation():
 
 def test_criterion_03_R_isomorphism_exhaustive():
     group, dim = Cyclic(5), 2
-    pts = group.elements()
+    pts = group.ball()
     failures = []
     basis = []
     for x in pts:
@@ -114,7 +114,7 @@ def test_criterion_03_R_isomorphism_exhaustive():
 
 def test_criterion_04_intertwining_diagram():
     group, dim = Cyclic(4), 2
-    pts = group.elements()
+    pts = group.ball()
     failures = []
     basis = [
         TestVector.basis(group, dim, (x, z), i, doubled=True)
@@ -144,7 +144,7 @@ def test_criterion_05_embedding_homomorphism_isometry():
             conv = matrix_function_convolve(tf, th, group)
             tfh = theta_embed(f.product(h))
             scale = max(1.0, f.l1_norm() * h.l1_norm())
-            for x in group.elements():
+            for x in group.ball():
                 a = tfh.get(x, np.zeros_like(conv[x]))
                 if np.linalg.norm(a - conv[x], 2) > 1e-12 * scale:
                     failures.append(f"d={dim} seed={seed}: homomorphism gap at {x}")

@@ -129,26 +129,48 @@ ONE_ENTRY = {"s": [1], "t": [0], "matrix": [[1.0, 0.0]]}
 
 
 @pytest.mark.parametrize(
-    "kind,data",
+    "kind,data,detail",
     [
-        ("kernel", {"group": "Z", "dim": 1}),
-        ("kernel", {"group": "Z", "dim": 1, "entries": [{"s": [1], "t": [0]}]}),
-        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "matrix": [["a", 0]]}]}),
-        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "s": 0}]}),
-        ("kernel", {"group": 5, "dim": 1, "entries": [ONE_ENTRY]}),
-        ("kernel", []),
-        ("envelope", {"group": "Z"}),
-        ("envelope", {"group": "Z", "values": [{"s": [1]}]}),
-        ("envelope", {"group": "Z", "values": [{"s": [1], "value": None}]}),
-        ("envelope", [1]),
-        ("kernel", '{"group": "Z",'),
+        ("kernel", {"group": "Z", "dim": 1}, "no key 'entries'"),
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{"s": [1], "t": [0]}]}, "no key 'matrix'"),
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "matrix": [["a", 0]]}]}, 'got ["a", 0]'),
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "s": 0}]}, "s must be an array of integers"),
+        ("kernel", {"group": 5, "dim": 1, "entries": [ONE_ENTRY]}, "group descriptor"),
+        ("kernel", [], ""),
+        ("envelope", {"group": "Z"}, "no key 'values'"),
+        ("envelope", {"group": "Z", "values": [{"s": [1]}]}, "no key 'value'"),
+        ("envelope", {"group": "Z", "values": [{"s": [1], "value": None}]}, "value must be a number, got null"),
+        ("envelope", [1], ""),
+        ("kernel", '{"group": "Z",', ""),
+        # A key written twice: the last record would silently win.
+        ("kernel", {"group": "Z", "dim": 1, "entries": [ONE_ENTRY, {**ONE_ENTRY, "matrix": [[2.0, 0.0]]}]},
+         "two records at s = [1], t = [0]"),
+        ("kernel", {"group": "Z/5", "dim": 1, "entries": [{**ONE_ENTRY, "t": [0]}, {**ONE_ENTRY, "t": [0]}]},
+         "two records at s = [1], t = [0]"),
+        ("envelope", {"group": "Z", "values": [{"s": [1], "value": 0.5}, {"s": [1], "value": 0.25}]},
+         "two records at s = [1]"),
+        # JSON typed as the config is: an integer is also a number, and a boolean is neither.
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "s": [1.7]}]},
+         "s must be an array of integers, got [1.7]"),
+        ("kernel", {"group": "Z^2", "dim": 1, "entries": [{**ONE_ENTRY, "s": "12", "t": [0, 0]}]}, 'got "12"'),
+        ("kernel", {"group": "Z", "dim": 2.7, "entries": [{**ONE_ENTRY, "matrix": [[1.0, 0.0]] * 4}]}, "got 2.7"),
+        ("kernel", {"group": "Z", "dim": True, "entries": [ONE_ENTRY]},
+         "dim must be an integer of at least 1, got true"),
+        ("kernel", {"group": "Z", "dim": 0, "entries": [ONE_ENTRY]}, "dim must be an integer of at least 1, got 0"),
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "matrix": [[True, 0]]}]}, "got [true, 0]"),
+        ("envelope", {"group": "Z", "values": [{"s": [1], "value": "0.5"}]}, 'value must be a number, got "0.5"'),
+        # An integer past the float range: an OverflowError, once a traceback.
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "matrix": [[10**400, 0]]}]}, "too large"),
     ],
     ids=[
         "no-entries", "no-matrix", "string-coefficient", "scalar-point", "group-not-a-string", "kernel-list",
         "no-values", "no-value", "null-value", "envelope-list", "not-json",
+        "repeated-entry", "repeated-entry-mod-5", "repeated-value",
+        "fractional-coordinate", "string-point", "fractional-dim", "boolean-dim", "zero-dim", "boolean-coefficient",
+        "string-value", "huge-coefficient",
     ],
 )
-def test_malformed_record_file_is_exit_2_naming_it(tmp_path, capsys, kind, data):
+def test_malformed_record_file_is_exit_2_naming_it(tmp_path, capsys, kind, data, detail):
     path = tmp_path / f"{kind}.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     if kind == "kernel":
@@ -158,7 +180,8 @@ def test_malformed_record_file_is_exit_2_naming_it(tmp_path, capsys, kind, data)
         config.write_text(json.dumps({"group": "Z", "dim": 1, "profile": {"kind": "file", "path": str(path)}}))
         args = ["--config", config]
     assert run(["kernel-io", *args, "--out", tmp_path / "io"]) == 2
-    assert f"{path}: malformed {kind} file: " in capsys.readouterr().err
+    assert f"{path}: malformed {kind} file: " in (err := capsys.readouterr().err)
+    assert detail in err
 
 
 def test_envelope_word_length_outside_int64_is_exit_2(tmp_path, capsys):

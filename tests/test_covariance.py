@@ -31,7 +31,7 @@ Z5 = Cyclic(5)
 def cov_product_oracle(f, h):
     """Brute-force product over the whole finite group."""
     g = f.group
-    pts = g.elements()
+    pts = g.ball()
     entries = {}
     for x in pts:
         for z in pts:
@@ -45,7 +45,7 @@ def cov_product_oracle(f, h):
 
 
 def full_doubled_basis(group, dim):
-    pts = group.elements()
+    pts = group.ball()
     return [
         TestVector.basis(group, dim, (x, z), i, doubled=True)
         for x in pts
@@ -60,7 +60,7 @@ def full_doubled_basis(group, dim):
 def pi_matrix(f: CovarianceElement) -> np.ndarray:
     """Dense matrix of the regular representation on the doubled space."""
     g = f.group
-    pts = g.elements()
+    pts = g.ball()
     d = f.dim
     pairs = [(x, z) for x in pts for z in pts]
     pair_index = {p: i for i, p in enumerate(pairs)}
@@ -84,7 +84,7 @@ def left_multiplication_matrix(f: CovarianceElement) -> np.ndarray:
     basis of single-entry elements, ordered by (x, y, row, column).
     """
     g = f.group
-    pts = g.elements()
+    pts = g.ball()
     index = {p: i for i, p in enumerate(pts)}
     n = len(pts)
     d = f.dim
@@ -114,11 +114,11 @@ def test_unit_is_neutral():
 
 def test_indicator_product_on_z2():
     group = Cyclic(2)
-    ones = {(x, y): np.array([[1.0]]) for x in group.elements() for y in group.elements()}
+    ones = {(x, y): np.array([[1.0]]) for x in group.ball() for y in group.ball()}
     f = CovarianceElement(group, 1, ones)
     product = f.product(f)
-    for x in group.elements():
-        for y in group.elements():
+    for x in group.ball():
+        for y in group.ball():
             assert product.value_at(x, y)[0, 0] == pytest.approx(2.0)
 
 
@@ -176,14 +176,14 @@ def test_R_round_trip_exact():
 def test_R_on_rank_one_element():
     group = Z4
     rng = np.random.default_rng(5)
-    phi = {x: rng.normal() + 1j * rng.normal() for x in group.elements()}
-    psi = {y: rng.normal() + 1j * rng.normal() for y in group.elements()}
+    phi = {x: rng.normal() + 1j * rng.normal() for x in group.ball()}
+    psi = {y: rng.normal() + 1j * rng.normal() for y in group.ball()}
     f = CovarianceElement(
-        group, 1, {(x, y): np.array([[phi[x] * psi[y]]]) for x in group.elements() for y in group.elements()}
+        group, 1, {(x, y): np.array([[phi[x] * psi[y]]]) for x in group.ball() for y in group.ball()}
     )
     back = R_inverse(R_map(f))
-    for x in group.elements():
-        for y in group.elements():
+    for x in group.ball():
+        for y in group.ball():
             assert back.value_at(x, y)[0, 0] == phi[x] * psi[y]
 
 
@@ -251,6 +251,11 @@ def test_theta_of_unit():
     assert np.array_equal(theta[(0,)], np.eye(6))
 
 
+def test_theta_of_zero_is_empty_and_has_norm_zero():
+    assert theta_embed(CovarianceElement(Z3, 2, {})) == {}
+    assert matrix_function_norm({}) == 0.0
+
+
 def test_theta_homomorphism_and_isometry():
     for seed in range(10):
         f = random_covariance(Z3, 1, seed=500 + seed)
@@ -259,7 +264,7 @@ def test_theta_homomorphism_and_isometry():
         tfh = theta_embed(f.product(h))
         conv = matrix_function_convolve(tf, th, Z3)
         scale = max(1.0, f.l1_norm() * h.l1_norm())
-        for x in Z3.elements():
+        for x in Z3.ball():
             assert np.linalg.norm(tfh.get(x, 0) - conv.get(x, 0), 2) <= 1e-12 * scale
         assert abs(matrix_function_norm(tf) - f.l1_norm()) <= 1e-12 * max(1.0, f.l1_norm())
 
@@ -317,7 +322,7 @@ def test_left_multiplication_matrix_against_products():
     group, dim = Z3, 2
     f = random_covariance(group, dim, seed=77)
     mat = left_multiplication_matrix(f)
-    pts = group.elements()
+    pts = group.ball()
     n, d = len(pts), dim
     # Column of basis element e_{(a,b),i,j} must match the structural product.
     rng = np.random.default_rng(3)
@@ -354,7 +359,7 @@ def test_operator_matrix_consistent_with_apply():
     f = random_covariance(Z4, 2, seed=900)
     kernel = R_map(f)
     mat = operator_matrix(kernel)
-    pts = Z4.elements()
+    pts = Z4.ball()
     vec = random_test_vector(Z4, 2, seed=901, radius=2)
     flat = np.concatenate([vec.value(p) for p in pts])
     image = mat @ flat

@@ -51,7 +51,7 @@ INFINITE_GROUPS = [IntegerLattice(1), IntegerLattice(2), IntegerLattice(3), Disc
 
 @pytest.mark.parametrize("group", FINITE_GROUPS, ids=str)
 def test_finite_group_axioms_exhaustive(group):
-    elements = group.elements()
+    elements = group.ball()
     assert len(elements) == group.order
     assert len(set(elements)) == group.order
     e = group.identity
@@ -82,7 +82,7 @@ def test_word_metric_properties(group):
     import numpy as np
 
     rng = np.random.default_rng(1)
-    points = group.elements() if group.is_finite else group.ball(4)
+    points = group.ball() if group.is_finite else group.ball(4)
     assert group.word_length(group.identity) == 0
     for _ in range(300):
         x, y = (points[int(i)] for i in rng.integers(len(points), size=2))
@@ -145,7 +145,7 @@ def test_finite_closed_form_matches_breadth_first_search(group):
     lengths = bfs_lengths(group, group.order)
     assert len(lengths) == group.order
     assert closed_form_lengths(group, list(lengths)) == lengths
-    assert group.elements() == in_ball_order(lengths, group.order)
+    assert group.ball() == in_ball_order(lengths, group.order)
     assert group.diameter() == max(lengths.values())
 
 
@@ -158,7 +158,7 @@ def test_window_is_the_ball_as_a_canonical_array(group):
         assert window.dtype == np.int64
         assert np.array_equal(window, group.canonical_many(group.ball(r)))  # row for row, in ball order
     if group.is_finite:
-        assert np.array_equal(group.window(), group.canonical_many(group.elements()))
+        assert np.array_equal(group.window(), group.canonical_many(group.ball()))
     else:
         with pytest.raises(ValueError, match=rf"^{re.escape(group.name)} is infinite"):
             group.window()
@@ -187,8 +187,8 @@ def test_mutating_a_ball_leaves_the_next_unchanged(group):
     window[0] = 7
     assert group.ball(3) == expected
     if group.is_finite:
-        group.elements().clear()
-        assert len(group.elements()) == group.order
+        group.ball().clear()
+        assert len(group.ball()) == group.order
 
 
 @pytest.mark.parametrize("group", [DiscreteHeisenberg(), HeisenbergMod(3)], ids=str)
@@ -219,7 +219,7 @@ def test_cyclic_examples():
 
 def test_heisenberg_mod_p_enumeration():
     hp = HeisenbergMod(3)
-    assert len(hp.elements()) == 27
+    assert len(hp.ball()) == 27
     assert hp.multiply((2, 2, 2), (2, 2, 2)) == (1, 1, (2 + 2 + 4) % 3)
     with pytest.raises(ValueError):
         HeisenbergMod(4)

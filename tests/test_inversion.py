@@ -75,13 +75,13 @@ def test_finite_group_section_matches_direct_inverse():
     group = Cyclic(6)
     rng = np.random.default_rng(17)
     entries = {}
-    for s in group.elements():
-        for t in group.elements():
+    for s in group.ball():
+        for t in group.ball():
             entries[(s, t)] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     kernel = Kernel.identity(group, 2).scale(8.0) + Kernel(group, 2, entries).scale(0.05)
     inverse, report = finite_section_inverse(kernel, InversionConfig(z=0.0, radii=(3,)))
     assert report.stabilized and report.full_group
-    pts = group.elements()
+    pts = group.ball()
     direct = np.linalg.inv(kernel.to_dense(pts))
     assert np.max(np.abs(inverse.to_dense(pts) - direct)) <= 1e-12
     assert report.residual <= 1e-12
@@ -98,7 +98,7 @@ def test_section_inverse_equals_dense_formula_bit_for_bit(z):
         cfg = InversionConfig(z=z, radii=(group.diameter(),), inner_ratio=0.5)
         got, report = finite_section_inverse(kernel, cfg)
         assert report.full_group
-        points = group.elements()
+        points = group.ball()
         eye = np.eye(2 * len(points), dtype=complex)
         dense = np.linalg.inv(kernel.to_dense(points) + z * eye) - eye / z
         expected = Kernel.from_dense(group, 2, dense, points)
@@ -435,10 +435,10 @@ def test_contour_scalar_case():
 
 
 def test_contour_diagonal_case():
-    entries = {((0,), t): np.diag([2.0, 3.0]) for t in Z8.elements()}
+    entries = {((0,), t): np.diag([2.0, 3.0]) for t in Z8.ball()}
     kernel = Kernel(Z8, 2, entries)
     inverse = contour_inverse(kernel, radius_eps=1.0, nodes=64, cfg=InversionConfig(radii=(4,)))
-    expected = Kernel(Z8, 2, {((0,), t): np.diag([0.5, 1.0 / 3.0]) for t in Z8.elements()})
+    expected = Kernel(Z8, 2, {((0,), t): np.diag([0.5, 1.0 / 3.0]) for t in Z8.ball()})
     assert inverse.max_block_difference(expected) <= 1e-8
 
 
@@ -504,9 +504,9 @@ def test_contour_equals_fold_of_finite_sections_bit_for_bit(name, monkeypatch):
     expected = contour_fold_reference(kernel, 1.0, nodes, cfg)
     radii, solve = [], inversion._solve_section
 
-    def spy(kernel, z, radius, *rest):
+    def spy(kernel, z, radius, cfg):
         radii.append(radius)
-        return solve(kernel, z, radius, *rest)
+        return solve(kernel, z, radius, cfg)
 
     monkeypatch.setattr(inversion, "_solve_section", spy)
     assert_same_bytes(contour_inverse(kernel, 1.0, nodes, cfg), expected)
@@ -524,7 +524,7 @@ def test_contour_sum_of_a_key_that_cancels_at_a_node(monkeypatch):
     for j, v in enumerate([1.0, -1.0, complex(-0.0, 0.5)]):
         parts[j] = parts[j] + Kernel(Z8, 1, {((1,), (0,)): [[v]]})
 
-    def crafted(kernel, z, radius, *_rest):
+    def crafted(kernel, z, radius, _cfg):
         j = round(cmath.phase(z) / (2 * math.pi / nodes)) % nodes
         return inversion._Section(parts[j], radius, True, Z8.order, Z8.order, 1.0)
 
@@ -585,8 +585,7 @@ def test_contour_node_fails_only_on_its_own_section():
 )
 def test_section_solve_returns_the_finite_section_kernel(kernel, cfg):
     got, report = finite_section_inverse(kernel, cfg)
-    support = inversion._support_radius(kernel)
-    section = inversion._solve_section(kernel, cfg.z, report.final_radius(), cfg.inner_ratio, support, cfg.condition_cap)
+    section = inversion._solve_section(kernel, cfg.z, report.final_radius(), cfg)
     assert_same_bytes(section.kernel, got)
     assert section.inner_radius == report.final_inner_radius()
     assert section.full_group == report.full_group

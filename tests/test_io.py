@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,25 @@ def test_covariance_round_trip_exact(tmp_path):
     back = formats.read_covariance(path)
     assert back.support() == f.support()
     assert back.max_block_difference(f) == 0.0
+
+
+def test_spellings_of_one_element_combine_and_a_repeated_key_is_refused(tmp_path):
+    # On Z/5, t = [0] and t = [5] name one element: the kernel and covariance
+    # constructors sum their blocks and the envelope max-merges its values.
+    path = tmp_path / "file.json"
+    records = [{"s": [1], "t": [t], "matrix": [[v, 0.0]]} for t, v in ((0, 1.0), (5, 2.0))]
+    path.write_text(json.dumps({"group": "Z/5", "dim": 1, "entries": records}))
+    assert formats.read_kernel(path).entries[((1,), (0,))].tolist() == [[3.0]]
+    covariance = [{"x": r["s"], "y": r["t"], "matrix": r["matrix"]} for r in records]
+    path.write_text(json.dumps({"group": "Z/5", "dim": 1, "entries": covariance}))
+    assert formats.read_covariance(path).entries[((1,), (0,))].tolist() == [[3.0]]
+    path.write_text(json.dumps({"group": "Z/5", "values": [{"s": [0], "value": 0.5}, {"s": [5], "value": 0.25}]}))
+    assert formats.read_envelope(path).values == {(0,): 0.5}
+    repeated = [{"x": [1], "y": [0], "matrix": [[1.0, 0.0]]}] * 2
+    path.write_text(json.dumps({"group": "Z/5", "dim": 1, "entries": repeated}))
+    message = f"{path}: malformed covariance file: two records at x = [1], y = [0]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        formats.read_covariance(path)
 
 
 def test_kernel_file_schema(tmp_path):

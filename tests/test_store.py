@@ -28,12 +28,12 @@ from convdom import (
     W_intertwine,
     W_inverse,
     ideal_project,
-    operator_norm,
     operator_norms,
     pi_regular,
     theta_embed,
 )
 from convdom import kernels
+from convdom.covariance import matrix_function_norm
 from convdom.generate import (
     Profile,
     _scaled_to,
@@ -46,6 +46,13 @@ from convdom.suites import kernel_axiom_suite
 
 Z2 = IntegerLattice(2)
 Z7 = Cyclic(7)
+
+
+def operator_norm(mat):
+    """The per-block reference: the largest singular value, and for a 1x1 block the modulus as abs(complex) has it."""
+    if mat.shape == (1, 1):
+        return abs(complex(mat[0, 0]))
+    return float(np.linalg.norm(mat, 2))
 
 
 def seeded_kernel(group, dim, seed, radius=1, t_radius=2):
@@ -612,7 +619,7 @@ def test_group_law_refuses_results_outside_int64():
 
 @pytest.mark.parametrize("group", [Cyclic(1), Z7, Cyclic(8), HeisenbergMod(2), HeisenbergMod(3)], ids=str)
 def test_diameter_is_the_largest_word_length(group):
-    assert group.diameter() == max(group.word_length(p) for p in group.elements())
+    assert group.diameter() == max(group.word_length(p) for p in group.ball())
 
 
 def test_diameter_needs_a_finite_group():
@@ -761,7 +768,7 @@ def test_pi_regular_equals_per_entry_loop_bit_for_bit(group, x_radius, radius):
 def theta_loop(f):
     """theta(f)(x) holds f(x, y) at block (y, x^-1 y), positions in element order; x in entry order."""
     g, d = f.group, f.dim
-    index = {p: i for i, p in enumerate(g.elements())}
+    index = {p: i for i, p in enumerate(g.ball())}
     n = len(index)
     out = {}
     for (x, y), mat in f.entries.items():
@@ -775,6 +782,13 @@ def theta_loop(f):
 def test_theta_embed_equals_per_entry_loop_bit_for_bit(group, x_radius):
     f = random_covariance(group, 2, 31, x_radius=x_radius)
     assert_mapping_equal(theta_embed(f), theta_loop(f))
+
+
+@pytest.mark.parametrize("group", [Cyclic(5), Z7, H3_3], ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_matrix_function_norm_equals_per_block_sum_bit_for_bit(group, dim):
+    tf = theta_embed(random_covariance(group, dim, 37))
+    assert matrix_function_norm(tf) == sum(operator_norm(tf[x]) for x in sorted(tf))
 
 
 def test_test_vector_constructor_sums_in_input_order_and_drops_zero_inputs():
@@ -994,10 +1008,25 @@ def test_generated_kernels_equal_per_entry_rescale_bit_for_bit(group, dim):
     assert_entries_equal(kernel, generate_loop(group, dim, 12, envelope.values, group.ball(1)).entries)
 
 
+@pytest.mark.parametrize("group", [Z2, Z7, H3_3], ids=str)
+@pytest.mark.parametrize(
+    "profile",
+    [Profile.exponential(0.5, 3, t_radius=1), Profile.polynomial(1.5, 3, t_radius=1), Profile.banded(2, t_radius=1)],
+    ids=lambda p: p.kind,
+)
+def test_intended_envelope_equals_the_mapping_constructor(group, profile):
+    # The generator builds its envelope from arrays, which must be in point order, not ball order.
+    _, intended = generate_kernel(group, 1, 3, profile)
+    expected = Envelope(group, {s: profile.value(group.word_length(s)) for s in group.ball(profile.radius)})
+    for got, want in zip(intended.arrays, expected.arrays):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("group,dim", GENERATE_CASES, ids=str)
 def test_random_covariance_and_vectors_equal_per_entry_draws(group, dim):
     x_radius = None if group.is_finite else 1
-    xs = group.elements() if group.is_finite else group.ball(1)
+    xs = group.ball(x_radius)
     rng = np.random.default_rng(13)
     expected = {(x, y): disc_draw(rng, (dim, dim)) for x in xs for y in xs}
     assert_mapping_equal(random_covariance(group, dim, 13, x_radius=x_radius).entries, nonzero_sorted(expected))
