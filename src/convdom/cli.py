@@ -121,6 +121,8 @@ def _checked(key: str, value, default, name: str | None = None):
         array = "[re, im]" if key == "z" else f"an array of {_JSON_NAMES[item].split()[1]}s" if item else ""
         names = [_JSON_NAMES.get(kind, array) for kind in types]
         raise ConfigError(f"{name or key} must be {' or '.join(names)}, got {json.dumps(value)}")
+    if isinstance(default, list) and not value:  # radii, levels: a task over none measures nothing
+        raise ConfigError(f"{name or key} must not be empty")
     if key in _MINIMA and value is not None and value < _MINIMA[key]:
         raise ConfigError(f"{name or key} must be at least {_MINIMA[key]}, got {value}")
     if key == "z":

@@ -196,50 +196,51 @@ def W_inverse(eta: TestVector) -> TestVector:
 # -- trivial-action embedding (finite groups) -------------------------------------
 
 
-def theta_embed(f: CovarianceElement) -> dict[Point, np.ndarray]:
+def theta_embed(f: CovarianceElement) -> tuple[np.ndarray, np.ndarray]:
     """Embed into matrix-valued functions under plain convolution.
 
     Realizes the group action by the left-translation unitaries V on the
     finite-dimensional space of C^d-valued functions over the group: the
     value at x is the product of the multiplication operator by f(x, .) with
-    V(x), a |G|d x |G|d matrix.  The embedding is an isometric *-homomorphism
-    onto its image inside the trivial-action convolution algebra.
+    V(x), a |G|d x |G|d matrix holding f(x, y) at block (y, x^-1 y), block
+    positions in element order.  Returns the distinct x of f's support,
+    ascending, and an ``(m, |G|d, |G|d)`` stack of their values.  The
+    embedding is an isometric *-homomorphism onto its image inside the
+    trivial-action convolution algebra.
     """
     g, (x, y) = f.group, f._coords
     pts = g.window()
     n, d = len(pts), f.dim
     index, rows, cols = _row_codes(pts, y, g.multiply_many(g.inverse_many(x), y))
     row, col = _join(rows, index)[1], _join(cols, index)[1]
-    out: dict[Point, np.ndarray] = {}
     starts = _run_starts(x)
-    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(x)]):
-        big = np.zeros((n, d, n, d), dtype=complex)
-        big[row[lo:hi], :, col[lo:hi], :] = f._stack[lo:hi]
-        out[tuple(x[lo].tolist())] = big.reshape(n * d, n * d)
-    return out
+    fibre = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(x)))
+    big = np.zeros((len(starts), n, d, n, d), dtype=complex)
+    big[fibre, row, :, col, :] = f._stack
+    return x[starts], big.reshape(len(starts), n * d, n * d)
 
 
 def matrix_function_convolve(
-    a: Mapping[Point, np.ndarray], b: Mapping[Point, np.ndarray], group: Group
-) -> dict[Point, np.ndarray]:
-    """Trivial-action convolution (a * b)(x) = sum_y a(y) b(y^-1 x)."""
-    out: dict[Point, np.ndarray] = {}
-    for ya in sorted(a):
-        for yb in sorted(b):
-            key = group.multiply(ya, yb)
-            block = a[ya] @ b[yb]
-            if key in out:
-                out[key] = out[key] + block
-            else:
-                out[key] = block
-    return out
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], group: Group
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trivial-action convolution (a * b)(x) = sum_y a(y) b(y^-1 x) of (points, blocks) pairs.
+
+    Each point ya of a meets each point yb of b and adds a(ya) b(yb) at
+    ya yb.  The products are formed inside the sum per key, and each key's
+    sum is its terms in (ya, yb) order, ya outer, both ascending, bit for
+    bit as the pair-by-pair loop.  Returns the points, ascending, and their
+    blocks.
+    """
+    (ya, blocks_a), (yb, blocks_b) = a, b
+    i, j = np.repeat(np.arange(len(ya)), len(yb)), np.tile(np.arange(len(yb)), len(ya))
+    points = group.multiply_many(ya[i], yb[j])
+    first, sums = _reduce_by_key(_row_codes(points)[0], lambda at: np.matmul(blocks_a[i[at]], blocks_b[j[at]]))
+    return points[first], sums
 
 
-def matrix_function_norm(a: Mapping[Point, np.ndarray]) -> float:
-    """l1-type norm: sum over x of the operator norm of a(x), added in sorted x order."""
-    if not a:
-        return 0.0
-    return float(sum(operator_norms(np.stack([a[x] for x in sorted(a)])).tolist()))
+def matrix_function_norm(a: tuple[np.ndarray, np.ndarray]) -> float:
+    """l1-type norm of a (points, blocks) pair: the operator norms of the blocks, added in point order."""
+    return float(sum(operator_norms(a[1]).tolist()))
 
 
 # -- dense representations and spectra (finite groups) ------------------------------

@@ -385,27 +385,27 @@ def contour_inverse(kernel: Kernel, radius_eps: float, nodes: int, cfg: Inversio
     Uses the residue form of the inversion integral: the mean over |alpha| =
     eps of the resolvents (alpha + T_K)^{-1}, the circle's parametrization
     cancelling the 1/alpha integrand factor exactly.  Each node solves one
-    section, the one whose kernel :func:`finite_section_inverse` with z = alpha
-    would return: at the first radius of cfg that covers a finite group, or
-    else at the last.  A node whose solve fails raises
-    :class:`ContourNodeError`.  The scalar parts 1/alpha average to zero by the
-    symmetry of the trapezoidal nodes, so the node average of the section
-    kernels is the whole answer.  Their sum is one store sum, which adds each
-    key's blocks in node order, as a left fold of ``+`` does; where the fold
-    would drop a key whose running sum cancels and restart it, the sum adds
-    to the zero block, so a zero coefficient can differ in sign.
+    section, at the last radius of cfg, whose kernel is the one
+    :func:`finite_section_inverse` with z = alpha would return: past a finite
+    group's diameter every section is the whole group, in one order and with
+    no slabs, so the first radius that covers it gives the same kernel.  A
+    node whose solve fails raises :class:`ContourNodeError`.  The scalar
+    parts 1/alpha average to zero by the symmetry of the trapezoidal nodes,
+    so the node average of the section kernels is the whole answer.  Their
+    sum is one store sum, which adds each key's blocks in node order, as a
+    left fold of ``+`` does; where the fold would drop a key whose running
+    sum cancels and restart it, the sum adds to the zero block, so a zero
+    coefficient can differ in sign.
     """
     if nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")
     if radius_eps <= 0:
         raise ValueError("contour radius must be positive")
-    g = kernel.group
-    radius = next((r for r in cfg.radii if g.is_finite and r >= g.diameter()), cfg.radii[-1])
     parts = []
     for j in range(nodes):
         alpha = radius_eps * cmath.exp(2j * math.pi * j / nodes)
         try:
-            parts.append(_solve_section(kernel, alpha, radius, cfg).kernel)
+            parts.append(_solve_section(kernel, alpha, cfg.radii[-1], cfg).kernel)
         except SectionInversionError as exc:
             raise ContourNodeError(j, alpha) from exc
     return _stores_sum(*parts).scale(1.0 / nodes)

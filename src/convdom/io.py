@@ -80,15 +80,15 @@ def _write_records(path: str | Path, head: dict, key: str, fields: dict[str, np.
         out.write(f"\n ]{after}")
 
 
-def _parsed(path: str | Path, kind: str, parse, *args):
-    """``parse(data, *args)`` of the JSON data in ``path``.
+def _parsed(path: str | Path, kind: str, parse):
+    """``parse(data)`` of the JSON data in ``path``: the object the file holds.
 
-    Text that is not JSON, or data not laid out as a ``kind`` file, is a
-    ValueError naming the file.
+    Text that is not JSON, data not laid out as a ``kind`` file, or data the
+    object's constructor refuses, is a ValueError naming the file.
     """
     text = Path(path).read_text()
     try:
-        return parse(json.loads(text), *args)
+        return parse(json.loads(text))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         what = f"no key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: malformed {kind} file: {what}") from None
@@ -145,7 +145,7 @@ def write_kernel(path: str | Path, kernel: Kernel) -> None:
 
 
 def read_kernel(path: str | Path) -> Kernel:
-    return Kernel(*_parsed(path, "kernel", _blocks_args, "s", "t"))
+    return _parsed(path, "kernel", lambda data: Kernel(*_blocks_args(data, "s", "t")))
 
 
 def write_envelope(path: str | Path, env: Envelope) -> None:
@@ -154,7 +154,7 @@ def write_envelope(path: str | Path, env: Envelope) -> None:
 
 
 def read_envelope(path: str | Path) -> Envelope:
-    return Envelope(*_parsed(path, "envelope", _envelope_args))
+    return _parsed(path, "envelope", lambda data: Envelope(*_envelope_args(data)))
 
 
 def write_covariance(path: str | Path, f: CovarianceElement) -> None:
@@ -164,7 +164,7 @@ def write_covariance(path: str | Path, f: CovarianceElement) -> None:
 
 
 def read_covariance(path: str | Path) -> CovarianceElement:
-    return CovarianceElement(*_parsed(path, "covariance", _blocks_args, "x", "y"))
+    return _parsed(path, "covariance", lambda data: CovarianceElement(*_blocks_args(data, "x", "y")))
 
 
 def write_decay_csv(path: str | Path, report: DecayReport) -> None:

@@ -26,7 +26,7 @@ from .covariance import (
 )
 from .generate import Profile, generate_kernel, random_covariance, random_test_vector
 from .groups import Group
-from .kernels import Kernel, TestVector, _join, _row_codes, section_operator_norm
+from .kernels import Kernel, TestVector, _join, _reduce_by_key, _row_codes, section_operator_norm
 
 
 @dataclass
@@ -175,10 +175,12 @@ def covariance_suite(
         worst.see("intertwiner_diagram", diff / scale)
 
         tf, th = theta_embed(f), theta_embed(h)
-        tfh = theta_embed(fh)
-        conv = matrix_function_convolve(tf, th, group)
-        gaps = (float(np.linalg.norm(tfh.get(x, 0.0) - conv.get(x, 0.0), 2)) for x in sorted(set(tfh) | set(conv)))
-        worst.see("embedding_homomorphism", max([0.0, *gaps]) / max(1.0, nf * nh))
+        (points, blocks), (conv_points, conv_blocks) = theta_embed(fh), matrix_function_convolve(tf, th, group)
+        # a + (-b) is a - b exactly; a point on one side only keeps its block, or its negation.
+        codes = np.concatenate(_row_codes(points, conv_points))
+        gaps = _reduce_by_key(codes, np.concatenate([blocks, -conv_blocks]))[1]
+        gap = float(np.linalg.norm(gaps, 2, axis=(1, 2)).max(initial=0.0))
+        worst.see("embedding_homomorphism", gap / max(1.0, nf * nh))
 
         worst.see("embedding_isometric", abs(matrix_function_norm(tf) - nf) / max(1.0, nf))
 

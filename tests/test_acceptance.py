@@ -134,6 +134,10 @@ def test_criterion_04_intertwining_diagram():
 def test_criterion_05_embedding_homomorphism_isometry():
     from convdom.covariance import matrix_function_convolve, matrix_function_norm, theta_embed
 
+    def as_mapping(pair):
+        points, blocks = pair
+        return dict(zip(map(tuple, points.tolist()), blocks))
+
     group = Cyclic(3)
     failures = []
     for dim in (1, 2):
@@ -141,8 +145,8 @@ def test_criterion_05_embedding_homomorphism_isometry():
             f = random_covariance(group, dim, seed=500 + seed)
             h = random_covariance(group, dim, seed=600 + seed)
             tf, th = theta_embed(f), theta_embed(h)
-            conv = matrix_function_convolve(tf, th, group)
-            tfh = theta_embed(f.product(h))
+            conv = as_mapping(matrix_function_convolve(tf, th, group))
+            tfh = as_mapping(theta_embed(f.product(h)))
             scale = max(1.0, f.l1_norm() * h.l1_norm())
             for x in group.ball():
                 a = tfh.get(x, np.zeros_like(conv[x]))

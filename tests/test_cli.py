@@ -96,6 +96,16 @@ def test_ideal_approx_negative_level_is_exit_2(tmp_path, capsys):
     assert "support radius must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task,key", [("ideal-approx", "levels"), ("invert", "radii"), ("decay", "radii")])
+def test_empty_list_of_levels_or_radii_is_exit_2_naming_the_key(tmp_path, capsys, task, key):
+    # With no level the projection checks would pass having measured nothing.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: []}))
+    assert run([task, "--config", config, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must not be empty\n"
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 def test_kernel_io_round_trip(tmp_path):
     out = tmp_path / "io"
     assert run(["kernel-io", "--out", out]) == 0
@@ -161,13 +171,17 @@ ONE_ENTRY = {"s": [1], "t": [0], "matrix": [[1.0, 0.0]]}
         ("envelope", {"group": "Z", "values": [{"s": [1], "value": "0.5"}]}, 'value must be a number, got "0.5"'),
         # An integer past the float range: an OverflowError, once a traceback.
         ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "matrix": [[10**400, 0]]}]}, "too large"),
+        # Data the store constructors refuse.
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "s": [1, 2]}]},
+         "Z: point (1, 2) has 2 coordinates, expected 1"),
+        ("envelope", {"group": "Z", "values": [{"s": [1], "value": -0.5}]}, "envelope value at (1,) is negative: -0.5"),
     ],
     ids=[
         "no-entries", "no-matrix", "string-coefficient", "scalar-point", "group-not-a-string", "kernel-list",
         "no-values", "no-value", "null-value", "envelope-list", "not-json",
         "repeated-entry", "repeated-entry-mod-5", "repeated-value",
         "fractional-coordinate", "string-point", "fractional-dim", "boolean-dim", "zero-dim", "boolean-coefficient",
-        "string-value", "huge-coefficient",
+        "string-value", "huge-coefficient", "two-coordinates-on-Z", "negative-value",
     ],
 )
 def test_malformed_record_file_is_exit_2_naming_it(tmp_path, capsys, kind, data, detail):
@@ -410,7 +424,7 @@ def test_non_finite_profile_envelope_is_exit_2(tmp_path, capsys, value):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"group": "Z", "dim": 1, "profile": {"kind": "file", "path": str(envelope)}}))
     assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 2
-    assert "unusable profile: envelope value at (1,) is " in capsys.readouterr().err
+    assert f"unusable profile: {envelope}: malformed envelope file: envelope value at (1,) is " in capsys.readouterr().err
     assert not (tmp_path / "io" / "kernel.json").exists()
 
 
@@ -425,12 +439,15 @@ def write_non_finite_kernel(path, dim, value):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("value,status", [("NaN", 0), ("Infinity", 2)])
 def test_non_finite_kernel_file_is_read_alike_at_every_dim(tmp_path, capsys, dim, value, status):
-    # A NaN block drops out of the envelope; an infinite one gives an envelope value the envelope refuses.
+    # A NaN block drops out of the envelope; an infinite one gives an envelope value that the
+    # envelope file written for the round trip holds and its reader refuses.
     kernel = tmp_path / "kernel.json"
     write_non_finite_kernel(kernel, dim, value)
     assert run(["kernel-io", "--input", kernel, "--out", tmp_path / "io"]) == status
     if status:
-        assert "config error: envelope value at (1,) is not finite: inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        envelope = tmp_path / "io" / "envelope.json"
+        assert f"config error: {envelope}: malformed envelope file: envelope value at (1,) is not finite: inf" in err
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -244,16 +244,22 @@ def test_W_intertwines_kernel_action_with_pi():
 # -- trivial-action embedding -----------------------------------------------------
 
 
+def as_mapping(pair):
+    points, blocks = pair
+    return dict(zip(map(tuple, points.tolist()), blocks))
+
+
 def test_theta_of_unit():
     u = CovarianceElement.unit(Z3, 2)
-    theta = theta_embed(u)
+    theta = as_mapping(theta_embed(u))
     assert set(theta) == {(0,)}
     assert np.array_equal(theta[(0,)], np.eye(6))
 
 
 def test_theta_of_zero_is_empty_and_has_norm_zero():
-    assert theta_embed(CovarianceElement(Z3, 2, {})) == {}
-    assert matrix_function_norm({}) == 0.0
+    theta = theta_embed(CovarianceElement(Z3, 2, {}))
+    assert as_mapping(theta) == {}
+    assert matrix_function_norm(theta) == 0.0
 
 
 def test_theta_homomorphism_and_isometry():
@@ -261,8 +267,8 @@ def test_theta_homomorphism_and_isometry():
         f = random_covariance(Z3, 1, seed=500 + seed)
         h = random_covariance(Z3, 1, seed=600 + seed)
         tf, th = theta_embed(f), theta_embed(h)
-        tfh = theta_embed(f.product(h))
-        conv = matrix_function_convolve(tf, th, Z3)
+        tfh = as_mapping(theta_embed(f.product(h)))
+        conv = as_mapping(matrix_function_convolve(tf, th, Z3))
         scale = max(1.0, f.l1_norm() * h.l1_norm())
         for x in Z3.ball():
             assert np.linalg.norm(tfh.get(x, 0) - conv.get(x, 0), 2) <= 1e-12 * scale

@@ -484,10 +484,12 @@ def _contour_case(group, dim, scalar=2.0, weight=0.3):
 
 
 # (kernel, cfg, nodes): the contour task's defaults on Z/8, larger blocks on
-# Z/5 and a non-abelian group, and a truncated group whose node solves only
-# the last radius.
+# Z/5 and a non-abelian group, radii past the diameter of Z/8 (4), where the
+# fold stops at 4 and the node solves 6, and a truncated group whose node
+# solves only the last radius.
 CONTOUR_CASES = {
     "Z/8-defaults": (*_contour_case(Z8, 1), 64),
+    "Z/8-radii-2-4-6": (_contour_case(Z8, 1)[0], InversionConfig(radii=(2, 4, 6)), 16),
     "Z/5-d3": (*_contour_case(Cyclic(5), 3), 16),
     "H3(Z/3)-d2": (*_contour_case(HeisenbergMod(3), 2), 16),
     "Z-radii-4-8": (

@@ -33,7 +33,7 @@ from convdom import (
     theta_embed,
 )
 from convdom import kernels
-from convdom.covariance import matrix_function_norm
+from convdom.covariance import matrix_function_convolve, matrix_function_norm
 from convdom.generate import (
     Profile,
     _scaled_to,
@@ -42,7 +42,7 @@ from convdom.generate import (
     random_covariance,
     random_test_vector,
 )
-from convdom.suites import kernel_axiom_suite
+from convdom.suites import covariance_suite, kernel_axiom_suite
 
 Z2 = IntegerLattice(2)
 Z7 = Cyclic(7)
@@ -778,17 +778,85 @@ def theta_loop(f):
     return out
 
 
+def convolve_loop(a, b, group):
+    """(a * b)(x) = sum_y a(y) b(y^-1 x) of mappings, pair by pair: ya outer, both in sorted order."""
+    out = {}
+    for ya in sorted(a):
+        for yb in sorted(b):
+            key = group.multiply(ya, yb)
+            block = a[ya] @ b[yb]
+            out[key] = out[key] + block if key in out else block
+    return out
+
+
+def as_mapping(pair):
+    """A (points, blocks) pair of the embedding as a mapping point -> block, in point order."""
+    points, blocks = pair
+    return {tuple(p): block for p, block in zip(points.tolist(), blocks)}
+
+
 @pytest.mark.parametrize("group,x_radius", [(Z7, None), (H3_3, None), (H3_3, 1)], ids=str)
 def test_theta_embed_equals_per_entry_loop_bit_for_bit(group, x_radius):
     f = random_covariance(group, 2, 31, x_radius=x_radius)
-    assert_mapping_equal(theta_embed(f), theta_loop(f))
+    points, _ = pair = theta_embed(f)
+    assert points.dtype == np.int64 and points.tolist() == sorted(points.tolist())
+    assert_mapping_equal(as_mapping(pair), theta_loop(f))
 
 
 @pytest.mark.parametrize("group", [Cyclic(5), Z7, H3_3], ids=str)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_matrix_function_norm_equals_per_block_sum_bit_for_bit(group, dim):
-    tf = theta_embed(random_covariance(group, dim, 37))
-    assert matrix_function_norm(tf) == sum(operator_norm(tf[x]) for x in sorted(tf))
+    pair = theta_embed(random_covariance(group, dim, 37))
+    tf = as_mapping(pair)
+    assert matrix_function_norm(pair) == sum(operator_norm(tf[x]) for x in sorted(tf))
+
+
+CONVOLVE_CASES = [(Z7, 2, None), (Cyclic(5), 3, None), (H3_3, 2, None), (H3_3, 2, 1)]
+
+
+@pytest.mark.parametrize("group,dim,x_radius", CONVOLVE_CASES, ids=str)
+def test_matrix_function_convolve_equals_pair_loop_bit_for_bit(group, dim, x_radius):
+    f, h = (random_covariance(group, dim, seed, x_radius=x_radius) for seed in (41, 42))
+    tf, th = theta_embed(f), theta_embed(h)
+    conv = as_mapping(matrix_function_convolve(tf, th, group))
+    assert_mapping_equal(conv, dict(sorted(convolve_loop(as_mapping(tf), as_mapping(th), group).items())))
+    if x_radius is not None:  # the operands' points and the convolution's differ, and none covers the group
+        assert set(as_mapping(tf)) < set(conv) and len(conv) < len(group.ball())
+
+
+@pytest.mark.parametrize("group,dim", [(Z7, 2), (H3_3, 2)], ids=str)
+def test_matrix_function_convolve_of_the_empty_element_and_the_unit(group, dim):
+    th = theta_embed(random_covariance(group, dim, 43))
+    zero, unit = theta_embed(CovarianceElement(group, dim, {})), theta_embed(CovarianceElement.unit(group, dim))
+    for a, b in ((zero, th), (th, zero), (zero, zero)):
+        points, blocks = matrix_function_convolve(a, b, group)
+        assert points.shape == (0, group.coord_len) and blocks.shape == (0, *th[1].shape[1:])
+    assert matrix_function_norm(zero) == 0.0
+    for a, b in ((unit, th), (th, unit)):
+        conv = as_mapping(matrix_function_convolve(a, b, group))
+        assert_mapping_equal(conv, dict(sorted(convolve_loop(as_mapping(a), as_mapping(b), group).items())))
+        assert list(conv) == list(as_mapping(th))
+        assert all(np.array_equal(conv[x], block) for x, block in as_mapping(th).items())
+
+
+@pytest.mark.parametrize("group,dim", [(Z7, 2), (H3_3, 2), (Cyclic(3), 1)], ids=str)
+def test_covariance_suite_embedding_checks_equal_the_mapping_loops(group, dim):
+    """The suite's two embedding worst values, recomputed with theta_loop and convolve_loop on mappings."""
+    seed, trials = 7, 2
+    homomorphism = isometric = 0.0
+    for ss in np.random.SeedSequence(seed).spawn(trials):
+        seeds = ss.spawn(5)
+        f, h = random_covariance(group, dim, seeds[0]), random_covariance(group, dim, seeds[1])
+        nf, nh = f.l1_norm(), h.l1_norm()
+        tf, tfh = theta_loop(f), theta_loop(f.product(h))
+        conv = convolve_loop(tf, theta_loop(h), group)
+        gaps = [float(np.linalg.norm(tfh.get(x, 0.0) - conv.get(x, 0.0), 2)) for x in sorted(set(tfh) | set(conv))]
+        homomorphism = max(homomorphism, max([0.0, *gaps]) / max(1.0, nf * nh))
+        norm = sum(operator_norm(tf[x]) for x in sorted(tf))
+        isometric = max(isometric, abs(norm - nf) / max(1.0, nf))
+    results = {r.name: r.worst for r in covariance_suite(group, dim, seed, trials)}
+    assert results["embedding_homomorphism"].hex() == homomorphism.hex()
+    assert results["embedding_isometric"].hex() == isometric.hex()
 
 
 def test_test_vector_constructor_sums_in_input_order_and_drops_zero_inputs():
