@@ -48,7 +48,7 @@ from .inversion import (
     neumann_inverse,
 )
 from .io import _is
-from .kernels import Kernel
+from .kernels import Kernel, _refuse_bad_values
 from .suites import CheckResult, conjugation_suite, covariance_suite, kernel_axiom_suite, symmetry_suite
 
 EXIT_OK = 0
@@ -325,6 +325,13 @@ def task_kernel_io(params: dict, out: Path | None) -> tuple[int, list[str]]:
             kernel = formats.read_kernel(params["input"])
         except OSError as exc:
             raise ConfigError(f"cannot read input {params['input']}: {exc}") from None
+        # An infinite block gives an infinite envelope value, which no envelope
+        # file can hold; refuse it here, before anything is written.
+        points, values = kernel.min_envelope().arrays
+        try:
+            _refuse_bad_values(list(map(tuple, points.tolist())), values)
+        except ValueError as exc:
+            raise ConfigError(f"{params['input']}: {exc}") from None
     else:
         kernel = _kernel_from_profile(params, params["group"], params["dim"], None)
     formats.write_kernel(out / "kernel.json", kernel)

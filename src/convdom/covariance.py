@@ -54,12 +54,15 @@ class CovarianceElement:
     (x, y).
     """
 
+    _mapping: Mapping | None = None
+
     def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
         """Element from a mapping (x, y) -> d x d matrix.
 
         All-zero matrices are dropped, keys are made canonical, and matrices
         whose keys coincide are summed in the mapping's order; a sum that
-        cancels to zero is kept.
+        cancels to zero is kept.  The covariance file reader builds elements
+        with it, and the tests pin that rule.
         """
         _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)), keep_cancelled=True)
 
@@ -77,15 +80,11 @@ class CovarianceElement:
 
     @property
     def entries(self) -> Mapping[tuple[Point, Point], np.ndarray]:
-        """Read-only mapping (x, y) -> block in sorted key order, built on first use."""
+        """Read-only mapping (x, y) -> block in sorted key order, built on first use.
+
+        The package reads :attr:`arrays`; this view is kept for the benchmark's counters.
+        """
         return _mapping_view(self)
-
-    def support(self) -> list[tuple[Point, Point]]:
-        return list(self.entries)
-
-    def value_at(self, x: Point, y: Point) -> np.ndarray:
-        key = (self.group.canonical(x), self.group.canonical(y))
-        return self.entries.get(key, np.broadcast_to(0j, (self.dim, self.dim)))
 
     def l1_norm(self) -> float:
         best = _fibre_sups(self)[1]

@@ -165,9 +165,11 @@ class Group:
         return tuple(self._row(x).tolist()[0])
 
     def multiply(self, x: Point, y: Point) -> Point:
+        """``x * y`` on single points; the package multiplies arrays, the benchmark's counters and oracles call this."""
         return tuple(self.multiply_many(self._row(x), self._row(y)).tolist()[0])
 
     def inverse(self, x: Point) -> Point:
+        """``x^-1`` on a single point, for scalar uses (a conjugating element, the benchmark's counters)."""
         return tuple(self.inverse_many(self._row(x)).tolist()[0])
 
     def word_length(self, x: Point) -> int:
@@ -196,7 +198,10 @@ class Group:
         return box[keep[np.lexsort((*box[keep].T[::-1], lengths[keep]))]]
 
     def ball(self, radius: int | None = None) -> list[Point]:
-        """The points of :meth:`window` as tuples, for callers that hash them; None is the whole group, as there."""
+        """The points of :meth:`window` as tuples, for callers that hash them; None is the whole group, as there.
+
+        The package reads :meth:`window`; the benchmark's Neumann oracle keys its window on these tuples.
+        """
         return list(map(tuple, self.window(radius).tolist()))
 
     def diameter(self) -> int:

@@ -9,11 +9,16 @@ single variable s.  All supports are finite.
 :class:`~convdom.covariance.CovarianceElement` share one block store: an
 int64 ``(nnz, coord_len)`` coordinate array per point of a key, and a
 read-only stack of ``(nnz, d, d)`` blocks or ``(nnz, d)`` vectors, with rows
-in lexicographic key order.  ``_set_store`` is its one normalisation; the
-other private helpers are the operations the classes share.  Derivations
-that keep the order (``restrict_to_ball``, ``scale``) mask the parent's rows
-instead of normalising again.  Every operation runs on whole arrays through
-the batched group law: composition is a join on the row point s*t and a sum
+in lexicographic key order; :class:`Envelope` keeps points and values the same
+way.  Every store is read through its ``arrays`` property.  The one mapping
+view, ``entries`` of kernels and covariance elements, is kept for the
+benchmark's counters; nothing in the package reads it.  The Mapping
+constructors stay because the file readers build stores with them.
+``_set_store`` is the one normalisation; the other private helpers are the
+operations the classes share.  Derivations that keep the order
+(``restrict_to_ball``, ``scale``) mask the parent's rows instead of
+normalising again.  Every operation runs on whole arrays through the batched
+group law: composition is a join on the row point s*t and a sum
 per key that forms its block products as it adds them, so it holds one term
 per key at a time; envelopes are a segment max of operator norms; dense
 sections are fancy indexing; translations and coordinate changes remap
@@ -224,7 +229,7 @@ def _install(obj, group: Group, dim: int, coords, stack) -> None:
     for arr in (*coords, stack):
         arr.setflags(write=False)
     obj.group, obj.dim = group, dim
-    obj._coords, obj._stack, obj._mapping = tuple(coords), stack, None
+    obj._coords, obj._stack = tuple(coords), stack
 
 
 def _from_arrays(cls, group: Group, dim: int, coords, stack):
@@ -257,15 +262,14 @@ def _scaled(obj, c: complex):
 
 
 def _mapping_view(obj) -> Mapping:
-    """Read-only mapping key -> value of a store in key order, built on first use.
+    """Read-only mapping (point, point) -> block of a store in key order, built on first use.
 
-    Keys are points, or pairs of points; values are read-only views (Python floats for a 1-d stack).
+    Nothing in the package reads it: it backs the ``entries`` views, which the
+    benchmark's counters read.  Values are read-only views of the stack.
     """
     if obj._mapping is None:
-        points = [map(tuple, c.tolist()) for c in obj._coords]
-        keys = zip(*points) if len(points) > 1 else points[0]
-        values = obj._stack.tolist() if obj._stack.ndim == 1 else obj._stack
-        obj._mapping = MappingProxyType(dict(zip(keys, values)))
+        keys = zip(*(map(tuple, c.tolist()) for c in obj._coords))
+        obj._mapping = MappingProxyType(dict(zip(keys, obj._stack)))
     return obj._mapping
 
 
@@ -359,20 +363,26 @@ def _l1_sum(values: np.ndarray) -> float:
         raise ValueError("l1 norm overflows: the sum exceeds the largest float") from None
 
 
+def _refuse_bad_values(keys, vals: np.ndarray) -> None:
+    """ValueError naming the first key whose envelope value is negative, NaN or infinite."""
+    for bad, what in ((vals < 0, "negative"), (~np.isfinite(vals), "not finite")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"envelope value at {keys[i]!r} is {what}: {vals[i]}")
+
+
 class Envelope:
     """Finitely supported nonnegative function on a group, stored as sorted int64 points and float64 values.
 
     The Mapping constructor refuses negative, NaN and infinite values, drops
-    zeros, makes keys canonical and max-merges the values of keys that coincide.
+    zeros, makes keys canonical and max-merges the values of keys that coincide;
+    the envelope file reader builds envelopes with it.
     """
 
     def __init__(self, group: Group, values: Mapping[Point, float]) -> None:
         keys = list(values)
         vals = np.fromiter(map(float, values.values()), dtype=float, count=len(keys))
-        for bad, what in ((vals < 0, "negative"), (~np.isfinite(vals), "not finite")):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"envelope value at {keys[i]!r} is {what}: {vals[i]}")
+        _refuse_bad_values(keys, vals)
         live = vals != 0.0
         (points,) = _key_arrays(group, [k for k, keep in zip(keys, live.tolist()) if keep], 1)
         points = group.canonical_many(points)
@@ -382,7 +392,7 @@ class Envelope:
     def _set(self, group: Group, points: np.ndarray, values: np.ndarray) -> "Envelope":
         """Keep canonical, sorted, distinct points and their values, read-only; zeros are dropped."""
         live = values != 0.0
-        self.group, self._coords, self._stack, self._mapping = group, (points[live],), values[live], None
+        self.group, self._coords, self._stack = group, (points[live],), values[live]
         for arr in (*self._coords, self._stack):
             arr.setflags(write=False)
         return self
@@ -396,17 +406,6 @@ class Envelope:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only store: points and values, in point order."""
         return self._coords[0], self._stack
-
-    @property
-    def values(self) -> Mapping[Point, float]:
-        """Read-only mapping point -> float in sorted point order, built on first use."""
-        return _mapping_view(self)
-
-    def support(self) -> list[Point]:
-        return list(self.values)
-
-    def value(self, s: Point) -> float:
-        return self.values.get(self.group.canonical(s), 0.0)
 
     def l1_norm(self) -> float:
         # fsum is exactly rounded, so the norm is invariant under any
@@ -464,19 +463,21 @@ class Envelope:
 class Kernel:
     """Finitely supported kernel (x, y) -> d x d matrix in (s, t) storage.
 
-    The value at (x, y) is ``entries[(x*y^-1, y)]``; missing entries are zero.
-    Instances are immutable: the coordinate arrays and the block stack are
-    read-only.
+    The value at (x, y) is the block keyed (x*y^-1, y) in :attr:`arrays`;
+    missing entries are zero.  Instances are immutable: the coordinate arrays
+    and the block stack are read-only.
     """
 
     _envelope: Envelope | None = None
+    _mapping: Mapping | None = None
 
     def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
         """Kernel from a mapping (s, t) -> d x d matrix.
 
         All-zero matrices are dropped, keys are made canonical, and matrices
         whose keys coincide are summed in the mapping's order; a sum that
-        cancels to zero is kept.
+        cancels to zero is kept.  The kernel file reader builds kernels with it,
+        and the tests pin that rule.
         """
         _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)), keep_cancelled=True)
 
@@ -507,21 +508,14 @@ class Kernel:
 
     @property
     def entries(self) -> Mapping[tuple[Point, Point], np.ndarray]:
-        """Read-only mapping (s, t) -> block in sorted key order, built on first use."""
+        """Read-only mapping (s, t) -> block in sorted key order, built on first use.
+
+        The package reads :attr:`arrays`; this view is kept for the benchmark's counters.
+        """
         return _mapping_view(self)
 
-    def support(self) -> list[tuple[Point, Point]]:
-        return list(self.entries)
-
-    def kernel_at(self, x: Point, y: Point) -> np.ndarray:
-        """Value at the pair (x, y); read-only zero matrix off the support."""
-        g = self.group
-        y = g.canonical(y)
-        s = g.multiply(x, g.inverse(y))
-        return self.entries.get((s, y), np.broadcast_to(0j, (self.dim, self.dim)))
-
     def min_envelope(self) -> Envelope:
-        """Smallest dominating envelope: beta(s) = max_t |entries[(s,t)]|_op."""
+        """Smallest dominating envelope: beta(s) = max_t of the operator norm of the block at (s, t)."""
         if self._envelope is None:
             starts, best = _fibre_sups(self)
             keep = best > 0.0
@@ -680,39 +674,20 @@ class TestVector:
 
         Zero values are dropped, keys are made canonical, and values whose
         keys coincide are summed in the mapping's order; a sum that cancels
-        to zero is kept.
+        to zero is kept.  The package derives vectors from arrays; the tests
+        build them with this constructor and pin that rule.
         """
         parsed = _parse_mapping(group, values, 2 if doubled else 1, (dim,))
         _set_store(self, group, dim, *parsed, keep_cancelled=True)
-
-    @classmethod
-    def basis(cls, group: Group, dim: int, key, component: int = 0, doubled: bool = False) -> "TestVector":
-        vec = np.zeros(dim, dtype=complex)
-        vec[component] = 1.0
-        return cls(group, dim, {key: vec}, doubled=doubled)
 
     @property
     def doubled(self) -> bool:
         return len(self._coords) == 2
 
     @property
-    def values(self) -> Mapping:
-        """Read-only mapping key -> vector in sorted key order, built on first use."""
-        return _mapping_view(self)
-
-    def support(self) -> list:
-        return list(self.values)
-
-    def value(self, key) -> np.ndarray:
-        if self.doubled:
-            x, z = key
-            key = (self.group.canonical(x), self.group.canonical(z))
-        else:
-            key = self.group.canonical(key)
-        got = self.values.get(key)
-        if got is None:
-            return np.zeros(self.dim, dtype=complex)
-        return got
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The read-only store: x (and for doubled vectors z) coordinates and the vector stack, in key order."""
+        return (*self._coords, self._stack)
 
     def l2_norm(self) -> float:
         # Exactly rounded accumulation keeps the norm invariant under the

@@ -20,7 +20,6 @@ from convdom import (
     Kernel,
     R_inverse,
     R_map,
-    TestVector,
     W_intertwine,
     contour_inverse,
     finite_section_inverse,
@@ -35,6 +34,8 @@ from convdom import (
 )
 from convdom.generate import Profile
 from convdom.suites import conjugation_suite, kernel_axiom_suite, symmetry_suite
+
+from views import as_mapping, basis, kernel_at
 
 Z = IntegerLattice(1)
 Z2 = IntegerLattice(2)
@@ -116,15 +117,15 @@ def test_criterion_04_intertwining_diagram():
     group, dim = Cyclic(4), 2
     pts = group.ball()
     failures = []
-    basis = [
-        TestVector.basis(group, dim, (x, z), i, doubled=True)
+    vectors = [
+        basis(group, dim, (x, z), i, doubled=True)
         for x in pts for z in pts for i in range(dim)
     ]
     for seed in range(5):
         f = random_covariance(group, dim, seed=40 + seed)
         kernel = R_map(f)
         scale = max(1.0, f.l1_norm())
-        for xi in basis:
+        for xi in vectors:
             gap = (W_intertwine(kernel.apply(xi)) - pi_regular(f, W_intertwine(xi))).l2_norm()
             if gap > 1e-12 * scale:
                 failures.append(f"seed {seed}: diagram gap {gap}")
@@ -171,11 +172,11 @@ def test_criterion_07_wiener_decay_witness():
     kernel = shift_kernel(Z, 1, 0.5, t_radius=45)
     cfg = InversionConfig(z=1.0, radii=(10, 20, 30, 40), inner_ratio=0.5)
     inverse, report = finite_section_inverse(kernel, cfg)
-    env = report.final_envelope()
+    env = as_mapping(report.final_envelope())
     for n in range(1, 21):
-        if abs(env.value((n,)) - 0.5**n) > 1e-8:
-            failures.append(f"envelope at {n}: {env.value((n,))}")
-        if abs(inverse.kernel_at((n,), (0,))[0, 0] - (-0.5) ** n) > 1e-8:
+        if abs(env.get((n,), 0.0) - 0.5**n) > 1e-8:
+            failures.append(f"envelope at {n}: {env.get((n,), 0.0)}")
+        if abs(kernel_at(inverse, (n,), (0,))[0, 0] - (-0.5) ** n) > 1e-8:
             failures.append(f"kernel value at shift {n}")
     if not report.stabilized:
         failures.append("not stabilized")

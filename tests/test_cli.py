@@ -439,15 +439,15 @@ def write_non_finite_kernel(path, dim, value):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("value,status", [("NaN", 0), ("Infinity", 2)])
 def test_non_finite_kernel_file_is_read_alike_at_every_dim(tmp_path, capsys, dim, value, status):
-    # A NaN block drops out of the envelope; an infinite one gives an envelope value that the
-    # envelope file written for the round trip holds and its reader refuses.
+    # A NaN block drops out of the envelope; an infinite one gives an infinite envelope value,
+    # which the task refuses with the input file's name before it writes anything.
     kernel = tmp_path / "kernel.json"
     write_non_finite_kernel(kernel, dim, value)
     assert run(["kernel-io", "--input", kernel, "--out", tmp_path / "io"]) == status
     if status:
         err = capsys.readouterr().err
-        envelope = tmp_path / "io" / "envelope.json"
-        assert f"config error: {envelope}: malformed envelope file: envelope value at (1,) is not finite: inf" in err
+        assert f"config error: {kernel}: envelope value at (1,) is not finite: inf" in err
+        assert list((tmp_path / "io").iterdir()) == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -11,7 +11,6 @@ from convdom import (
     Kernel,
     R_inverse,
     R_map,
-    TestVector,
     W_intertwine,
     W_inverse,
     operator_matrix,
@@ -23,6 +22,8 @@ from convdom import (
 )
 from convdom.covariance import matrix_function_convolve, matrix_function_norm
 
+from views import as_mapping, basis
+
 Z3 = Cyclic(3)
 Z4 = Cyclic(4)
 Z5 = Cyclic(5)
@@ -32,13 +33,14 @@ def cov_product_oracle(f, h):
     """Brute-force product over the whole finite group."""
     g = f.group
     pts = g.ball()
+    fm, hm, zero = as_mapping(f), as_mapping(h), np.zeros((f.dim, f.dim), dtype=complex)
     entries = {}
     for x in pts:
         for z in pts:
             total = np.zeros((f.dim, f.dim), dtype=complex)
             for y in pts:
-                total = total + f.value_at(y, z) @ h.value_at(
-                    g.multiply(g.inverse(y), x), g.multiply(g.inverse(y), z)
+                total = total + fm.get((y, z), zero) @ hm.get(
+                    (g.multiply(g.inverse(y), x), g.multiply(g.inverse(y), z)), zero
                 )
             entries[(x, z)] = total
     return CovarianceElement(g, f.dim, entries)
@@ -47,7 +49,7 @@ def cov_product_oracle(f, h):
 def full_doubled_basis(group, dim):
     pts = group.ball()
     return [
-        TestVector.basis(group, dim, (x, z), i, doubled=True)
+        basis(group, dim, (x, z), i, doubled=True)
         for x in pts
         for z in pts
         for i in range(dim)
@@ -69,8 +71,8 @@ def pi_matrix(f: CovarianceElement) -> np.ndarray:
     col = 0
     for x, z in pairs:
         for i in range(d):
-            image = pi_regular(f, TestVector.basis(g, d, (x, z), i, doubled=True))
-            for key, val in image.values.items():
+            image = pi_regular(f, basis(g, d, (x, z), i, doubled=True))
+            for key, val in as_mapping(image).items():
                 row = pair_index[key] * d
                 mat[row : row + d, col] = val
             col += 1
@@ -116,10 +118,10 @@ def test_indicator_product_on_z2():
     group = Cyclic(2)
     ones = {(x, y): np.array([[1.0]]) for x in group.ball() for y in group.ball()}
     f = CovarianceElement(group, 1, ones)
-    product = f.product(f)
+    product = as_mapping(f.product(f))
     for x in group.ball():
         for y in group.ball():
-            assert product.value_at(x, y)[0, 0] == pytest.approx(2.0)
+            assert product[(x, y)][0, 0] == pytest.approx(2.0)
 
 
 def test_product_matches_bruteforce():
@@ -181,10 +183,10 @@ def test_R_on_rank_one_element():
     f = CovarianceElement(
         group, 1, {(x, y): np.array([[phi[x] * psi[y]]]) for x in group.ball() for y in group.ball()}
     )
-    back = R_inverse(R_map(f))
+    back = as_mapping(R_inverse(R_map(f)))
     for x in group.ball():
         for y in group.ball():
-            assert back.value_at(x, y)[0, 0] == phi[x] * psi[y]
+            assert back[(x, y)][0, 0] == phi[x] * psi[y]
 
 
 # -- regular representation -----------------------------------------------------------
@@ -242,11 +244,6 @@ def test_W_intertwines_kernel_action_with_pi():
 
 
 # -- trivial-action embedding -----------------------------------------------------
-
-
-def as_mapping(pair):
-    points, blocks = pair
-    return dict(zip(map(tuple, points.tolist()), blocks))
 
 
 def test_theta_of_unit():
@@ -367,8 +364,9 @@ def test_operator_matrix_consistent_with_apply():
     mat = operator_matrix(kernel)
     pts = Z4.ball()
     vec = random_test_vector(Z4, 2, seed=901, radius=2)
-    flat = np.concatenate([vec.value(p) for p in pts])
+    zero, vm = np.zeros(2, dtype=complex), as_mapping(vec)
+    flat = np.concatenate([vm.get(p, zero) for p in pts])
     image = mat @ flat
-    applied = kernel.apply(vec)
-    rebuilt = np.concatenate([applied.value(p) for p in pts])
+    applied = as_mapping(kernel.apply(vec))
+    rebuilt = np.concatenate([applied.get(p, zero) for p in pts])
     assert np.allclose(image, rebuilt, atol=1e-13)

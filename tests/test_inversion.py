@@ -31,6 +31,8 @@ from convdom import (
 from convdom import inversion
 from convdom.generate import Profile
 
+from views import as_mapping, kernel_at
+
 Z = IntegerLattice(1)
 Z8 = Cyclic(8)
 
@@ -52,7 +54,7 @@ def hermitian_band(weight=0.2 + 0.1j, diag=0.1, window=40):
 
 def test_zero_kernel_inverse_is_scalar():
     inverse, report = finite_section_inverse(Kernel.zero(Z, 1), InversionConfig(z=2.0, radii=(4, 8)))
-    assert inverse.support() == []
+    assert list(as_mapping(inverse)) == []
     assert report.stabilized
     assert report.residual == 0.0
     assert report.l1_partial_sums == []
@@ -61,12 +63,12 @@ def test_zero_kernel_inverse_is_scalar():
 def test_shift_inverse_matches_geometric_series():
     kernel, cfg = geometric_shift_setup()
     inverse, report = finite_section_inverse(kernel, cfg)
-    env = report.final_envelope()
+    env = as_mapping(report.final_envelope())
     for n in range(1, 21):
-        assert abs(env.value((n,)) - 0.5**n) <= 1e-8
-        assert abs(inverse.kernel_at((n,), (0,))[0, 0] - (-0.5) ** n) <= 1e-8
-    assert env.value((0,)) == 0.0
-    assert env.value((-1,)) == 0.0
+        assert abs(env.get((n,), 0.0) - 0.5**n) <= 1e-8
+        assert abs(kernel_at(inverse, (n,), (0,))[0, 0] - (-0.5) ** n) <= 1e-8
+    assert env.get((0,), 0.0) == 0.0
+    assert env.get((-1,), 0.0) == 0.0
     assert report.stabilized
     assert report.residual <= 1e-12
 
@@ -381,7 +383,7 @@ def test_residual_on_its_window_equals_the_whole_product_restricted(case):
 
 def test_neumann_zero_kernel():
     inverse, bound = neumann_inverse(Kernel.zero(Z, 1), z=2.0, terms=5)
-    assert inverse.support() == []
+    assert list(as_mapping(inverse)) == []
     assert bound == 0.0
 
 
@@ -631,9 +633,9 @@ def test_truncation_caps_envelope():
     kernel = exact_dyadic_kernel(radius=4)
     projected = ideal_project(kernel, kernel.min_envelope().cap(0.25))
     env = projected.min_envelope()
-    assert max(env.values.values()) <= 0.25
+    assert max(as_mapping(env).values()) <= 0.25
     # Entries below the cap are untouched.
-    assert projected.kernel_at((3,), (0,))[0, 0] == 2.0**-3
+    assert kernel_at(projected, (3,), (0,))[0, 0] == 2.0**-3
 
 
 def test_nested_ideals_give_monotone_errors():

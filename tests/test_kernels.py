@@ -12,13 +12,14 @@ from convdom import (
     HeisenbergMod,
     IntegerLattice,
     Kernel,
-    TestVector,
     generate_kernel,
     random_covariance,
     random_test_vector,
     section_operator_norm,
 )
 from convdom.generate import Profile
+
+from views import as_mapping, basis, kernel_at
 
 Z = IntegerLattice(1)
 Z2 = IntegerLattice(2)
@@ -32,7 +33,7 @@ def compose_oracle(k1, k2, x_window, z_window, y_window):
         for z in z_window:
             total = np.zeros((k1.dim, k1.dim), dtype=complex)
             for y in y_window:
-                total = total + k1.kernel_at(x, y) @ k2.kernel_at(y, z)
+                total = total + kernel_at(k1, x, y) @ kernel_at(k2, y, z)
             if np.count_nonzero(total):
                 entries[(g.multiply(x, g.inverse(z)), z)] = total
     return entries
@@ -49,23 +50,23 @@ def seeded_kernel(group, dim, seed, radius=1, t_radius=2):
 def test_kernel_at_identity_window():
     eye = Kernel.identity(Z, 2, window_radius=3)
     for x in Z.ball(3):
-        assert np.array_equal(eye.kernel_at(x, x), np.eye(2))
-    assert np.array_equal(eye.kernel_at((0,), (1,)), np.zeros((2, 2)))
-    assert np.array_equal(eye.kernel_at((9,), (9,)), np.zeros((2, 2)))
+        assert np.array_equal(kernel_at(eye, x, x), np.eye(2))
+    assert np.array_equal(kernel_at(eye, (0,), (1,)), np.zeros((2, 2)))
+    assert np.array_equal(kernel_at(eye, (9,), (9,)), np.zeros((2, 2)))
 
 
 def test_kernel_at_shift_coordinates():
     mat = np.array([[2.0 + 1.0j]])
     kernel = Kernel(Z, 1, {((1,), (0,)): mat})
-    assert kernel.kernel_at((1,), (0,)) == pytest.approx(mat)
-    assert kernel.kernel_at((0,), (0,)) == pytest.approx(np.zeros((1, 1)))
+    assert kernel_at(kernel, (1,), (0,)) == pytest.approx(mat)
+    assert kernel_at(kernel, (0,), (0,)) == pytest.approx(np.zeros((1, 1)))
 
 
 def test_min_envelope_delta_kernel():
     eye = Kernel.identity(Cyclic(6), 2)
     env = eye.min_envelope()
-    assert env.support() == [(0,)]
-    assert env.value((0,)) == 1.0
+    assert list(as_mapping(env)) == [(0,)]
+    assert as_mapping(env).get((0,), 0.0) == 1.0
     assert eye.envelope_norm() == 1.0
 
 
@@ -73,8 +74,8 @@ def test_min_envelope_sup_over_columns():
     entries = {((1,), (t,)): np.array([[1.0 / (1.0 + t * t)]]) for t in range(-10, 11)}
     kernel = Kernel(Z, 1, entries)
     env = kernel.min_envelope()
-    assert env.support() == [(1,)]
-    assert env.value((1,)) == 1.0
+    assert list(as_mapping(env)) == [(1,)]
+    assert as_mapping(env).get((1,), 0.0) == 1.0
     assert kernel.envelope_norm() == 1.0
 
 
@@ -88,7 +89,7 @@ def test_min_envelope_sums_cosets():
 
 def test_envelope_rejects_negative_and_prunes_zero():
     env = Envelope(Z, {(0,): 1.0, (1,): 0.0})
-    assert env.support() == [(0,)]
+    assert list(as_mapping(env)) == [(0,)]
     with pytest.raises(ValueError):
         Envelope(Z, {(0,): -0.5})
 
@@ -97,8 +98,8 @@ def test_envelope_convolution():
     a = Envelope(Z, {(0,): 1.0, (1,): 0.5})
     b = Envelope(Z, {(2,): 2.0})
     conv = a.convolve(b)
-    assert conv.value((2,)) == 2.0
-    assert conv.value((3,)) == 1.0
+    assert as_mapping(conv).get((2,), 0.0) == 2.0
+    assert as_mapping(conv).get((3,), 0.0) == 1.0
 
 
 # -- composition ---------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_compose_shift_ranges():
     k2 = Kernel(Z, 1, {((2,), (t,)): np.array([[c2]]) for t in range(-10, 11)})
     product = k1.compose(k2)
     expected_keys = {((3,), (t,)) for t in range(-10, 9)}
-    assert set(product.support()) == expected_keys
+    assert set(as_mapping(product)) == expected_keys
     for key in expected_keys:
         assert product.entries[key][0, 0] == pytest.approx(c1 * c2)
 
@@ -126,8 +127,8 @@ def test_compose_shift_ranges():
 def test_compose_zero():
     kernel = seeded_kernel(Z2, 2, seed=8)
     zero = Kernel.zero(Z2, 2)
-    assert zero.compose(kernel).support() == []
-    assert kernel.compose(zero).support() == []
+    assert list(as_mapping(zero.compose(kernel))) == []
+    assert list(as_mapping(kernel.compose(zero))) == []
 
 
 @pytest.mark.parametrize("group,dim", [(Z, 1), (Z2, 2), (Cyclic(6), 2), (HeisenbergMod(3), 1)])
@@ -140,7 +141,7 @@ def test_compose_matches_bruteforce(group, dim):
     for key, mat in oracle.items():
         assert np.linalg.norm(product.entries[key] - mat, 2) < 1e-12
     # No spurious support outside the oracle windows.
-    for (s, t) in product.support():
+    for (s, t) in as_mapping(product):
         x = group.multiply(s, t)
         if t in window and x in window:
             assert key in oracle or np.linalg.norm(product.entries[(s, t)], 2) >= 0
@@ -177,7 +178,7 @@ def test_involution_matches_pointwise_adjoint():
     adj = kernel.involution()
     for x in Z2.ball(2):
         for y in Z2.ball(2):
-            assert np.allclose(adj.kernel_at(x, y), kernel.kernel_at(y, x).conj().T)
+            assert np.allclose(kernel_at(adj, x, y), kernel_at(kernel, y, x).conj().T)
 
 
 # -- operator action ---------------------------------------------------------------
@@ -192,10 +193,10 @@ def test_apply_identity_window():
 def test_apply_shift_delta():
     c = 0.5 - 0.25j
     kernel = Kernel(Z, 1, {((1,), (t,)): np.array([[c]]) for t in range(-3, 4)})
-    delta = TestVector.basis(Z, 1, (0,))
+    delta = basis(Z, 1, (0,))
     image = kernel.apply(delta)
-    assert image.support() == [(1,)]
-    assert image.value((1,))[0] == pytest.approx(c)
+    assert list(as_mapping(image)) == [(1,)]
+    assert as_mapping(image)[(1,)][0] == pytest.approx(c)
 
 
 def test_apply_contractive_on_random_cases():
@@ -236,9 +237,9 @@ def test_submultiplicative_with_domination():
     product = k1.compose(k2)
     n1, n2 = k1.envelope_norm(), k2.envelope_norm()
     assert product.envelope_norm() <= n1 * n2 + 1e-12 * max(1.0, n1 * n2)
-    conv = k1.min_envelope().convolve(k2.min_envelope())
+    conv = as_mapping(k1.min_envelope().convolve(k2.min_envelope()))
     for (s, _t), mat in product.entries.items():
-        assert np.linalg.norm(mat, 2) <= conv.value(s) + 1e-12 * max(1.0, n1 * n2)
+        assert np.linalg.norm(mat, 2) <= conv.get(s, 0.0) + 1e-12 * max(1.0, n1 * n2)
 
 
 def test_associativity_on_grid():
@@ -278,8 +279,8 @@ def test_conjugation_matches_pointwise_definition():
     a_inv = group.inverse(a)
     for x in group.ball(2):
         for y in group.ball(2):
-            assert np.array_equal(right.kernel_at(x, y), kernel.kernel_at(group.multiply(x, a), group.multiply(y, a)))
-            assert np.array_equal(left.kernel_at(x, y), kernel.kernel_at(group.multiply(a_inv, x), group.multiply(a_inv, y)))
+            assert np.array_equal(kernel_at(right, x, y), kernel_at(kernel, group.multiply(x, a), group.multiply(y, a)))
+            assert np.array_equal(kernel_at(left, x, y), kernel_at(kernel, group.multiply(a_inv, x), group.multiply(a_inv, y)))
 
 
 def test_conjugation_intertwines_translations():
@@ -299,7 +300,7 @@ def test_left_right_actions_commute_exactly():
     a, b = (1, 0, 0), (0, 1, 2)
     one = kernel.conjugate_by_translation(a, "left").conjugate_by_translation(b, "right")
     two = kernel.conjugate_by_translation(b, "right").conjugate_by_translation(a, "left")
-    assert one.support() == two.support()
+    assert list(as_mapping(one)) == list(as_mapping(two))
     assert one.max_block_difference(two) == 0.0
 
 
@@ -321,22 +322,29 @@ def test_group_and_dim_mismatch_rejected():
 
 def test_kernel_entries_are_read_only():
     z3 = Cyclic(3)
-    stores = [
-        seeded_kernel(Z, 1, seed=3).entries,
-        random_covariance(z3, 2, seed=3).entries,
-        random_test_vector(z3, 2, seed=3, radius=1).values,
-        random_test_vector(z3, 2, seed=3, radius=1, doubled=True).values,
-    ]
-    for mapping in stores:
+    kernel, element = seeded_kernel(Z, 1, seed=3), random_covariance(z3, 2, seed=3)
+    for store in (kernel, element):
+        mapping = store.entries
         key = next(iter(mapping))
         with pytest.raises(ValueError):
             mapping[key][0] = 5.0
         with pytest.raises(TypeError):
             mapping[key] = mapping[key]
-    # A kernel's cached envelope: float values in a read-only mapping and array.
-    envelope = seeded_kernel(Z, 1, seed=3).min_envelope()
-    key = next(iter(envelope.values))
-    with pytest.raises(TypeError):
-        envelope.values[key] = 5.0
-    with pytest.raises(ValueError):
-        envelope.arrays[1][0] = 5.0
+        # The view lists the rows of the store's arrays, in order.
+        *coords, stack = store.arrays
+        assert list(mapping) == list(zip(*(map(tuple, c.tolist()) for c in coords)))
+        assert [block.tobytes() for block in mapping.values()] == [row.tobytes() for row in stack]
+    # Every store's arrays, coordinates and values alike, refuse writes; so does a
+    # kernel's cached envelope.
+    stores = [
+        kernel,
+        element,
+        random_test_vector(z3, 2, seed=3, radius=1),
+        random_test_vector(z3, 2, seed=3, radius=1, doubled=True),
+        kernel.min_envelope(),
+    ]
+    for store in stores:
+        for arr in store.arrays:
+            assert len(arr)
+            with pytest.raises(ValueError):
+                arr[0] = 5

@@ -44,6 +44,8 @@ from convdom.generate import (
 )
 from convdom.suites import covariance_suite, kernel_axiom_suite
 
+from views import as_mapping
+
 Z2 = IntegerLattice(2)
 Z7 = Cyclic(7)
 
@@ -111,7 +113,7 @@ def test_min_envelope_equals_per_entry_max(group, dim):
     best = {}
     for (s, _t), mat in kernel.entries.items():
         best[s] = max(best.get(s, 0.0), operator_norm(mat))
-    assert kernel.min_envelope().values == best
+    assert as_mapping(kernel.min_envelope()) == best
 
 
 # -- block norms only where a maximum can land ----------------------------------------
@@ -177,7 +179,7 @@ def test_fibre_maxima_equal_per_entry_operator_norm_max_bit_for_bit(data, dim):
             else:  # two opposite blocks on one key of Z/1000: the constructor keeps their zero sum
                 entries[(s,), (t,)], entries[(s + 1000,), (t + 1000,)] = np.eye(dim), -np.eye(dim)
     kernel = Kernel(group, dim, entries)
-    assert len(kernel.support()) == sum(map(len, fibres))
+    assert len(as_mapping(kernel)) == sum(map(len, fibres))
     best = {}
     for (s, _t), mat in kernel.entries.items():
         best[s] = max(best.get(s, 0.0), operator_norm(mat))
@@ -193,7 +195,7 @@ def test_fibre_maxima_below_the_range_of_safe_squares():
     b = np.array([[1.6e-162, 0.0], [1.6e-162, 0.0]])
     assert operator_norm(a) > operator_norm(b)
     kernel = Kernel(IntegerLattice(1), 2, {((0,), (0,)): a, ((0,), (1,)): b})
-    assert kernel.min_envelope().values == {(0,): operator_norm(a)}
+    assert as_mapping(kernel.min_envelope()) == {(0,): operator_norm(a)}
 
 
 def test_min_envelope_norms_fewer_blocks_than_it_holds(monkeypatch):
@@ -201,11 +203,11 @@ def test_min_envelope_norms_fewer_blocks_than_it_holds(monkeypatch):
     kernel = seeded_kernel(Z2, 2, seed=7, t_radius=3).compose(seeded_kernel(Z2, 2, seed=8, t_radius=3))
     sizes = count_normed_blocks(monkeypatch)
     envelope = kernel.min_envelope()
-    assert 0 < sum(sizes) < len(kernel.support())
+    assert 0 < sum(sizes) < len(as_mapping(kernel))
     best = {}
     for (s, _t), mat in kernel.entries.items():
         best[s] = max(best.get(s, 0.0), operator_norm(mat))
-    assert envelope.values == best
+    assert as_mapping(envelope) == best
 
 
 # -- constructor normalisation -----------------------------------------------------------
@@ -226,15 +228,15 @@ def test_zero_blocks_dropped_where_they_were():
     zero = np.zeros((1, 1))
     # Zero inputs are dropped before their keys are even read.
     kernel = Kernel(Z7, 1, {((2,), (1,)): one, ((3,), (1,)): zero, ("not", "a point"): zero})
-    assert kernel.support() == [((2,), (1,))]
+    assert list(as_mapping(kernel)) == [((2,), (1,))]
     # A sum of inputs that cancels is kept by the constructor...
     cancelled = Kernel(Z7, 1, {((2,), (1,)): one, ((9,), (1,)): -one})
-    assert cancelled.support() == [((2,), (1,))]
+    assert list(as_mapping(cancelled)) == [((2,), (1,))]
     assert not np.count_nonzero(cancelled.entries[((2,), (1,))])
     # ...but derived kernels drop sums and blocks that are zero.
-    assert (kernel - kernel).support() == []
-    assert cancelled.scale(2.0).support() == []
-    assert kernel.scale(0.0).support() == []
+    assert list(as_mapping(kernel - kernel)) == []
+    assert list(as_mapping(cancelled.scale(2.0))) == []
+    assert list(as_mapping(kernel.scale(0.0))) == []
 
 
 def test_constructor_rejects_bad_keys_and_shapes():
@@ -248,9 +250,9 @@ def test_rows_sort_like_tuples_at_any_coordinate_range():
     big = 2**40
     keys = [((big, -big), (0, 1)), ((-big, big), (5, 5)), ((-big, big), (-5, 5)), ((0, 0), (big, 0))]
     kernel = Kernel(Z2, 1, {key: np.array([[k + 1.0]]) for k, key in enumerate(keys)})
-    assert kernel.support() == sorted(keys)
+    assert list(as_mapping(kernel)) == sorted(keys)
     twice = kernel.involution().involution()
-    assert twice.support() == sorted(keys)
+    assert list(as_mapping(twice)) == sorted(keys)
     assert twice.max_block_difference(kernel) == 0.0
 
 
@@ -258,10 +260,10 @@ def test_rows_sort_like_tuples_when_a_column_spans_past_int64():
     one = np.eye(1)
     keys = [((2**62, 0), (0, 0)), ((-(2**62), 1), (0, 0)), ((-(2**62), 0), (0, 0))]
     kernel = Kernel(Z2, 1, {key: one * (k + 1) for k, key in enumerate(keys)})
-    assert kernel.support() == sorted(keys)
+    assert list(as_mapping(kernel)) == sorted(keys)
     assert [kernel.entries[key][0, 0] for key in keys] == [1, 2, 3]
     line = Kernel(IntegerLattice(1), 1, {((p,), (0,)): one for p in (2**62, -(2**62), 0)})
-    assert line.support() == [((-(2**62),), (0,)), ((0,), (0,)), ((2**62,), (0,))]
+    assert list(as_mapping(line)) == [((-(2**62),), (0,)), ((0,), (0,)), ((2**62,), (0,))]
 
 
 @settings(max_examples=80, deadline=None)
@@ -381,10 +383,10 @@ def test_compose_holds_about_one_block_product_per_key():
 
 def apply_loop(kernel, vec):
     """T_K in the first variable, v(y, *rest) -> sum_y K(x, y) v(y, *rest), summed in (kernel entry, vector entry) order."""
-    g = kernel.group
+    g, vm = kernel.group, as_mapping(vec)
     out = {}
     for (s, t), mat in kernel.entries.items():
-        for key, val in vec.values.items():
+        for key, val in vm.items():
             y, rest = (key[0], key[1:]) if vec.doubled else (key, ())
             if y == t:
                 x = g.multiply(s, t)
@@ -398,7 +400,7 @@ def test_apply_equals_per_entry_loop_on_single_and_doubled_vectors(group, dim):
     kernel = seeded_kernel(group, dim, seed=41)
     for doubled in (False, True):
         vec = random_test_vector(group, dim, 42, radius=2, doubled=doubled)
-        assert_mapping_equal(kernel.apply(vec).values, apply_loop(kernel, vec))
+        assert_mapping_equal(as_mapping(kernel.apply(vec)), apply_loop(kernel, vec))
 
 
 def line_kernel(values, dim=1):
@@ -456,13 +458,8 @@ def test_min_envelope_of_non_finite_blocks_follows_the_hypot_rule(name, dim):
         for (s, _t), mat in kernel.entries.items():
             best[s] = np.fmax(best.get(s, 0.0), reference_norm(mat))
         expected = {s: v for s, v in best.items() if v > 0.0}
-        assert kernel.min_envelope().values == expected
+        assert as_mapping(kernel.min_envelope()) == expected
         assert kernel.envelope_norm() == math.fsum(expected.values())
-
-
-def stored(obj):
-    """The key -> value view of a store of any of the three classes."""
-    return obj.values if isinstance(obj, TestVector) else obj.entries
 
 
 # (store from {s: value}, its norm) for each of the three store classes.
@@ -480,10 +477,11 @@ STORE_CLASSES = {
 def test_difference_equals_per_key_subtraction_with_infinite_blocks(make, norm):
     # b alone holds inf - inf j at s = 1: the difference there is -inf + inf j, not NaN.
     a, b = make({2: 1 + 2j}), make({1: complex(np.inf, -np.inf), 2: 0.5 - 1j})
-    zero = np.zeros_like(next(iter(stored(b).values())))
-    keys = sorted(set(stored(a)) | set(stored(b)))
-    expected = {k: stored(a).get(k, zero) - stored(b).get(k, zero) for k in keys}
-    assert_mapping_equal(stored(a - b), nonzero_sorted(expected))
+    am, bm = as_mapping(a), as_mapping(b)
+    zero = np.zeros_like(next(iter(bm.values())))
+    keys = sorted(set(am) | set(bm))
+    expected = {k: am.get(k, zero) - bm.get(k, zero) for k in keys}
+    assert_mapping_equal(as_mapping(a - b), nonzero_sorted(expected))
     assert norm(a - b) == math.inf
 
 
@@ -491,11 +489,11 @@ def test_difference_equals_per_key_subtraction_with_infinite_blocks(make, norm):
 @pytest.mark.parametrize("make,_norm", list(STORE_CLASSES.values()), ids=list(STORE_CLASSES))
 def test_sum_of_opposite_infinities_is_nan_without_a_warning(make, _norm):
     a, b = make({1: complex(np.inf, 1.0), 2: 1j}), make({1: complex(-np.inf, 1.0)})
-    total = stored(a + b)
-    assert list(total) == list(stored(a))
+    total = as_mapping(a + b)
+    assert list(total) == list(as_mapping(a))
     at_one, at_two = total.values()
     assert np.isnan(np.real(at_one)).all() and (np.imag(at_one) == 2.0).all()
-    assert np.array_equal(at_two, list(stored(a).values())[1])
+    assert np.array_equal(at_two, list(as_mapping(a).values())[1])
 
 
 @pytest.mark.parametrize("group,radius", [(Z7, 3), (Z2, 3)], ids=str)
@@ -657,10 +655,10 @@ def product_loop(f, h):
 
 def pi_regular_loop(f, xi):
     """(Pi(f) xi)(x, z) = sum_y f(y, x z) xi(y^-1 x, z), summed in (f entry, xi entry) order."""
-    g = f.group
+    g, xm = f.group, as_mapping(xi)
     out = {}
     for (y, w), mat in f.entries.items():
-        for (x1, z), val in xi.values.items():
+        for (x1, z), val in xm.items():
             if g.multiply(g.multiply(y, x1), z) == w:
                 key = (g.multiply(y, x1), z)
                 out[key] = out[key] + mat @ val if key in out else mat @ val
@@ -686,7 +684,8 @@ def test_covariance_operations_equal_per_entry_loops_bit_for_bit(group, x_radius
     for (x, _y), mat in f.entries.items():
         fibre_sup[x] = max(fibre_sup.get(x, 0.0), operator_norm(mat))
     assert f.l1_norm() == math.fsum(fibre_sup.values())
-    worst = max(operator_norm(f.value_at(*k) - h.value_at(*k)) for k in set(f.entries) | set(h.entries))
+    zero = np.zeros((2, 2), dtype=complex)
+    worst = max(operator_norm(f.entries.get(k, zero) - h.entries.get(k, zero)) for k in set(f.entries) | set(h.entries))
     assert f.max_block_difference(h) == worst
 
 
@@ -752,17 +751,17 @@ def test_coordinate_changes_equal_per_entry_remaps(group, x_radius, radius):
     assert_entries_equal(kernel, remap_loop(f.entries, lambda k: (k[0], g.multiply(g.inverse(k[0]), k[1]))))
     assert_mapping_equal(R_inverse(kernel).entries, remap_loop(kernel.entries, lambda k: (k[0], g.multiply(*k))))
     assert_mapping_equal(R_inverse(kernel).entries, dict(f.entries))
-    shear = remap_loop(xi.values, lambda k: (g.multiply(k[0], g.inverse(k[1])), k[1]))
-    assert_mapping_equal(W_intertwine(xi).values, shear)
-    assert_mapping_equal(W_inverse(xi).values, remap_loop(xi.values, lambda k: (g.multiply(*k), k[1])))
-    assert_mapping_equal(W_inverse(W_intertwine(xi)).values, dict(xi.values))
+    shear = remap_loop(as_mapping(xi), lambda k: (g.multiply(k[0], g.inverse(k[1])), k[1]))
+    assert_mapping_equal(as_mapping(W_intertwine(xi)), shear)
+    assert_mapping_equal(as_mapping(W_inverse(xi)), remap_loop(as_mapping(xi), lambda k: (g.multiply(*k), k[1])))
+    assert_mapping_equal(as_mapping(W_inverse(W_intertwine(xi))), dict(as_mapping(xi)))
 
 
 @pytest.mark.parametrize("group,x_radius,radius", COVARIANCE_CASES, ids=str)
 def test_pi_regular_equals_per_entry_loop_bit_for_bit(group, x_radius, radius):
     f, h, xi = covariance_case(group, x_radius, radius)
-    assert_mapping_equal(pi_regular(f, xi).values, pi_regular_loop(f, xi))
-    assert_mapping_equal(pi_regular(f + h, xi).values, pi_regular_loop(f + h, xi))
+    assert_mapping_equal(as_mapping(pi_regular(f, xi)), pi_regular_loop(f, xi))
+    assert_mapping_equal(as_mapping(pi_regular(f + h, xi)), pi_regular_loop(f + h, xi))
 
 
 def theta_loop(f):
@@ -787,12 +786,6 @@ def convolve_loop(a, b, group):
             block = a[ya] @ b[yb]
             out[key] = out[key] + block if key in out else block
     return out
-
-
-def as_mapping(pair):
-    """A (points, blocks) pair of the embedding as a mapping point -> block, in point order."""
-    points, blocks = pair
-    return {tuple(p): block for p, block in zip(points.tolist(), blocks)}
 
 
 @pytest.mark.parametrize("group,x_radius", [(Z7, None), (H3_3, None), (H3_3, 1)], ids=str)
@@ -832,11 +825,12 @@ def test_matrix_function_convolve_of_the_empty_element_and_the_unit(group, dim):
         points, blocks = matrix_function_convolve(a, b, group)
         assert points.shape == (0, group.coord_len) and blocks.shape == (0, *th[1].shape[1:])
     assert matrix_function_norm(zero) == 0.0
+    thm = as_mapping(th)
     for a, b in ((unit, th), (th, unit)):
         conv = as_mapping(matrix_function_convolve(a, b, group))
         assert_mapping_equal(conv, dict(sorted(convolve_loop(as_mapping(a), as_mapping(b), group).items())))
-        assert list(conv) == list(as_mapping(th))
-        assert all(np.array_equal(conv[x], block) for x, block in as_mapping(th).items())
+        assert list(conv) == list(thm)
+        assert all(np.array_equal(conv[x], block) for x, block in thm.items())
 
 
 @pytest.mark.parametrize("group,dim", [(Z7, 2), (H3_3, 2), (Cyclic(3), 1)], ids=str)
@@ -863,18 +857,18 @@ def test_test_vector_constructor_sums_in_input_order_and_drops_zero_inputs():
     a, b, c = (np.array([v]) for v in (1e16, -1e16, 1.0))
     # (1,), (8,) and (15,) are one point of Z/7.
     vec = TestVector(Z7, 1, {(1,): a, (8,): b, (15,): c})
-    assert_mapping_equal(vec.values, {(1,): (a + b) + c})
+    assert_mapping_equal(as_mapping(vec), {(1,): (a + b) + c})
     reordered = TestVector(Z7, 1, {(15,): c, (1,): a, (8,): b})
-    assert_mapping_equal(reordered.values, {(1,): (c + a) + b})
+    assert_mapping_equal(as_mapping(reordered), {(1,): (c + a) + b})
     doubled = TestVector(Z7, 1, {((8,), (0,)): b, ((1,), (7,)): c, ((1,), (0,)): a}, doubled=True)
-    assert_mapping_equal(doubled.values, {((1,), (0,)): (b + c) + a})
+    assert_mapping_equal(as_mapping(doubled), {((1,), (0,)): (b + c) + a})
     # Zero inputs are dropped before their keys are even read; cancelled sums stay...
     zero = np.zeros(1)
     kept = TestVector(Z7, 1, {(2,): a, (9,): -a, (3,): zero, ("not", "a point"): zero})
-    assert kept.support() == [(2,)]
+    assert list(as_mapping(kept)) == [(2,)]
     # ...until a derived vector drops them.
-    assert kept.scale(2.0).support() == []
-    assert (vec - vec).support() == []
+    assert list(as_mapping(kept.scale(2.0))) == []
+    assert list(as_mapping(vec - vec)) == []
     with pytest.raises(ValueError, match="coordinates"):
         TestVector(Z2, 1, {(1,): a})
     with pytest.raises(ValueError, match="shape"):
@@ -886,27 +880,27 @@ def test_test_vector_operations_equal_per_entry_loops_bit_for_bit(group, dim):
     g = group
     u = random_test_vector(group, dim, 31, radius=2)
     v = random_test_vector(group, dim, 32, radius=1)
-    total = dict(u.values)
-    for k, val in v.values.items():
+    total = dict(as_mapping(u))
+    for k, val in as_mapping(v).items():
         total[k] = total[k] + val if k in total else val
-    assert_mapping_equal((u + v).values, nonzero_sorted(total))
+    assert_mapping_equal(as_mapping(u + v), nonzero_sorted(total))
     a = g.ball(2)[-1]
-    left = remap_loop(u.values, lambda k: g.multiply(a, k))
-    assert_mapping_equal(u.translate(a, "left").values, left)
-    right = remap_loop(u.values, lambda k: g.multiply(k, g.inverse(a)))
-    assert_mapping_equal(u.translate(a, "right").values, right)
-    inner = 0.0 + 0.0j
-    for k in sorted(set(u.values) & set(v.values)):
-        inner += complex(np.vdot(u.values[k], v.values[k]))
+    left = remap_loop(as_mapping(u), lambda k: g.multiply(a, k))
+    assert_mapping_equal(as_mapping(u.translate(a, "left")), left)
+    right = remap_loop(as_mapping(u), lambda k: g.multiply(k, g.inverse(a)))
+    assert_mapping_equal(as_mapping(u.translate(a, "right")), right)
+    inner, um, vm = 0.0 + 0.0j, as_mapping(u), as_mapping(v)
+    for k in sorted(set(um) & set(vm)):
+        inner += complex(np.vdot(um[k], vm[k]))
     assert u.inner(v) == inner
-    squares = [float(c) for val in u.values.values() for c in np.abs(val) ** 2]
+    squares = [float(c) for val in as_mapping(u).values() for c in np.abs(val) ** 2]
     assert u.l2_norm() == math.sqrt(math.fsum(squares))
     for x in (u, v):
         xi = random_test_vector(group, dim, 33, radius=1, doubled=True)
         eta = random_test_vector(group, dim, 34, radius=2, doubled=True)
-        inner = 0.0 + 0.0j
-        for k in sorted(set(xi.values) & set(eta.values)):
-            inner += complex(np.vdot(xi.values[k], eta.values[k]))
+        inner, xm, em = 0.0 + 0.0j, as_mapping(xi), as_mapping(eta)
+        for k in sorted(set(xm) & set(em)):
+            inner += complex(np.vdot(xm[k], em[k]))
         assert xi.inner(eta) == inner
 
 
@@ -944,8 +938,8 @@ def envelope_loop(group, values):
 
 def assert_envelope_equal(env, expected):
     """Same points in the same order, values equal bit for bit and Python floats."""
-    assert list(env.values.items()) == list(expected.items())
-    assert all(type(v) is float for v in env.values.values())
+    assert list(as_mapping(env).items()) == list(expected.items())
+    assert all(type(v) is float for v in as_mapping(env).values())
 
 
 @pytest.mark.parametrize("group", ENVELOPE_GROUPS, ids=str)
@@ -1015,10 +1009,11 @@ def test_envelope_by_word_length_equals_bucketing_loops(group):
 def test_ideal_project_equals_per_entry_rescale(group):
     kernel, _ = generate_kernel(group, 2, 6, Profile.exponential(0.6, 2, 1))
     beta = kernel.min_envelope()
+    at_beta = as_mapping(beta)
     for bound in (beta.restrict(1), beta.cap(0.3)):
-        expected = {}
+        expected, at_bound = {}, as_mapping(bound)
         for (s, t), mat in kernel.entries.items():
-            factor = bound.value(s) / beta.value(s)
+            factor = at_bound.get(s, 0.0) / at_beta.get(s, 0.0)
             if factor:
                 expected[(s, t)] = factor * mat
         assert_entries_equal(ideal_project(kernel, bound), nonzero_sorted(expected))
@@ -1073,7 +1068,7 @@ def test_generated_kernels_equal_per_entry_rescale_bit_for_bit(group, dim):
     assert_entries_equal(kernel, expected.entries)
     envelope = Envelope(group, {s: 0.3 ** (1 + i) for i, s in enumerate(group.ball(1))})
     kernel, _ = generate_kernel_from_envelope(group, dim, 12, envelope, t_radius=1)
-    assert_entries_equal(kernel, generate_loop(group, dim, 12, envelope.values, group.ball(1)).entries)
+    assert_entries_equal(kernel, generate_loop(group, dim, 12, as_mapping(envelope), group.ball(1)).entries)
 
 
 @pytest.mark.parametrize("group", [Z2, Z7, H3_3], ids=str)
@@ -1101,10 +1096,10 @@ def test_random_covariance_and_vectors_equal_per_entry_draws(group, dim):
     points = group.ball(1)
     rng = np.random.default_rng(14)
     expected = {x: disc_draw(rng, (dim,)) for x in points}
-    assert_mapping_equal(random_test_vector(group, dim, 14, radius=1).values, nonzero_sorted(expected))
+    assert_mapping_equal(as_mapping(random_test_vector(group, dim, 14, radius=1)), nonzero_sorted(expected))
     rng = np.random.default_rng(15)
     expected = {(x, z): disc_draw(rng, (dim,)) for x in points for z in points}
-    assert_mapping_equal(random_test_vector(group, dim, 15, radius=1, doubled=True).values, nonzero_sorted(expected))
+    assert_mapping_equal(as_mapping(random_test_vector(group, dim, 15, radius=1, doubled=True)), nonzero_sorted(expected))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1134,9 +1129,9 @@ def test_norm_submultiplicative_equals_per_entry_loop(group, dim):
         scale = max(1.0, n1 * n2)
         k12 = k1.compose(k2)
         over = (k12.envelope_norm() - n1 * n2) / scale
-        conv = k1.min_envelope().convolve(k2.min_envelope())
+        conv = as_mapping(k1.min_envelope().convolve(k2.min_envelope()))
         for (s, _t), mat in k12.entries.items():
-            over = max(over, (np.linalg.norm(mat, 2) - conv.value(s)) / scale)
+            over = max(over, (np.linalg.norm(mat, 2) - conv.get(s, 0.0)) / scale)
         worst = max(worst, over)
     results = {r.name: r.worst for r in kernel_axiom_suite(group, dim, seed=3, trials=2)}
     assert results["norm_submultiplicative"] == worst
