@@ -27,6 +27,7 @@ from .kernels import (
     TestVector,
     _fibre_sups,
     _from_arrays,
+    _install,
     _join,
     _l1_sum,
     _mapping_view,
@@ -59,12 +60,12 @@ class CovarianceElement:
     def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
         """Element from a mapping (x, y) -> d x d matrix.
 
-        All-zero matrices are dropped, keys are made canonical, and matrices
-        whose keys coincide are summed in the mapping's order; a sum that
-        cancels to zero is kept.  The covariance file reader builds elements
-        with it, and the tests pin that rule.
+        Every key is made canonical, and matrices whose keys coincide are
+        summed in the mapping's order, zero ones included; a sum that is zero
+        is dropped, as in every store.  The covariance file reader builds
+        elements with it.
         """
-        _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)), keep_cancelled=True)
+        _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)))
 
     @classmethod
     def unit(cls, group: Group, dim: int) -> "CovarianceElement":
@@ -97,9 +98,11 @@ class CovarianceElement:
         y2 = y^-1 z, in storage order, and adds f(y, z) h(x2, y2) at
         (y x2, z).  One key pass joins all pairs and keys each term by the dense
         ranks of y x2 (formed once per (y, x2) that meets) and of z, in one int64.
-        The block products are formed inside the sum per key, one term per key
-        at a time, and each key's sum is its terms in the order of the
-        entry-by-entry loop, bit for bit.
+        The ranks order as the points do, so the sums come out in key order,
+        one per key, and are installed as they are.  The block products are
+        formed inside the sum per key, one term per key at a time, and each
+        key's sum is its terms in the order of the entry-by-entry loop, bit for
+        bit.
         """
         _require_compatible(self, other)
         g, (y, z), (x2, y2) = self.group, self._coords, other._coords
@@ -111,7 +114,8 @@ class CovarianceElement:
         key = point[key] * len(point_first) + point[len(met_first) :][i]  # replaces the (y, x2) rank
         first, sums = _reduce_by_key(key, lambda at: np.matmul(self._stack[i[at]], other._stack[j[at]]))
         xr, zr = np.divmod(key[first], len(point_first))
-        return _from_arrays(CovarianceElement, g, self.dim, (points[point_first[xr]], points[point_first[zr]]), sums)
+        coords = (points[point_first[xr]], points[point_first[zr]])
+        return _install(CovarianceElement.__new__(CovarianceElement), g, self.dim, coords, sums)
 
     def involution(self) -> "CovarianceElement":
         """f*(x, y) = f(x^-1, x^-1 y)^H; unimodular discrete form."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covariance import CovarianceElement
 from .groups import Group, Point
 from .kernels import Envelope, Kernel, TestVector, _from_arrays, _l1_sum, _pairs, _row_codes, operator_norms
 
@@ -166,15 +167,13 @@ def generate_kernel_from_envelope(
     return _scaled_kernel(group, dim, rng, points, values, t_radius), envelope
 
 
-def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None):
+def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None) -> CovarianceElement:
     """Random covariance element with uniform-disc entries.
 
     The x support is the ball of x_radius, or by default the whole group,
     which ``Group.window`` refuses on an infinite group.  Fibers run over
     the whole group when it is finite, else over the same ball.
     """
-    from .covariance import CovarianceElement
-
     xs = group.window(x_radius)
     keys = _pairs(xs, group.window() if group.is_finite else xs)
     blocks = _random_disc(np.random.default_rng(seed), len(keys[0]), (dim, dim))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Envelope, Kernel, _join, _nonzero, _row_codes, _stores_sum, _subset
+from .kernels import Envelope, Kernel, _join, _row_codes, _stores_sum, _subset
 
 
 class SectionInversionError(RuntimeError):
@@ -434,8 +434,7 @@ def ideal_project(kernel: Kernel, bound: Envelope) -> Kernel:
     rows, k = _join(cosets, constrained)
     scale = np.zeros(len(s))
     scale[rows] = bound[k] / under[k]
-    blocks = scale[:, None, None] * blocks
-    return _subset(kernel, _nonzero(blocks), blocks)
+    return _subset(kernel, stack=scale[:, None, None] * blocks)
 
 
 def fit_decay(report: DecayReport) -> tuple[float, float]:

@@ -10,13 +10,15 @@ single variable s.  All supports are finite.
 int64 ``(nnz, coord_len)`` coordinate array per point of a key, and a
 read-only stack of ``(nnz, d, d)`` blocks or ``(nnz, d)`` vectors, with rows
 in lexicographic key order; :class:`Envelope` keeps points and values the same
-way.  Every store is read through its ``arrays`` property.  The one mapping
-view, ``entries`` of kernels and covariance elements, is kept for the
+way.  No store holds a zero value: ``_install``, through which every store
+is set, drops zero rows, so a sum that cancels is gone wherever it was
+formed.  Every store is read through its ``arrays`` property.  The one
+mapping view, ``entries`` of kernels and covariance elements, is kept for the
 benchmark's counters; nothing in the package reads it.  The Mapping
 constructors stay because the file readers build stores with them.
 ``_set_store`` is the one normalisation; the other private helpers are the
 operations the classes share.  Derivations that keep the order
-(``restrict_to_ball``, ``scale``) mask the parent's rows instead of
+(``restrict_to_ball``, ``scale``) take the parent's rows instead of
 normalising again.  Every operation runs on whole arrays through the batched
 group law: composition is a join on the row point s*t and a sum
 per key that forms its block products as it adds them, so it holds one term
@@ -189,47 +191,43 @@ def _nonzero(stack: np.ndarray) -> np.ndarray:
 
 
 def _parse_mapping(group: Group, mapping: Mapping, arity: int, shape: tuple[int, ...]):
-    """(canonical coordinate arrays, value stack) of a Mapping input, not yet sorted or summed.
-
-    All-zero values are dropped before their keys are even read.
-    """
+    """(canonical coordinate arrays, value stack) of a Mapping input, not yet sorted or summed."""
     keys = list(mapping)
     stack = _value_stack(keys, list(mapping.values()), shape)
-    live = _nonzero(stack)
-    if not live.all():
-        keys = [k for k, keep in zip(keys, live.tolist()) if keep]
-        stack = stack[live]
     return [group.canonical_many(c) for c in _key_arrays(group, keys, arity)], stack
 
 
-def _set_store(obj, group: Group, dim: int, coords, stack, keep_cancelled: bool) -> None:
-    """Give ``obj`` a canonical, sorted, duplicate-free store: the one normalisation.
+def _set_store(obj, group: Group, dim: int, coords, stack):
+    """Give ``obj`` a canonical, sorted, duplicate-free store and return it: the one normalisation.
 
     ``coords`` holds one canonical (group-law or ``_parse_mapping`` output)
     ``(n, coord_len)`` array per point of a key and ``stack`` the n values, in
     any order, or a function that forms the values at an array of row indices
     (see ``_reduce_by_key``).  Values whose keys coincide are summed in row
-    order.  A sum that cancels to zero is kept when ``keep_cancelled``
-    (Mapping constructions); otherwise (derived objects) every zero value is
-    dropped.
+    order, and ``_install`` drops the sums that are zero.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     (codes,) = _row_codes(tuple(coords))
     rows, stack = _reduce_by_key(codes, stack if callable(stack) else np.asarray(stack, dtype=complex))
-    coords = [c[rows] for c in coords]
-    if not keep_cancelled:
-        live = _nonzero(stack)
+    return _install(obj, group, dim, [c[rows] for c in coords], stack)
+
+
+def _install(obj, group: Group, dim: int | None, coords, stack):
+    """Give ``obj`` a store of sorted, distinct keys without its zero rows, read-only, and return it.
+
+    Every store is set here, so no store holds a zero value.  The arrays are
+    copied only when a row is dropped.  ``dim`` is None for an envelope.
+    """
+    live = _nonzero(stack)
+    if not live.all():
         coords, stack = [c[live] for c in coords], stack[live]
-    _install(obj, group, dim, coords, stack)
-
-
-def _install(obj, group: Group, dim: int, coords, stack) -> None:
-    """Give ``obj`` a normalised store, read-only."""
     for arr in (*coords, stack):
         arr.setflags(write=False)
-    obj.group, obj.dim = group, dim
-    obj._coords, obj._stack = tuple(coords), stack
+    obj.group, obj._coords, obj._stack = group, tuple(coords), stack
+    if dim is not None:
+        obj.dim = dim
+    return obj
 
 
 def _from_arrays(cls, group: Group, dim: int, coords, stack):
@@ -237,28 +235,22 @@ def _from_arrays(cls, group: Group, dim: int, coords, stack):
 
     ``stack`` may be a function that forms the values at row indices, as ``_set_store`` takes it.
     """
-    obj = cls.__new__(cls)
-    _set_store(obj, group, dim, coords, stack, keep_cancelled=False)
-    return obj
+    return _set_store(cls.__new__(cls), group, dim, coords, stack)
 
 
-def _subset(obj, keep: np.ndarray, stack: np.ndarray | None = None):
-    """A store of ``obj``'s class with the rows of ``obj`` under the mask ``keep``.
+def _subset(obj, keep: np.ndarray | slice = slice(None), stack: np.ndarray | None = None):
+    """A store of ``obj``'s class with the rows of ``obj`` that ``keep`` selects, all by default.
 
     The rows stay sorted and distinct, so nothing is normalised again.  With
-    ``stack``, its rows replace ``obj``'s values.  The caller drops zero
-    values with the mask.
+    ``stack``, its rows replace ``obj``'s values.
     """
     stack = obj._stack if stack is None else stack
-    new = type(obj).__new__(type(obj))
-    _install(new, obj.group, obj.dim, [c[keep] for c in obj._coords], stack[keep])
-    return new
+    return _install(type(obj).__new__(type(obj)), obj.group, obj.dim, [c[keep] for c in obj._coords], stack[keep])
 
 
 def _scaled(obj, c: complex):
     """``c`` times every value of a store, zero results dropped."""
-    stack = c * obj._stack
-    return _subset(obj, _nonzero(stack), stack)
+    return _subset(obj, stack=c * obj._stack)
 
 
 def _mapping_view(obj) -> Mapping:
@@ -293,7 +285,7 @@ def _stores_difference(a, b):
     """Difference of two stores of one class: the store of a + (-b), which is a - b exactly."""
     # np.negative, not a scale by -1.0: complex multiplication by -1.0 turns
     # a block whose two parts are infinite into NaN.
-    return _stores_sum(a, _subset(b, _nonzero(b._stack), np.negative(b._stack)))
+    return _stores_sum(a, _subset(b, stack=np.negative(b._stack)))
 
 
 def _max_block_difference(a, b) -> float:
@@ -374,33 +366,25 @@ def _refuse_bad_values(keys, vals: np.ndarray) -> None:
 class Envelope:
     """Finitely supported nonnegative function on a group, stored as sorted int64 points and float64 values.
 
-    The Mapping constructor refuses negative, NaN and infinite values, drops
-    zeros, makes keys canonical and max-merges the values of keys that coincide;
-    the envelope file reader builds envelopes with it.
+    The Mapping constructor refuses negative, NaN and infinite values, makes
+    every key canonical and max-merges the values of keys that coincide; a
+    zero value is dropped, as in every store.  The envelope file reader builds
+    envelopes with it.
     """
 
     def __init__(self, group: Group, values: Mapping[Point, float]) -> None:
         keys = list(values)
         vals = np.fromiter(map(float, values.values()), dtype=float, count=len(keys))
         _refuse_bad_values(keys, vals)
-        live = vals != 0.0
-        (points,) = _key_arrays(group, [k for k, keep in zip(keys, live.tolist()) if keep], 1)
+        (points,) = _key_arrays(group, keys, 1)
         points = group.canonical_many(points)
-        rows, merged = _reduce_by_key(_row_codes(points)[0], vals[live], np.fmax)
-        self._set(group, points[rows], merged)
-
-    def _set(self, group: Group, points: np.ndarray, values: np.ndarray) -> "Envelope":
-        """Keep canonical, sorted, distinct points and their values, read-only; zeros are dropped."""
-        live = values != 0.0
-        self.group, self._coords, self._stack = group, (points[live],), values[live]
-        for arr in (*self._coords, self._stack):
-            arr.setflags(write=False)
-        return self
+        rows, merged = _reduce_by_key(_row_codes(points)[0], vals, np.fmax)
+        _install(self, group, None, (points[rows],), merged)
 
     @classmethod
     def _derived(cls, group: Group, points: np.ndarray, values: np.ndarray) -> "Envelope":
-        """An envelope built from arrays, with no Mapping round trip (see ``_set``)."""
-        return cls.__new__(cls)._set(group, points, values)
+        """An envelope of canonical, sorted, distinct points and their values, with no Mapping round trip."""
+        return _install(cls.__new__(cls), group, None, (points,), values)
 
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -474,12 +458,12 @@ class Kernel:
     def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
         """Kernel from a mapping (s, t) -> d x d matrix.
 
-        All-zero matrices are dropped, keys are made canonical, and matrices
-        whose keys coincide are summed in the mapping's order; a sum that
-        cancels to zero is kept.  The kernel file reader builds kernels with it,
-        and the tests pin that rule.
+        Every key is made canonical, and matrices whose keys coincide are
+        summed in the mapping's order, zero ones included; a sum that is zero
+        is dropped, as in every store.  The kernel file reader builds kernels
+        with it.
         """
-        _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)), keep_cancelled=True)
+        _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)))
 
     # -- constructors ---------------------------------------------------------
 
@@ -598,7 +582,7 @@ class Kernel:
 
     def restrict_to_ball(self, radius: int) -> "Kernel":
         """Keep entries whose pair (x, y) lies in the ball of the given radius."""
-        return _subset(self, self._ball_mask(radius) & _nonzero(self._stack))
+        return _subset(self, self._ball_mask(radius))
 
     def _ball_mask(self, radius: int, columns: bool = True) -> np.ndarray:
         """Mask of the entries whose row x = s*t, and with ``columns`` their column t, lie in the ball."""
@@ -672,13 +656,12 @@ class TestVector:
     def __init__(self, group: Group, dim: int, values: Mapping, doubled: bool = False) -> None:
         """Vector from a mapping key -> C^d value, keys points or (doubled) point pairs.
 
-        Zero values are dropped, keys are made canonical, and values whose
-        keys coincide are summed in the mapping's order; a sum that cancels
-        to zero is kept.  The package derives vectors from arrays; the tests
-        build them with this constructor and pin that rule.
+        Every key is made canonical, and values whose keys coincide are
+        summed in the mapping's order, zero ones included; a sum that is zero
+        is dropped, as in every store.  The package derives vectors from
+        arrays; the tests build them with this constructor.
         """
-        parsed = _parse_mapping(group, values, 2 if doubled else 1, (dim,))
-        _set_store(self, group, dim, *parsed, keep_cancelled=True)
+        _set_store(self, group, dim, *_parse_mapping(group, values, 2 if doubled else 1, (dim,)))
 
     @property
     def doubled(self) -> bool:

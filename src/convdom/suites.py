@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
-    CovarianceElement,
     R_inverse,
     R_map,
     matrix_function_convolve,
@@ -26,7 +25,7 @@ from .covariance import (
 )
 from .generate import Profile, generate_kernel, random_covariance, random_test_vector
 from .groups import Group
-from .kernels import Kernel, TestVector, _join, _reduce_by_key, _row_codes, section_operator_norm
+from .kernels import TestVector, _join, _reduce_by_key, _row_codes, section_operator_norm
 
 
 @dataclass

@@ -1,6 +1,5 @@
 """Seeded kernel generation: profiles, determinism, envelope domination."""
 
-import numpy as np
 import pytest
 
 from convdom import Cyclic, HeisenbergMod, IntegerLattice, generate_kernel, random_covariance, shift_kernel

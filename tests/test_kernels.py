@@ -1,7 +1,5 @@
 """Kernel algebra: storage, envelope, product, involution, operator action."""
 
-import itertools
-
 import numpy as np
 import pytest
 

@@ -134,11 +134,11 @@ def adversarial_fibres(data, dim):
     rank one (Frobenius norm equals sigma), one nonzero column (both bounds
     equal sigma), that block times 1 + 2^-52 (norms about one ulp apart), or
     its rows reversed (equal sigma, other rounding), at scales from 1e-300 to
-    1e300, on both sides of the range where squared sums are safe; a zero
-    entry cancels two opposite blocks.
+    1e300, on both sides of the range where squared sums are safe.  No store
+    holds a zero block, so none is drawn.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    kinds = st.sampled_from(["random", "tie", "rank-one", "column", "ulp", "reversed", "zero"])
+    kinds = st.sampled_from(["random", "tie", "rank-one", "column", "ulp", "reversed"])
     scales = st.sampled_from([1e-300, 1e-160, 1e-125, 1e-3, 1.0, 1e125, 1e160, 1e300])
     fibres = []
     for _ in range(data.draw(st.integers(1, 4), label="fibres")):
@@ -156,12 +156,10 @@ def adversarial_fibres(data, dim):
                 block = last
             elif kind == "ulp":
                 block = last * (1 + 2.0**-52)
-            elif kind == "reversed":
-                block = last[::-1]
             else:
-                block = np.zeros((dim, dim), dtype=complex)
+                block = last[::-1]
             blocks.append(block)
-            last = block if kind != "zero" else last
+            last = block
         fibres.append(blocks)
     return fibres
 
@@ -171,13 +169,7 @@ def adversarial_fibres(data, dim):
 def test_fibre_maxima_equal_per_entry_operator_norm_max_bit_for_bit(data, dim):
     fibres = adversarial_fibres(data, dim)
     group = Cyclic(1000)
-    entries = {}
-    for s, blocks in enumerate(fibres):
-        for t, block in enumerate(blocks):
-            if np.count_nonzero(block):
-                entries[(s,), (t,)] = block
-            else:  # two opposite blocks on one key of Z/1000: the constructor keeps their zero sum
-                entries[(s,), (t,)], entries[(s + 1000,), (t + 1000,)] = np.eye(dim), -np.eye(dim)
+    entries = {((s,), (t,)): block for s, blocks in enumerate(fibres) for t, block in enumerate(blocks)}
     kernel = Kernel(group, dim, entries)
     assert len(as_mapping(kernel)) == sum(map(len, fibres))
     best = {}
@@ -219,23 +211,25 @@ def test_duplicate_keys_sum_in_input_order():
     # (1,), (8,) and (15,) are one point of Z/7.
     kernel = Kernel(Z7, 1, {((1,), (0,)): a, ((8,), (0,)): b, ((15,), (7,)): c})
     assert_entries_equal(kernel, {((1,), (0,)): (a + b) + c})
+    # In this order the sum cancels: (c + a) + b is 0.0, and a zero sum is dropped.
+    assert ((c + a) + b).item() == 0.0
     reordered = Kernel(Z7, 1, {((15,), (7,)): c, ((1,), (0,)): a, ((8,), (0,)): b})
-    assert_entries_equal(reordered, {((1,), (0,)): (c + a) + b})
+    assert_entries_equal(reordered, {})
 
 
 def test_zero_blocks_dropped_where_they_were():
     one = np.array([[1.0 + 2.0j]])
     zero = np.zeros((1, 1))
-    # Zero inputs are dropped before their keys are even read.
-    kernel = Kernel(Z7, 1, {((2,), (1,)): one, ((3,), (1,)): zero, ("not", "a point"): zero})
+    # A zero input is summed like any other, and its zero sum is dropped.
+    kernel = Kernel(Z7, 1, {((2,), (1,)): one, ((3,), (1,)): zero})
     assert list(as_mapping(kernel)) == [((2,), (1,))]
-    # A sum of inputs that cancels is kept by the constructor...
+    # Its key is read like any other: a malformed one is refused.
+    with pytest.raises(ValueError):
+        Kernel(Z7, 1, {((2,), (1,)): one, ("not", "a point"): zero})
+    # A sum of inputs that cancels is dropped by the constructor, as derived kernels drop theirs.
     cancelled = Kernel(Z7, 1, {((2,), (1,)): one, ((9,), (1,)): -one})
-    assert list(as_mapping(cancelled)) == [((2,), (1,))]
-    assert not np.count_nonzero(cancelled.entries[((2,), (1,))])
-    # ...but derived kernels drop sums and blocks that are zero.
+    assert list(as_mapping(cancelled)) == []
     assert list(as_mapping(kernel - kernel)) == []
-    assert list(as_mapping(cancelled.scale(2.0))) == []
     assert list(as_mapping(kernel.scale(0.0))) == []
 
 
@@ -244,6 +238,64 @@ def test_constructor_rejects_bad_keys_and_shapes():
         Kernel(Z2, 1, {((1,), (0, 0)): np.ones((1, 1))})
     with pytest.raises(ValueError, match="shape"):
         Kernel(Z2, 2, {((1, 0), (0, 0)): np.ones((2, 2)), ((0, 0), (0, 0)): np.ones((1, 2))})
+
+
+def zero_producing_stores(kind):
+    """Stores of one class from every path that can form a zero value, each with a live row beside it.
+
+    On Z/7, 2 and 9 (and 3 and 10) are one point: a Mapping spelling that
+    cancels, and a zero input at a live key.
+    """
+    m = np.array([[1 + 2j, -3j], [0.5, 2 - 1j]])
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    if kind == "Envelope":
+        tiny = Envelope(Z7, {(1,): 1e-200})
+        return [
+            Envelope(Z7, {(2,): 0.5, (9,): 0.0, (3,): 0.0}),
+            Envelope(Z7, {(2,): 0.5}).cap(0.0),
+            tiny.convolve(tiny),  # 1e-400 underflows to 0.0
+        ]
+    if kind == "TestVector":
+        v = m[0]
+        vec = TestVector(Z7, 2, {(2,): v, (9,): -v, (3,): v, (10,): zero[0]})
+        return [vec, vec.scale(0.0), vec - vec]
+    cls = Kernel if kind == "Kernel" else CovarianceElement
+    store = cls(Z7, 2, {((2,), (1,)): m, ((9,), (1,)): -m, ((3,), (0,)): m, ((10,), (7,)): zero})
+    stores = [store, store.scale(0.0), store - store]
+    if cls is Kernel:
+        # (1, 0) gets m from the left entry at t = 0 and -m from the one at t = 1.
+        left = Kernel(Z7, 2, {((1,), (0,)): m, ((0,), (1,)): -m, ((2,), (3,)): m})
+        right = Kernel(Z7, 2, {((0,), (0,)): eye, ((1,), (0,)): eye, ((0,), (3,)): eye})
+        kernel = Kernel(Z7, 2, {((0,), (0,)): m, ((2,), (1,)): m})
+        stores += [left.compose(right), ideal_project(kernel, kernel.min_envelope().restrict(0))]
+    else:
+        # (3, 0) gets m from y = 0 and -m from y = 1.
+        f = CovarianceElement(Z7, 2, {((0,), (0,)): eye, ((1,), (0,)): eye})
+        h = CovarianceElement(Z7, 2, {((3,), (0,)): m, ((2,), (6,)): -m, ((1,), (0,)): 2 * m})
+        stores.append(f.product(h))
+    return stores
+
+
+@pytest.mark.parametrize("kind", ["Kernel", "CovarianceElement", "TestVector", "Envelope"])
+def test_no_store_holds_a_zero_value(kind):
+    for store in zero_producing_stores(kind):
+        *_, values = store.arrays
+        assert values.any(axis=tuple(range(1, values.ndim))).all(), store
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Kernel(Z7, 1, {((1,), (0,)): np.ones((1, 1)), ((2, 3), (0,)): np.zeros((1, 1))}),
+        lambda: CovarianceElement(Z7, 1, {((1,), (0,)): np.ones((1, 1)), ((2, 3), (0,)): np.zeros((1, 1))}),
+        lambda: TestVector(Z7, 1, {(1,): np.ones(1), (2, 3): np.zeros(1)}),
+        lambda: Envelope(Z7, {(1,): 0.5, (2, 3): 0.0}),
+    ],
+    ids=["Kernel", "CovarianceElement", "TestVector", "Envelope"],
+)
+def test_zero_input_at_a_malformed_point_is_refused(make):
+    with pytest.raises(ValueError, match=re.escape("point (2, 3) has 2 coordinates")):
+        make()
 
 
 def test_rows_sort_like_tuples_at_any_coordinate_range():
@@ -858,16 +910,18 @@ def test_test_vector_constructor_sums_in_input_order_and_drops_zero_inputs():
     # (1,), (8,) and (15,) are one point of Z/7.
     vec = TestVector(Z7, 1, {(1,): a, (8,): b, (15,): c})
     assert_mapping_equal(as_mapping(vec), {(1,): (a + b) + c})
+    # In these orders the sum cancels to 0.0, and a zero sum is dropped.
     reordered = TestVector(Z7, 1, {(15,): c, (1,): a, (8,): b})
-    assert_mapping_equal(as_mapping(reordered), {(1,): (c + a) + b})
+    assert ((c + a) + b).item() == 0.0 and list(as_mapping(reordered)) == []
     doubled = TestVector(Z7, 1, {((8,), (0,)): b, ((1,), (7,)): c, ((1,), (0,)): a}, doubled=True)
-    assert_mapping_equal(as_mapping(doubled), {((1,), (0,)): (b + c) + a})
-    # Zero inputs are dropped before their keys are even read; cancelled sums stay...
+    assert ((b + c) + a).item() == 0.0 and list(as_mapping(doubled)) == []
+    doubled = TestVector(Z7, 1, {((8,), (0,)): b, ((1,), (0,)): a, ((1,), (7,)): c}, doubled=True)
+    assert_mapping_equal(as_mapping(doubled), {((1,), (0,)): (b + a) + c})
+    # Zero inputs are summed like any other, and their keys read: cancelled sums and zero inputs are dropped.
     zero = np.zeros(1)
-    kept = TestVector(Z7, 1, {(2,): a, (9,): -a, (3,): zero, ("not", "a point"): zero})
-    assert list(as_mapping(kept)) == [(2,)]
-    # ...until a derived vector drops them.
-    assert list(as_mapping(kept.scale(2.0))) == []
+    assert list(as_mapping(TestVector(Z7, 1, {(2,): a, (9,): -a, (3,): zero}))) == []
+    with pytest.raises(ValueError):
+        TestVector(Z7, 1, {(2,): a, ("not", "a point"): zero})
     assert list(as_mapping(vec - vec)) == []
     with pytest.raises(ValueError, match="coordinates"):
         TestVector(Z2, 1, {(1,): a})
