@@ -241,7 +241,7 @@ def task_decay(params: dict, out: Path | None) -> tuple[int, list[str]]:
             results.append(CheckResult("decay_rate_matches_expected", gap, params["rate_tol"]))
     q = kernel.envelope_norm() / abs(cfg.z) if cfg.z != 0 else np.inf
     if q < 1.0:
-        window = report.final_inner_radius()
+        window = report.final.inner_radius
         oracle, bound = neumann_inverse(kernel, cfg.z, params["neumann_terms"], window)
         gap = (inverse - oracle).restrict_to_ball(window).envelope_norm()
         results.append(CheckResult("neumann_cross_check", gap, bound + cfg.stabilization_tol))

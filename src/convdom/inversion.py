@@ -74,30 +74,6 @@ class InversionConfig:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass
-class DecayReport:
-    """Envelope-decay evidence collected across truncation radii."""
-
-    envelope_by_radius: dict[int, Envelope]
-    inner_radius_by_radius: dict[int, int]
-    l1_partial_sums: list[float]
-    stabilized: bool
-    # inverse_residual on the interior window (see finite_section_inverse)
-    residual: float
-    full_group: bool = False
-    fitted_rate: float | None = None
-    fit_r2: float | None = None
-
-    def final_radius(self) -> int:
-        return max(self.envelope_by_radius)
-
-    def final_envelope(self) -> Envelope:
-        return self.envelope_by_radius[self.final_radius()]
-
-    def final_inner_radius(self) -> int:
-        return self.inner_radius_by_radius[self.final_radius()]
-
-
 def _add_scaled_identity(mat: np.ndarray, scaled: np.ndarray) -> None:
     """Add, in place, the matrix with scaled[1] on the diagonal and scaled[0] off it.
 
@@ -220,9 +196,10 @@ def _coupled(kernel: Kernel, points: np.ndarray, window: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Section:
+class Section:
     """One radius's section solve: the inverse kernel on its inner window and the numbers behind it."""
 
+    radius: int
     kernel: Kernel  # the window inverse of z + T_K, 1/z removed
     inner_radius: int
     full_group: bool  # the section covers the whole finite group
@@ -231,12 +208,33 @@ class _Section:
     condition: float  # ||A||_1 times Hager's estimate of ||A^-1||_1
 
 
+@dataclass
+class DecayReport:
+    """Envelope-decay evidence: the solved sections, one per radius, and what they show.
+
+    ``sections`` run in ascending radius order and end at the first that
+    covers a whole finite group; ``final`` is the last of them.  Each
+    section's envelope is its kernel's ``min_envelope()``.
+    """
+
+    sections: list[Section]
+    stabilized: bool
+    # inverse_residual on the interior window (see finite_section_inverse)
+    residual: float
+    fitted_rate: float | None = None
+    fit_r2: float | None = None
+
+    @property
+    def final(self) -> Section:
+        return self.sections[-1]
+
+
 def _support_radius(kernel: Kernel) -> int:
     """Largest word length in the kernel's support (0 for the zero kernel)."""
     return int(kernel.group.word_length_many(kernel.min_envelope().arrays[0]).max(initial=0))
 
 
-def _solve_section(kernel: Kernel, z: complex, radius: int, cfg: InversionConfig) -> _Section:
+def _solve_section(kernel: Kernel, z: complex, radius: int, cfg: InversionConfig) -> Section:
     """Invert z + T_K on the ball section of one radius and extract the inner window's kernel.
 
     The inner window is the ball of radius cfg.inner_ratio * radius, or the
@@ -266,7 +264,7 @@ def _solve_section(kernel: Kernel, z: complex, radius: int, cfg: InversionConfig
     if z != 0:
         _add_scaled_identity(inv, -(np.array([0, 1], dtype=complex) / z))
     window = Kernel.from_dense(g, kernel.dim, inv, pts[:window_size])
-    return _Section(window, inner_radius, full_group, len(pts), window_size, condition)
+    return Section(radius, window, inner_radius, full_group, len(pts), window_size, condition)
 
 
 def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel, DecayReport]:
@@ -276,52 +274,44 @@ def finite_section_inverse(kernel: Kernel, cfg: InversionConfig) -> tuple[Kernel
     the inner ball of radius inner_ratio * r, with the scalar part 1/z removed
     (for z != 0), solved only on the ball points coupled to that window.  A
     failed solve raises :class:`SectionInversionError`.  The radii stop at the
-    first section that covers a whole finite group.  The run counts as
-    stabilized when the two largest radii give envelopes within
-    stabilization_tol in l1 on their common inner window, or when the section
-    covers a whole finite group (no truncation error at all).  The report adds
-    the residual on the interior window and the decay fit.
+    first section that covers a whole finite group.  The report holds the
+    sections in radius order; the returned kernel is the final one's.  The
+    run counts as stabilized when the two largest radii give envelopes within
+    stabilization_tol in l1 on their common inner window, or when the final
+    section covers a whole finite group (no truncation error at all).  The
+    report adds the residual on the interior window and the decay fit.
     """
     z = cfg.z
-    sections: dict[int, _Section] = {}
-    envelopes: dict[int, Envelope] = {}
+    sections = []
     for radius in cfg.radii:
-        sections[radius] = section = _solve_section(kernel, z, radius, cfg)
-        envelopes[radius] = section.kernel.min_envelope()
-        if section.full_group:
+        sections.append(_solve_section(kernel, z, radius, cfg))
+        if sections[-1].full_group:
             break
-    # The radii increase and the loop stops at the first whole-group section,
-    # so the last iteration's radius and section are the final ones.
-    if section.full_group:
+    final = sections[-1]
+    if final.full_group:
         stabilized = True
     elif len(sections) >= 2:
-        prev, last = list(sections.values())[-2:]
-        common = min(prev.inner_radius, last.inner_radius)
-        # Restrict both extractions to the same window before comparing, so
-        # the envelope sup runs over identical column sets and the distance
-        # measures convergence only.
-        last_envelope = last.kernel.restrict_to_ball(common).min_envelope()
-        prev_envelope = prev.kernel.restrict_to_ball(common).min_envelope()
-        stabilized = last_envelope.l1_distance(prev_envelope) < cfg.stabilization_tol
+        # Inner radii never shrink as the radius grows, and no section before
+        # the last covers a whole group, so the common inner window is the
+        # previous one, where its kernel already lies.  Restricting the final
+        # kernel to it makes the envelope sups run over identical column sets,
+        # so the distance measures convergence only.
+        prev = sections[-2]
+        common = final.kernel.restrict_to_ball(prev.inner_radius).min_envelope()
+        stabilized = common.l1_distance(prev.kernel.min_envelope()) < cfg.stabilization_tol
     else:
         stabilized = False
     # The interior window is the inner window less the kernel's support radius
     # (a covered group stays whole; an empty window gives inf).  Every y that
     # (K B)(x, w) sums over lies in the inner window, so no truncation enters.
-    window = section.inner_radius - (0 if section.full_group else _support_radius(kernel))
-    report = DecayReport(
-        envelope_by_radius=envelopes,
-        inner_radius_by_radius={r: s.inner_radius for r, s in sections.items()},
-        l1_partial_sums=envelopes[radius].shell_partial_sums(),
-        stabilized=stabilized,
-        residual=inverse_residual(kernel, z, section.kernel, window) if window >= 0 else math.inf,
-        full_group=section.full_group,
-    )
+    window = final.inner_radius - (0 if final.full_group else _support_radius(kernel))
+    residual = inverse_residual(kernel, z, final.kernel, window) if window >= 0 else math.inf
+    report = DecayReport(sections, stabilized, residual)
     try:
         report.fitted_rate, report.fit_r2 = fit_decay(report)
     except ValueError:
         pass
-    return section.kernel, report
+    return final.kernel, report
 
 
 def inverse_residual(kernel: Kernel, z: complex, inverse_kernel: Kernel, window_radius: int) -> float:
@@ -449,9 +439,9 @@ def fit_decay(report: DecayReport) -> tuple[float, float]:
     """
     if not report.stabilized:
         raise ValueError("decay fit requires a stabilized report")
-    inner = report.final_inner_radius()
-    cap = inner if report.full_group else inner // 2
-    lengths, maxima, _ = report.final_envelope().by_word_length()
+    final = report.final
+    cap = final.inner_radius if final.full_group else final.inner_radius // 2
+    lengths, maxima, _ = final.kernel.min_envelope().by_word_length()
     inside = (lengths >= 1) & (lengths <= cap)
     buckets = np.count_nonzero(inside)
     if buckets < 5:

@@ -170,9 +170,9 @@ def read_covariance(path: str | Path) -> CovarianceElement:
 def write_decay_csv(path: str | Path, report: DecayReport) -> None:
     """CSV rows radius,word_length,envelope_value (bucket max per length)."""
     lines = ["radius,word_length,envelope_value"]
-    for radius in sorted(report.envelope_by_radius):
-        lengths, maxima, _ = report.envelope_by_radius[radius].by_word_length()
-        lines += [f"{radius},{ell},{v!r}" for ell, v in zip(lengths.tolist(), maxima.tolist())]
+    for section in report.sections:
+        lengths, maxima, _ = section.kernel.min_envelope().by_word_length()
+        lines += [f"{section.radius},{ell},{v!r}" for ell, v in zip(lengths.tolist(), maxima.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -181,7 +181,7 @@ def write_report_summary(path: str | Path, report: DecayReport) -> None:
         "stabilized": report.stabilized,
         "fitted_rate": report.fitted_rate,
         "r2": report.fit_r2,
-        "l1_partial_sums": list(report.l1_partial_sums),
+        "l1_partial_sums": report.final.kernel.min_envelope().shell_partial_sums(),
         "residual": report.residual,
     }
     Path(path).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")

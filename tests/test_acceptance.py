@@ -172,7 +172,7 @@ def test_criterion_07_wiener_decay_witness():
     kernel = shift_kernel(Z, 1, 0.5, t_radius=45)
     cfg = InversionConfig(z=1.0, radii=(10, 20, 30, 40), inner_ratio=0.5)
     inverse, report = finite_section_inverse(kernel, cfg)
-    env = as_mapping(report.final_envelope())
+    env = as_mapping(report.final.kernel.min_envelope())
     for n in range(1, 21):
         if abs(env.get((n,), 0.0) - 0.5**n) > 1e-8:
             failures.append(f"envelope at {n}: {env.get((n,), 0.0)}")
@@ -185,7 +185,7 @@ def test_criterion_07_wiener_decay_witness():
         failures.append(f"rate {rate} vs {math.log(0.5)}")
     if r2 <= 0.999:
         failures.append(f"r2 {r2}")
-    sums = report.l1_partial_sums
+    sums = report.final.kernel.min_envelope().shell_partial_sums()
     if not all(b >= a for a, b in zip(sums, sums[1:])):
         failures.append("partial sums not monotone")
     increments = [b - a for a, b in zip(sums, sums[1:])]
@@ -208,7 +208,7 @@ def test_criterion_08_oracle_equivalence():
         cfg = InversionConfig(z=1.0, radii=(12, 24, 36), inner_ratio=0.5, stabilization_tol=1e-6)
         section, report = finite_section_inverse(kernel, cfg)
         series, bound = neumann_inverse(kernel, 1.0, terms=25)
-        gap = (section - series).restrict_to_ball(report.final_inner_radius()).envelope_norm()
+        gap = (section - series).restrict_to_ball(report.final.inner_radius).envelope_norm()
         if not report.stabilized:
             failures.append(f"Z case {i}: not stabilized")
         if gap > bound + cfg.stabilization_tol:
@@ -221,7 +221,7 @@ def test_criterion_08_oracle_equivalence():
         cfg = InversionConfig(z=1.0, radii=(4, 6, 8), inner_ratio=0.5, stabilization_tol=1e-6)
         section, report = finite_section_inverse(kernel, cfg)
         series, bound = neumann_inverse(kernel, 1.0, terms=10)
-        gap = (section - series).restrict_to_ball(report.final_inner_radius()).envelope_norm()
+        gap = (section - series).restrict_to_ball(report.final.inner_radius).envelope_norm()
         if not report.stabilized:
             failures.append(f"Z^2 case {i}: not stabilized")
         if gap > bound + cfg.stabilization_tol:
@@ -233,7 +233,7 @@ def test_criterion_08_oracle_equivalence():
         cfg = InversionConfig(z=z, radii=(10, 20, 28), inner_ratio=0.5, stabilization_tol=1e-6)
         section, report = finite_section_inverse(kernel, cfg)
         series, bound = neumann_inverse(kernel, z, terms=30)
-        gap = (section - series).restrict_to_ball(report.final_inner_radius()).envelope_norm()
+        gap = (section - series).restrict_to_ball(report.final.inner_radius).envelope_norm()
         if gap > bound + cfg.stabilization_tol:
             failures.append(f"shift z={z}: gap {gap}")
         cases += 1

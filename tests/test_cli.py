@@ -12,9 +12,14 @@ import numpy as np
 import pytest
 
 from convdom import io as formats
-from convdom.cli import TASK_DEFAULTS, main
-from convdom.groups import Cyclic
+from convdom.cli import TASK_DEFAULTS, _preset_kernel, main
+from convdom.generate import shift_kernel
+from convdom.groups import Cyclic, IntegerLattice
+from convdom.kernels import Kernel
 from convdom.suites import conjugation_suite, covariance_suite, kernel_axiom_suite, symmetry_suite
+
+
+Z = IntegerLattice(1)
 
 
 def run(args):
@@ -57,6 +62,18 @@ def test_profile_without_t_radius_covers_the_final_window(tmp_path):
     defaults = TASK_DEFAULTS["invert"]
     inner = int(defaults["inner_ratio"] * max(defaults["radii"]))  # the final inner window, ball(20) on Z
     assert {tuple(rec["t"]) for rec in written["entries"]} == {(t,) for t in range(-inner, inner + 1)}
+
+
+def test_hermitian_band_with_a_diagonal_adds_it_to_the_band(tmp_path):
+    params = {**TASK_DEFAULTS["invert"], "preset": "hermitian_band", "weight": 0.3, "diag": 0.5}
+    window = max(params["radii"])
+    base = shift_kernel(Z, 1, 0.3, t_radius=window)
+    expected = base + base.involution() + Kernel.identity(Z, 1, window).scale(0.5)
+    got = _preset_kernel(params, Z, 1, window)
+    assert all(map(np.array_equal, got.arrays, expected.arrays))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"preset": "hermitian_band", "weight": 0.3, "diag": 0.5}))
+    assert run(["invert", "--config", config]) == 0
 
 
 def test_two_sided_band_passes_the_residual_check(tmp_path, capsys):
@@ -113,6 +130,16 @@ def test_kernel_io_round_trip(tmp_path):
     again = tmp_path / "io2"
     assert run(["kernel-io", "--out", again, "--input", out / "kernel.json"]) == 0
     assert (out / "kernel.json").read_bytes() == (again / "kernel.json").read_bytes()
+
+
+def test_kernel_io_profile_without_t_radius_keeps_the_generator_window(tmp_path):
+    # On Z^2 a null t_radius leaves the columns to the generator: ball(max(radius, 4)).
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"profile": {"kind": "exponential", "rate": 0.5, "radius": 2, "t_radius": None}}))
+    assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 0
+    written = json.loads((tmp_path / "io" / "kernel.json").read_text())
+    columns = {tuple(rec["t"]) for rec in written["entries"]}
+    assert columns == set(IntegerLattice(2).ball(4)) and len(columns) == 41
 
 
 def write_one_entry_kernel(path, group, s, t):
@@ -175,6 +202,12 @@ ONE_ENTRY = {"s": [1], "t": [0], "matrix": [[1.0, 0.0]]}
         ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "s": [1, 2]}]},
          "Z: point (1, 2) has 2 coordinates, expected 1"),
         ("envelope", {"group": "Z", "values": [{"s": [1], "value": -0.5}]}, "envelope value at (1,) is negative: -0.5"),
+        # Matrices and record lists of the wrong shape.
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "matrix": 5}]},
+         "matrix must be an array of [re, im] pairs"),
+        ("kernel", {"group": "Z", "dim": 1, "entries": [{**ONE_ENTRY, "matrix": [[1.0, 0.0], [2.0, 0.0]]}]},
+         "matrix record has 2 coefficients, expected 1"),
+        ("kernel", {"group": "Z", "dim": 1, "entries": {"a": 1}}, "records must be an array"),
     ],
     ids=[
         "no-entries", "no-matrix", "string-coefficient", "scalar-point", "group-not-a-string", "kernel-list",
@@ -182,6 +215,7 @@ ONE_ENTRY = {"s": [1], "t": [0], "matrix": [[1.0, 0.0]]}
         "repeated-entry", "repeated-entry-mod-5", "repeated-value",
         "fractional-coordinate", "string-point", "fractional-dim", "boolean-dim", "zero-dim", "boolean-coefficient",
         "string-value", "huge-coefficient", "two-coordinates-on-Z", "negative-value",
+        "scalar-matrix", "extra-coefficient", "entries-object",
     ],
 )
 def test_malformed_record_file_is_exit_2_naming_it(tmp_path, capsys, kind, data, detail):
@@ -296,6 +330,29 @@ def test_out_naming_a_file_is_exit_4(tmp_path, capsys):
 def test_overflowing_config_is_exit_2(tmp_path, capsys, task, config, message):
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     assert run([task, "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["invert"], {"profile": {"kind": "gaussian"}}, 'unknown profile kind "gaussian"'),
+        (["invert"], {"preset": "tridiagonal"}, "unknown preset 'tridiagonal' and no profile given"),
+        (["contour", "--group", "Z"], {}, "the contour task uses a finite group"),
+        (["kernel-io"], {}, "kernel-io needs --out"),
+        (["kernel-io", "--input", "missing.json", "--out", "out"], {}, "cannot read input missing.json"),
+        (["invert"], [{"radii": [4]}], "config must be a JSON object"),
+    ],
+    ids=[
+        "unknown-profile-kind", "unknown-preset", "contour-on-Z", "kernel-io-without-out", "missing-input",
+        "config-array",
+    ],
+)
+def test_refused_invocation_is_exit_2_naming_the_cause(tmp_path, monkeypatch, capsys, argv, config, message):
+    monkeypatch.chdir(tmp_path)  # relative paths resolve in the test's own directory
+    Path("cfg.json").write_text(json.dumps(config))
+    assert run([*argv, "--config", "cfg.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err and "Traceback" not in err
 

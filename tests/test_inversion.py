@@ -57,13 +57,13 @@ def test_zero_kernel_inverse_is_scalar():
     assert list(as_mapping(inverse)) == []
     assert report.stabilized
     assert report.residual == 0.0
-    assert report.l1_partial_sums == []
+    assert report.final.kernel.min_envelope().shell_partial_sums() == []
 
 
 def test_shift_inverse_matches_geometric_series():
     kernel, cfg = geometric_shift_setup()
     inverse, report = finite_section_inverse(kernel, cfg)
-    env = as_mapping(report.final_envelope())
+    env = as_mapping(report.final.kernel.min_envelope())
     for n in range(1, 21):
         assert abs(env.get((n,), 0.0) - 0.5**n) <= 1e-8
         assert abs(kernel_at(inverse, (n,), (0,))[0, 0] - (-0.5) ** n) <= 1e-8
@@ -82,7 +82,7 @@ def test_finite_group_section_matches_direct_inverse():
             entries[(s, t)] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     kernel = Kernel.identity(group, 2).scale(8.0) + Kernel(group, 2, entries).scale(0.05)
     inverse, report = finite_section_inverse(kernel, InversionConfig(z=0.0, radii=(3,)))
-    assert report.stabilized and report.full_group
+    assert report.stabilized and report.final.full_group
     pts = group.ball()
     direct = np.linalg.inv(kernel.to_dense(pts))
     assert np.max(np.abs(inverse.to_dense(pts) - direct)) <= 1e-12
@@ -99,7 +99,7 @@ def test_section_inverse_equals_dense_formula_bit_for_bit(z):
         kernel, _ = generate_kernel(group, 2, 5, Profile.exponential(0.4, 1))
         cfg = InversionConfig(z=z, radii=(group.diameter(),), inner_ratio=0.5)
         got, report = finite_section_inverse(kernel, cfg)
-        assert report.full_group
+        assert report.final.full_group
         points = group.ball()
         eye = np.eye(2 * len(points), dtype=complex)
         dense = np.linalg.inv(kernel.to_dense(points) + z * eye) - eye / z
@@ -137,7 +137,7 @@ def assert_window_matches_dense_inverse(got, report, dense, z):
     """
     inverse = np.linalg.inv(dense)
     condition = np.linalg.norm(dense, 1) * np.linalg.norm(inverse, 1)
-    window = got.group.ball(report.final_inner_radius())
+    window = got.group.ball(report.final.inner_radius)
     m = len(window) * got.dim
     expected = inverse[:m, :m] - np.eye(m) / z
     gap = np.max(np.abs(got.to_dense(window) - expected)) / np.max(np.abs(inverse))
@@ -149,7 +149,7 @@ def assert_window_matches_dense_inverse(got, report, dense, z):
 def test_truncated_section_matches_dense_oracle(case):
     kernel, cfg, dense = case
     got, report = finite_section_inverse(kernel, cfg)
-    assert not report.full_group
+    assert not report.final.full_group
     assert_window_matches_dense_inverse(got, report, dense, cfg.z)
 
 
@@ -331,7 +331,7 @@ def test_residual_detects_wrong_inverse():
 def test_residual_is_measured_on_the_interior_window():
     kernel = hermitian_band()
     inverse, report = finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(10, 20, 30, 40)))
-    inner = report.final_inner_radius()
+    inner = report.final.inner_radius
     # The band has support radius 1: the interior window is one step inside.
     assert report.residual == inverse_residual(kernel, 1.0, inverse, inner - 1) <= 1e-12
     # On the whole inner window the residual measures truncation at its edge.
@@ -342,11 +342,11 @@ def test_residual_window_on_whole_group_and_when_empty():
     kernel = shift_kernel(Z8, 1, 0.5)
     whole = Z8.diameter()
     inverse, report = finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(whole,)))
-    assert report.full_group
+    assert report.final.full_group
     assert report.residual == inverse_residual(kernel, 1.0, inverse, whole) <= 1e-12
     # Inner radius 0 shrunk by support radius 1 leaves no window: the check fails.
     _inverse, report = finite_section_inverse(shift_kernel(Z, 1, 0.5, t_radius=4), InversionConfig(z=1.0, radii=(1,)))
-    assert report.final_inner_radius() == 0
+    assert report.final.inner_radius == 0
     assert report.residual == math.inf
 
 
@@ -391,7 +391,7 @@ def test_neumann_matches_finite_sections():
     kernel, cfg = geometric_shift_setup()
     section, report = finite_section_inverse(kernel, cfg)
     series, bound = neumann_inverse(kernel, 1.0, terms=60)
-    window = report.final_inner_radius()
+    window = report.final.inner_radius
     gap = (section - series).restrict_to_ball(window).envelope_norm()
     assert gap <= bound + cfg.stabilization_tol
 
@@ -530,7 +530,7 @@ def test_contour_sum_of_a_key_that_cancels_at_a_node(monkeypatch):
 
     def crafted(kernel, z, radius, _cfg):
         j = round(cmath.phase(z) / (2 * math.pi / nodes)) % nodes
-        return inversion._Section(parts[j], radius, True, Z8.order, Z8.order, 1.0)
+        return inversion.Section(radius, parts[j], radius, True, Z8.order, Z8.order, 1.0)
 
     monkeypatch.setattr(inversion, "_solve_section", crafted)
     kernel, cfg = _contour_case(Z8, 1)
@@ -589,10 +589,10 @@ def test_contour_node_fails_only_on_its_own_section():
 )
 def test_section_solve_returns_the_finite_section_kernel(kernel, cfg):
     got, report = finite_section_inverse(kernel, cfg)
-    section = inversion._solve_section(kernel, cfg.z, report.final_radius(), cfg)
+    section = inversion._solve_section(kernel, cfg.z, report.final.radius, cfg)
     assert_same_bytes(section.kernel, got)
-    assert section.inner_radius == report.final_inner_radius()
-    assert section.full_group == report.full_group
+    assert section.inner_radius == report.final.inner_radius
+    assert section.full_group == report.final.full_group
     assert section.window_size <= section.solved
     assert 1.0 - 1e-12 <= section.condition <= cfg.condition_cap
 
@@ -696,7 +696,7 @@ def test_diagonally_dominant_band_has_negative_rate():
     assert rate < 0
     assert r2 > 0.99
     series, bound = neumann_inverse(kernel, z, terms=40)
-    gap = (inverse - series).restrict_to_ball(report.final_inner_radius()).envelope_norm()
+    gap = (inverse - series).restrict_to_ball(report.final.inner_radius).envelope_norm()
     assert gap <= bound + cfg.stabilization_tol
 
 
@@ -713,7 +713,7 @@ def test_inverse_of_adjoint_is_adjoint_of_inverse():
 def test_partial_sums_converge_for_decaying_envelope():
     kernel, cfg = geometric_shift_setup()
     _, report = finite_section_inverse(kernel, cfg)
-    sums = report.l1_partial_sums
+    sums = report.final.kernel.min_envelope().shell_partial_sums()
     assert all(b >= a for a, b in zip(sums, sums[1:]))
     increments = [b - a for a, b in zip(sums, sums[1:])]
     # Geometric tail: increments shrink by about a factor 2 per shell.

@@ -107,7 +107,7 @@ def test_decay_csv_and_summary(tmp_path):
     summary = json.loads(summary_path.read_text())
     assert set(summary) == {"stabilized", "fitted_rate", "r2", "l1_partial_sums", "residual"}
     assert summary["stabilized"] is True
-    assert summary["l1_partial_sums"] == report.l1_partial_sums
+    assert summary["l1_partial_sums"] == report.final.kernel.min_envelope().shell_partial_sums()
 
 
 def test_writes_are_deterministic(tmp_path):

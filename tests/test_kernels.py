@@ -318,6 +318,11 @@ def test_group_and_dim_mismatch_rejected():
         k_z.apply(vec)
 
 
+def test_zero_dim_is_refused():
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        Kernel(Z, 0, {})
+
+
 def test_kernel_entries_are_read_only():
     z3 = Cyclic(3)
     kernel, element = seeded_kernel(Z, 1, seed=3), random_covariance(z3, 2, seed=3)
