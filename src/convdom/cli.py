@@ -35,7 +35,7 @@ import numpy as np
 
 from . import io as formats
 from .covariance import R_inverse
-from .generate import Profile, generate_kernel, generate_kernel_from_envelope, shift_kernel
+from .generate import Profile, generate_kernel, generate_kernel_from_envelope, shift_symbol
 from .groups import Group, parse_group
 from .inversion import (
     ContourNodeError,
@@ -162,18 +162,21 @@ def _kernel_from_profile(params: dict, group: Group, dim: int, window: int | Non
 
 
 def _preset_kernel(params: dict, group: Group, dim: int, window: int) -> Kernel:
-    preset = params["preset"]
+    """The config's kernel: its profile, or else its preset's invariant kernel on the ball of ``window``.
+
+    A preset's symbol is ``shift_symbol`` of ``weight`` and ``diag``; its
+    columns are the whole group when finite.  With a profile, the preset keys
+    are unread, so a value other than their default is refused.
+    """
     if params["profile"] is not None:
+        for key in ("preset", "weight", "diag"):
+            if params[key] != _INVERT_DEFAULTS[key]:
+                raise ConfigError(f"config key {key!r} does not apply with a profile")
         return _kernel_from_profile(params, group, dim, window)
-    if preset == "shift":
-        return shift_kernel(group, dim, params["weight"], t_radius=window)
-    if preset == "hermitian_band":
-        base = shift_kernel(group, dim, params["weight"], t_radius=window)
-        banded = base + base.involution()
-        if params["diag"]:
-            banded = banded + Kernel.identity(group, dim, window).scale(params["diag"])
-        return banded
-    raise ConfigError(f"unknown preset {preset!r} and no profile given")
+    if params["preset"] not in ("shift", "hermitian_band"):
+        raise ConfigError(f"unknown preset {params['preset']!r} and no profile given")
+    symbol = shift_symbol(group, dim, params["weight"], params["diag"], hermitian=params["preset"] == "hermitian_band")
+    return Kernel.invariant(group, symbol, None if group.is_finite else window)
 
 
 def _check_lines(results: list[CheckResult]) -> tuple[int, list[str]]:
@@ -287,9 +290,7 @@ def task_contour(params: dict, out: Path | None) -> tuple[int, list[str]]:
         raise ConfigError("the contour task uses a finite group so z=0 sections are exact")
     dim = params["dim"]
     window = group.diameter()
-    kernel = Kernel.identity(group, dim).scale(params["scalar"])
-    if params["weight"]:
-        kernel = kernel + shift_kernel(group, dim, params["weight"])
+    kernel = Kernel.invariant(group, shift_symbol(group, dim, params["weight"], params["scalar"]))
     cfg = InversionConfig(radii=(window,), condition_cap=params["condition_cap"])
     contour = contour_inverse(kernel, params["eps"], params["nodes"], cfg)
     direct = _solve_section(kernel, 0j, window, cfg).kernel

@@ -188,12 +188,24 @@ def random_test_vector(group: Group, dim: int, seed, radius: int, doubled: bool 
     return _from_arrays(TestVector, group, dim, keys, values)
 
 
-def shift_kernel(
-    group: Group, dim: int, weight: complex, step: Point | None = None, t_radius: int = 10
-) -> Kernel:
+def shift_symbol(
+    group: Group, dim: int, weight: complex, diag: complex = 0.0, hermitian: bool = False, step: Point | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol of the weighted shift by ``step``, by default (1, 0, ...), for :meth:`Kernel.invariant`.
+
+    It holds weight * I at ``step``; with ``hermitian`` also its adjoint
+    (weight * I)^H at step^-1; then diag * I at the identity, in that order.
+    A zero weight or diag is left out, not added as a zero block.
+    """
+    step = (1,) + (0,) * (group.coord_len - 1) if step is None else step
+    block = complex(weight) * np.eye(dim, dtype=complex)
+    points = group.canonical_many([step, group.inverse(step) if hermitian else step, group.identity])
+    keep = [bool(weight), bool(weight) and hermitian, bool(diag)]
+    return points[keep], np.array([block, block.conj().T, diag * np.eye(dim, dtype=complex)])[keep]
+
+
+def shift_kernel(group: Group, dim: int, weight: complex, step: Point | None = None, t_radius: int = 10) -> Kernel:
     """Weighted shift: value weight * I at coset ``step`` for every column in
-    the window.  The classic test case is the weight-c shift by one on Z."""
-    s = group.canonical(step) if step is not None else group.canonical((1,) + (0,) * (group.coord_len - 1))
-    t = group.window(None if group.is_finite else t_radius)
-    blocks = np.broadcast_to(complex(weight) * np.eye(dim, dtype=complex), (len(t), dim, dim))
-    return _from_arrays(Kernel, group, dim, _pairs(group.canonical_many([s]), t), blocks)
+    the window, the whole group when finite.  The classic test case is the
+    weight-c shift by one on Z."""
+    return Kernel.invariant(group, shift_symbol(group, dim, weight, step=step), None if group.is_finite else t_radius)

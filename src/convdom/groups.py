@@ -17,6 +17,7 @@ lexicographically.
 
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -147,8 +148,11 @@ class Group:
     # -- the same law on single points ----------------------------------------------
 
     def _row(self, x) -> np.ndarray:
-        """``x`` as a canonical one-row array, checking coordinate arity and range."""
-        pt = tuple(map(int, x))
+        """``x`` as a canonical one-row array, checking that its coordinates are integers, their arity and range."""
+        try:
+            pt = tuple(map(operator.index, x))
+        except TypeError:
+            raise ValueError(f"{self.name}: point {x!r} is not a sequence of integers") from None
         if len(pt) != self.coord_len:
             raise ValueError(
                 f"{self.name}: point {pt!r} has {len(pt)} coordinates, "

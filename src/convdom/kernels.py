@@ -143,21 +143,26 @@ def _reduce_by_key(codes: np.ndarray, values, op=np.add) -> tuple[np.ndarray, np
 
 
 def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
-    """Keys of ``arity`` points (a point, or a pair) as that many int64 arrays, not yet reduced."""
+    """Keys of ``arity`` points (a point, or a pair) as that many int64 arrays, not yet reduced.
+
+    A key that is not ``arity`` points of integer coordinates is a ValueError naming it.
+    """
     shape = (len(keys), arity, group.coord_len) if arity > 1 else (len(keys), group.coord_len)
-    if not keys:
-        points = np.zeros(shape, dtype=np.int64)
-    else:
-        try:
-            points = np.array(keys, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            points = None
-        if points is None or points.shape != shape:
-            for key in keys:  # name the offending point
-                for point in key if arity > 1 else (key,):
-                    group.canonical(point)
-            raise ValueError(f"{group.name}: keys must be {'pairs of ' if arity > 1 else ''}int64 points")
-    return list(points.reshape(len(keys), arity, group.coord_len).transpose(1, 0, 2))
+    try:
+        points = np.array(keys) if keys else np.zeros(shape, dtype=np.int64)
+    except (TypeError, ValueError):  # keys of ragged shapes
+        points = None
+    if points is None or points.dtype.kind != "i" or points.shape != shape:
+        rows = []
+        for key in keys:  # one at a time: coordinates of another integer type, or the offending key named
+            try:
+                if arity > 1 and not (isinstance(key, tuple) and len(key) == arity):
+                    raise ValueError("not a pair of points")
+                rows.append([group.canonical(point) for point in (key if arity > 1 else (key,))])
+            except ValueError as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
+        points = np.array(rows, dtype=np.int64)
+    return list(points.astype(np.int64, copy=False).reshape(len(keys), arity, group.coord_len).transpose(1, 0, 2))
 
 
 def _pairs(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,16 +477,26 @@ class Kernel:
         return cls(group, dim, {})
 
     @classmethod
-    def identity(cls, group: Group, dim: int, window_radius: int | None = None) -> "Kernel":
-        """Identity kernel delta_{x=y} I on a window of t values.
+    def invariant(cls, group: Group, symbol: tuple, window_radius: int | None = None) -> "Kernel":
+        """Translation-invariant kernel K(x, y) = a(x y^-1) of a symbol a, on a window of t values.
 
-        The window is the ball of ``window_radius``, or by default the whole
-        group.  ``Group.window`` refuses that default on an infinite group,
-        where the full identity has infinite support.
+        The symbol is a (points, blocks) pair, as ``theta_embed`` and
+        ``matrix_function_convolve`` use: an ``(m, coord_len)`` point array and
+        an ``(m, d, d)`` block stack.  The kernel holds a(s) at every (s, t)
+        with t in the window; blocks at one point are summed in order.  The
+        window is the ball of ``window_radius``, or by default the whole
+        group, which ``Group.window`` refuses on an infinite group.
         """
+        points, blocks = group.canonical_many(symbol[0]), np.asarray(symbol[1], dtype=complex)
+        if blocks.shape != (len(points), *blocks.shape[-1:] * 2):
+            raise ValueError(f"symbol of {len(points)} points has blocks of shape {blocks.shape}")
         t = group.window(window_radius)
-        eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(t), dim, dim))
-        return _from_arrays(cls, group, dim, (np.zeros_like(t), t), eye)
+        return _from_arrays(cls, group, blocks.shape[-1], _pairs(points, t), lambda at: blocks[at // len(t)])
+
+    @classmethod
+    def identity(cls, group: Group, dim: int, window_radius: int | None = None) -> "Kernel":
+        """Identity kernel delta_{x=y} I: the symbol I at the identity, on the window of :meth:`invariant`."""
+        return cls.invariant(group, ([group.identity], np.eye(dim, dtype=complex)[None]), window_radius)
 
     # -- basic access -----------------------------------------------------------
 

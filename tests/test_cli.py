@@ -67,13 +67,31 @@ def test_profile_without_t_radius_covers_the_final_window(tmp_path):
 def test_hermitian_band_with_a_diagonal_adds_it_to_the_band(tmp_path):
     params = {**TASK_DEFAULTS["invert"], "preset": "hermitian_band", "weight": 0.3, "diag": 0.5}
     window = max(params["radii"])
-    base = shift_kernel(Z, 1, 0.3, t_radius=window)
-    expected = base + base.involution() + Kernel.identity(Z, 1, window).scale(0.5)
+    # The band and its adjoint, both with every column in ball(window); the
+    # weight is real, so the adjoint's block at the step -1 is 0.3 again.
+    band = shift_kernel(Z, 1, 0.3, t_radius=window) + shift_kernel(Z, 1, 0.3, step=(-1,), t_radius=window)
+    expected = band + Kernel.identity(Z, 1, window).scale(0.5)
     got = _preset_kernel(params, Z, 1, window)
     assert all(map(np.array_equal, got.arrays, expected.arrays))
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"preset": "hermitian_band", "weight": 0.3, "diag": 0.5}))
     assert run(["invert", "--config", config]) == 0
+
+
+def test_profile_with_the_preset_keys_at_their_defaults_runs_as_without_them(tmp_path, capsys):
+    bare = {"profile": {"kind": "exponential", "rate": 0.5, "radius": 2}, "radii": [4, 6]}
+    outputs = []
+    for config in (bare, {**bare, "preset": "shift", "weight": 0.5, "diag": 0}):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        outputs.append((run(["invert", "--config", tmp_path / "cfg.json"]), capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0][0] != 2
+
+
+def test_shift_preset_reads_its_diagonal(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"preset": "shift", "diag": 0.5}))
+    assert run(["invert", "--config", config]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "inverted z=(1+0j) plus kernel with envelope norm 1.0"
 
 
 def test_two_sided_band_passes_the_residual_check(tmp_path, capsys):
@@ -334,6 +352,9 @@ def test_overflowing_config_is_exit_2(tmp_path, capsys, task, config, message):
     assert err.startswith("config error: ") and message in err and "Traceback" not in err
 
 
+PROFILE = {"kind": "exponential", "rate": 0.5, "radius": 2}
+
+
 @pytest.mark.parametrize(
     "argv,config,message",
     [
@@ -343,10 +364,15 @@ def test_overflowing_config_is_exit_2(tmp_path, capsys, task, config, message):
         (["kernel-io"], {}, "kernel-io needs --out"),
         (["kernel-io", "--input", "missing.json", "--out", "out"], {}, "cannot read input missing.json"),
         (["invert"], [{"radii": [4]}], "config must be a JSON object"),
+        # A profile gives the kernel, so a preset key set away from its default would go unread.
+        (["invert"], {"profile": PROFILE, "preset": "nonsense"}, "config key 'preset' does not apply with a profile"),
+        (["invert"], {"profile": PROFILE, "weight": 9.0}, "config key 'weight' does not apply with a profile"),
+        (["decay"], {"profile": PROFILE, "diag": 3.0}, "config key 'diag' does not apply with a profile"),
+        (["invert"], {"profile": PROFILE, "preset": "nonsense", "weight": 9.0, "diag": 3.0}, "config key 'preset'"),
     ],
     ids=[
         "unknown-profile-kind", "unknown-preset", "contour-on-Z", "kernel-io-without-out", "missing-input",
-        "config-array",
+        "config-array", "profile-and-preset", "profile-and-weight", "profile-and-diag", "profile-and-all-three",
     ],
 )
 def test_refused_invocation_is_exit_2_naming_the_cause(tmp_path, monkeypatch, capsys, argv, config, message):

@@ -240,6 +240,45 @@ def test_constructor_rejects_bad_keys_and_shapes():
         Kernel(Z2, 2, {((1, 0), (0, 0)): np.ones((2, 2)), ((0, 0), (0, 0)): np.ones((1, 2))})
 
 
+Z1 = IntegerLattice(1)
+
+
+@pytest.mark.parametrize(
+    "make,key",
+    [
+        (lambda: Kernel(Z1, 1, {(1, 2): np.eye(1)}), "key (1, 2): Z: point 1 is not a sequence of integers"),
+        (lambda: Kernel(Z1, 1, {((1.7,), (0,)): np.eye(1)}), "key ((1.7,), (0,)): Z: point (1.7,) is not"),
+        (lambda: Kernel(Z1, 1, {((1,), (0,), (0,)): np.eye(1)}), "key ((1,), (0,), (0,)): not a pair of points"),
+        (lambda: CovarianceElement(Z7, 1, {((0,), (2.0,)): np.eye(1)}), "key ((0,), (2.0,))"),
+        (lambda: TestVector(Z1, 1, {1: [1.0]}), "key 1: Z: point 1 is not a sequence of integers"),
+        (lambda: TestVector(Z1, 1, {(2.5,): [1.0]}), "key (2.5,)"),
+        (lambda: TestVector(Z1, 1, {((1,), 2): [1.0]}, doubled=True), "key ((1,), 2)"),
+        (lambda: Envelope(Z1, {1: 0.5}), "key 1: Z: point 1 is not a sequence of integers"),
+        (lambda: Envelope(Z2, {(1, 2.0): 0.5}), "key (1, 2.0)"),
+        (lambda: Envelope(Z2, {(1, 2**64): 0.5}), f"key (1, {2**64}): Z^2: point (1, {2**64}) has a coordinate outside"),
+    ],
+    ids=[
+        "kernel-int-points", "kernel-fraction", "kernel-triple", "covariance-float", "vector-int", "vector-fraction",
+        "doubled-int-point", "envelope-int", "envelope-float", "envelope-past-int64",
+    ],
+)
+def test_mapping_constructors_refuse_malformed_keys_naming_them(make, key):
+    """Not a point, or a coordinate that is not an integer: once a TypeError, or a key truncated to (1,)."""
+    with pytest.raises(ValueError, match=re.escape(key)):
+        make()
+
+
+def test_integer_coordinates_of_any_integer_type_are_points():
+    assert Envelope(Z1, {(np.int32(3),): 0.5}).arrays[0].tolist() == [[3]]
+    assert Kernel(Z2, 1, {((np.int64(1), 0), (0, 0)): np.eye(1)}).arrays[0].tolist() == [[1, 0]]
+    assert Kernel(Z7, 1, {((np.uint64(9),), (0,)): np.eye(1)}).arrays[0].tolist() == [[2]]
+    assert Z2.canonical((np.uint8(1), 2)) == (1, 2)
+    with pytest.raises(ValueError, match=re.escape("Z^2: point (1.0, 2) is not a sequence of integers")):
+        Z2.canonical((1.0, 2))
+    with pytest.raises(ValueError, match="Z: point 3 is not a sequence of integers"):
+        Z1.multiply(3, (1,))
+
+
 def zero_producing_stores(kind):
     """Stores of one class from every path that can form a zero value, each with a live row beside it.
 
