@@ -197,11 +197,11 @@ def shift_symbol(
     (weight * I)^H at step^-1; then diag * I at the identity, in that order.
     A zero weight or diag is left out, not added as a zero block.
     """
-    step = (1,) + (0,) * (group.coord_len - 1) if step is None else step
-    block = complex(weight) * np.eye(dim, dtype=complex)
-    points = group.canonical_many([step, group.inverse(step) if hermitian else step, group.identity])
-    keep = [bool(weight), bool(weight) and hermitian, bool(diag)]
-    return points[keep], np.array([block, block.conj().T, diag * np.eye(dim, dtype=complex)])[keep]
+    s = group.canonical((1,) + (0,) * (group.coord_len - 1) if step is None else step)
+    terms = [(s, complex(weight) * np.eye(dim, dtype=complex))] if weight else []
+    terms += [(group.inverse(s), terms[0][1].conj().T)] if weight and hermitian else []
+    terms += [(group.identity, diag * np.eye(dim, dtype=complex))] if diag else []
+    return group.canonical_many([p for p, _ in terms]), np.array([b for _, b in terms]).reshape(-1, dim, dim)
 
 
 def shift_kernel(group: Group, dim: int, weight: complex, step: Point | None = None, t_radius: int = 10) -> Kernel:

@@ -76,6 +76,17 @@ def test_hermitian_band_on_a_finite_group_equals_the_band_plus_its_involution(gr
         assert_same_bits(_preset_kernel(params, group, dim, 4), base + base.involution())
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hermitian_band_diagonal_on_a_finite_group_fills_every_column(dim):
+    """The old diagonal, ``Kernel.identity`` on ball(max(radii)), missed the columns outside that ball."""
+    group = Cyclic(100)  # diameter 50, beyond the window radius 8
+    params = {**TASK_DEFAULTS["invert"], "preset": "hermitian_band", "weight": 0.3, "diag": 0.25}
+    base = shift_reference(group, dim, 0.3)
+    expected = base + base.involution() + identity_reference(group, dim).scale(0.25)
+    assert_same_bits(_preset_kernel(params, group, dim, 8), expected)
+    assert len(identity_reference(group, dim, 8).arrays[1]) == 17
+
+
 @pytest.mark.parametrize("group", [Cyclic(5), HeisenbergMod(3)], ids=str)
 def test_invariant_kernels_compose_as_their_symbols_convolve(group):
     rng = np.random.default_rng(11)
