@@ -133,8 +133,9 @@ def _checked(key: str, value, default, name: str | None = None):
 def _kernel_from_profile(params: dict, group: Group, dim: int, window: int | None) -> Kernel:
     """Seeded kernel of the config's profile: a profile shape, or an envelope file (kind "file").
 
-    On an infinite group a null ``t_radius`` becomes ``window``, the largest
-    radius of an inversion task, so the kernel's columns cover its sections.
+    A null ``t_radius`` becomes ``window``, the largest radius of an inversion
+    task, so the kernel's columns are those of its largest section.  With
+    ``window`` None (kernel-io) it stays null: the generator's default.
     """
     data = params["profile"]
     if data is None:
@@ -147,8 +148,7 @@ def _kernel_from_profile(params: dict, group: Group, dim: int, window: int | Non
         raise ConfigError(f"profile key {unread[0]!r} does not apply to kind {kind!r}")
     args = [_checked(key, data.get(key), default, f"profile {key}") for key, default in _PROFILE_KEYS[kind].items()]
     t_radius = _checked("t_radius", data.get("t_radius"), None, "profile t_radius")
-    if t_radius is None and not group.is_finite:
-        t_radius = window
+    t_radius = window if t_radius is None else t_radius
     try:
         if kind == "file":
             envelope = formats.read_envelope(*args)
@@ -165,8 +165,8 @@ def _preset_kernel(params: dict, group: Group, dim: int, window: int) -> Kernel:
     """The config's kernel: its profile, or else its preset's invariant kernel on the ball of ``window``.
 
     A preset's symbol is ``shift_symbol`` of ``weight`` and ``diag``; its
-    columns are the whole group when finite.  With a profile, the preset keys
-    are unread, so a value other than their default is refused.
+    columns are the ball of ``window`` on every group.  With a profile, the
+    preset keys are unread, so a value other than their default is refused.
     """
     if params["profile"] is not None:
         for key in ("preset", "weight", "diag"):
@@ -176,7 +176,7 @@ def _preset_kernel(params: dict, group: Group, dim: int, window: int) -> Kernel:
     if params["preset"] not in ("shift", "hermitian_band"):
         raise ConfigError(f"unknown preset {params['preset']!r} and no profile given")
     symbol = shift_symbol(group, dim, params["weight"], params["diag"], hermitian=params["preset"] == "hermitian_band")
-    return Kernel.invariant(group, symbol, None if group.is_finite else window)
+    return Kernel.invariant(group, symbol, window)
 
 
 def _check_lines(results: list[CheckResult]) -> tuple[int, list[str]]:

@@ -25,9 +25,9 @@ class Profile:
 
     kinds: "exponential" (rate ** length), "polynomial" ((1+length) ** -power),
     "banded" (1 inside the band, 0 outside).  t_radius bounds the column
-    window; None means the whole group when finite, else max(radius, 4).
-    The CLI's inversion tasks replace None on an infinite group by their
-    largest radius, so the columns cover every section.
+    window; None leaves it to the generator (see ``_scaled_kernel``).  The
+    CLI's inversion tasks replace None by their largest radius, so the
+    columns are those of their largest section.
     """
 
     kind: str
@@ -114,11 +114,13 @@ def _scaled_kernel(
 ) -> Kernel:
     """Kernel of uniform-disc blocks scaled to values[i] at s = points[i], drawn one (s, t) at a time, points outer.
 
-    The columns t are the window of ``t_radius``, or with None the whole
-    group, which ``Group.window`` refuses on an infinite group.  The points
-    are canonical and distinct.
+    The columns t are the window of ``t_radius``.  None is the generator's
+    one default: the whole group when finite, else the ball of the points'
+    largest word length, at least 4.  The points are canonical and distinct.
     """
     _l1_sum(values)  # targets whose l1 sum overflows are refused before any block is drawn
+    if t_radius is None and not group.is_finite:
+        t_radius = max(int(group.word_length_many(points).max(initial=0)), 4)
     columns = group.window(t_radius)
     keys = _pairs(points, columns)
     blocks = _random_disc(rng, len(keys[0]), (dim, dim))
@@ -136,14 +138,11 @@ def generate_kernel(
     and the generator stream is drawn sequentially.
     """
     rng = np.random.default_rng(seed)
-    t_radius = profile.t_radius
-    if t_radius is None and not group.is_finite:
-        t_radius = max(profile.radius, 4)
     ball = group.window(profile.radius)
     values = np.array([profile.value(length) for length in group.word_length_many(ball).tolist()])
     live = values > 0.0
     points, values = ball[live], values[live]
-    kernel = _scaled_kernel(group, dim, rng, points, values, t_radius)
+    kernel = _scaled_kernel(group, dim, rng, points, values, profile.t_radius)
     order = np.argsort(_row_codes(points)[0], kind="stable")  # ball order to point order
     return kernel, Envelope._derived(group, points[order], values[order])
 
@@ -162,8 +161,6 @@ def generate_kernel_from_envelope(
         )
     rng = np.random.default_rng(seed)
     points, values = envelope.arrays
-    if t_radius is None and not group.is_finite:
-        t_radius = int(group.word_length_many(points).max(initial=0)) or 4
     return _scaled_kernel(group, dim, rng, points, values, t_radius), envelope
 
 
@@ -204,8 +201,8 @@ def shift_symbol(
     return group.canonical_many([p for p, _ in terms]), np.array([b for _, b in terms]).reshape(-1, dim, dim)
 
 
-def shift_kernel(group: Group, dim: int, weight: complex, step: Point | None = None, t_radius: int = 10) -> Kernel:
+def shift_kernel(group: Group, dim: int, weight: complex, step: Point | None = None, t_radius: int | None = 10) -> Kernel:
     """Weighted shift: value weight * I at coset ``step`` for every column in
-    the window, the whole group when finite.  The classic test case is the
-    weight-c shift by one on Z."""
-    return Kernel.invariant(group, shift_symbol(group, dim, weight, step=step), None if group.is_finite else t_radius)
+    the ball of ``t_radius``, on every group; None is the whole finite group.
+    The classic test case is the weight-c shift by one on Z."""
+    return Kernel.invariant(group, shift_symbol(group, dim, weight, step=step), t_radius)

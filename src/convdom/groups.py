@@ -148,9 +148,14 @@ class Group:
     # -- the same law on single points ----------------------------------------------
 
     def _row(self, x) -> np.ndarray:
-        """``x`` as a canonical one-row array, checking that its coordinates are integers, their arity and range."""
+        """``x`` as a canonical one-row array, checking that its coordinates are integers, their arity and range.
+
+        A boolean is not an integer coordinate here, though Python reads it as 0 or 1.
+        """
         try:
             pt = tuple(map(operator.index, x))
+            if any(isinstance(c, (bool, np.bool_)) for c in x):
+                raise TypeError
         except TypeError:
             raise ValueError(f"{self.name}: point {x!r} is not a sequence of integers") from None
         if len(pt) != self.coord_len:

@@ -145,14 +145,16 @@ def _reduce_by_key(codes: np.ndarray, values, op=np.add) -> tuple[np.ndarray, np
 def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
     """Keys of ``arity`` points (a point, or a pair) as that many int64 arrays, not yet reduced.
 
-    A key that is not ``arity`` points of integer coordinates is a ValueError naming it.
+    A key that is not ``arity`` points of integer coordinates is a ValueError naming it;
+    numpy reads a boolean beside integers as one, so a key holding one takes the loop.
     """
     shape = (len(keys), arity, group.coord_len) if arity > 1 else (len(keys), group.coord_len)
     try:
         points = np.array(keys) if keys else np.zeros(shape, dtype=np.int64)
     except (TypeError, ValueError):  # keys of ragged shapes
         points = None
-    if points is None or points.dtype.kind != "i" or points.shape != shape:
+    bools = (isinstance(c, (bool, np.bool_)) for key in keys for point in (key if arity > 1 else (key,)) for c in point)
+    if points is None or points.dtype.kind != "i" or points.shape != shape or any(bools):
         rows = []
         for key in keys:  # one at a time: coordinates of another integer type, or the offending key named
             try:

@@ -151,13 +151,17 @@ def test_kernel_io_round_trip(tmp_path):
 
 
 def test_kernel_io_profile_without_t_radius_keeps_the_generator_window(tmp_path):
-    # On Z^2 a null t_radius leaves the columns to the generator: ball(max(radius, 4)).
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"profile": {"kind": "exponential", "rate": 0.5, "radius": 2, "t_radius": None}}))
-    assert run(["kernel-io", "--config", config, "--out", tmp_path / "io"]) == 0
-    written = json.loads((tmp_path / "io" / "kernel.json").read_text())
-    columns = {tuple(rec["t"]) for rec in written["entries"]}
-    assert columns == set(IntegerLattice(2).ball(4)) and len(columns) == 41
+    # On Z^2 a null t_radius leaves the columns to the generator: ball(max(radius, 4)).  The
+    # shape's own envelope, of radius 2, read back as a file profile gets the same window.
+    shape = {"kind": "exponential", "rate": 0.5, "radius": 2, "t_radius": None}
+    from_file = {"kind": "file", "path": str(tmp_path / "shape" / "envelope.json"), "t_radius": None}
+    for name, profile in (("shape", shape), ("file", from_file)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"profile": profile}))
+        assert run(["kernel-io", "--config", config, "--out", tmp_path / name]) == 0
+        written = json.loads((tmp_path / name / "kernel.json").read_text())
+        columns = {tuple(rec["t"]) for rec in written["entries"]}
+        assert columns == set(IntegerLattice(2).ball(4)) and len(columns) == 41
 
 
 def write_one_entry_kernel(path, group, s, t):

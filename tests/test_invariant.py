@@ -39,6 +39,11 @@ def contour_reference(group, dim, scalar, weight):
     return kernel
 
 
+def assert_columns(kernel, window):
+    """The kernel's columns t are exactly the points of ``window``."""
+    assert np.array_equal(np.unique(kernel.arrays[1], axis=0), window[np.lexsort(window.T[::-1])])
+
+
 def assert_same_bits(got, expected):
     """The same store arrays, byte for byte: -0.0 and 0.0 differ here."""
     for a, b in zip(got.arrays, expected.arrays, strict=True):
@@ -49,14 +54,19 @@ def assert_same_bits(got, expected):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("group", INFINITE + FINITE, ids=str)
 def test_identity_and_shift_equal_their_old_constructions_bit_for_bit(group, dim):
-    radius = None if group.is_finite else 3
+    """The references take the whole finite group, so the builder is asked for it there with None."""
+    radius, step_radius = (None, None) if group.is_finite else (3, 2)
     assert_same_bits(Kernel.identity(group, dim, radius), identity_reference(group, dim, radius))
     if not group.is_finite:
         assert_same_bits(Kernel.identity(group, dim, 0), identity_reference(group, dim, 0))
     for weight in (0.5, -0.3, 0.4 - 0.7j, 0.0):
-        assert_same_bits(shift_kernel(group, dim, weight, t_radius=3), shift_reference(group, dim, weight, t_radius=3))
+        expected = shift_reference(group, dim, weight, t_radius=radius)
+        assert_same_bits(shift_kernel(group, dim, weight, t_radius=radius), expected)
     step = group.generators()[-1] if group.generators() else None
-    assert_same_bits(shift_kernel(group, dim, -0.25, step, 2), shift_reference(group, dim, -0.25, step, 2))
+    expected = shift_reference(group, dim, -0.25, step, step_radius)
+    assert_same_bits(shift_kernel(group, dim, -0.25, step, step_radius), expected)
+    # A radius is the ball of that radius on a finite group too: on Z/8 and H3(Z/3) less than the group.
+    assert_columns(shift_kernel(group, dim, 0.5, t_radius=3), group.window(3))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -78,12 +88,14 @@ def test_hermitian_band_on_a_finite_group_equals_the_band_plus_its_involution(gr
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_hermitian_band_diagonal_on_a_finite_group_fills_every_column(dim):
-    """The old diagonal, ``Kernel.identity`` on ball(max(radii)), missed the columns outside that ball."""
+    """The band, its adjoint and the diagonal each fill every column of the window, and none outside it."""
     group = Cyclic(100)  # diameter 50, beyond the window radius 8
     params = {**TASK_DEFAULTS["invert"], "preset": "hermitian_band", "weight": 0.3, "diag": 0.25}
-    base = shift_reference(group, dim, 0.3)
-    expected = base + base.involution() + identity_reference(group, dim).scale(0.25)
-    assert_same_bits(_preset_kernel(params, group, dim, 8), expected)
+    # The weight is real, so the adjoint's block at the step -1 is 0.3 again, up to the
+    # sign of its zero imaginary part, which array_equal does not tell apart.
+    band = shift_kernel(group, dim, 0.3, t_radius=8) + shift_kernel(group, dim, 0.3, step=(-1,), t_radius=8)
+    expected = band + identity_reference(group, dim, 8).scale(0.25)
+    assert all(map(np.array_equal, _preset_kernel(params, group, dim, 8).arrays, expected.arrays))
     assert len(identity_reference(group, dim, 8).arrays[1]) == 17
 
 
@@ -123,17 +135,26 @@ def test_invariant_refuses_a_malformed_symbol_and_the_whole_infinite_group():
         Kernel.invariant(IntegerLattice(1), (np.array([[0]]), np.ones((1, 1, 1))))
 
 
-@pytest.mark.parametrize("group", INFINITE, ids=str)
+@pytest.mark.parametrize("group", INFINITE + [Cyclic(20), Cyclic(100), HeisenbergMod(5)], ids=str)
 @pytest.mark.parametrize("preset,diag", [("shift", 0.0), ("shift", 0.5), ("hermitian_band", 0.0), ("hermitian_band", 0.5)])
 def test_preset_columns_are_exactly_the_window_of_the_largest_radius(group, preset, diag):
+    """On a finite group too: the ball of radius 4 is less than Z/20, Z/100 or H3(Z/5)."""
     params = {**TASK_DEFAULTS["invert"], "preset": preset, "weight": 0.3, "diag": diag}
     kernel = _preset_kernel(params, group, 1, 4)
-    _s, t, _blocks = kernel.arrays
     window = group.window(4)
-    assert np.array_equal(np.unique(t, axis=0), window[np.lexsort(window.T[::-1])])
+    assert_columns(kernel, window)
     # Every column holds the same blocks: the symbol's.
     symbol = shift_symbol(group, 1, 0.3, diag, preset == "hermitian_band")
     assert len(kernel.arrays[2]) == len(symbol[0]) * len(window)
+
+
+@pytest.mark.parametrize("group", INFINITE + [Cyclic(8), Cyclic(20), HeisenbergMod(5)], ids=str)
+def test_shift_preset_is_the_benchmark_oracles_kernel_bit_for_bit(group):
+    """The benchmark's Neumann oracle (perfbench/workloads.py) builds the shift preset as this call."""
+    params = {**TASK_DEFAULTS["invert"], "preset": "shift", "weight": 0.4, "radii": [4, 6]}
+    for dim in (1, 2):
+        expected = shift_kernel(group, dim, params["weight"], t_radius=max(params["radii"]))
+        assert_same_bits(_preset_kernel(params, group, dim, max(params["radii"])), expected)
 
 
 def test_hermitian_band_sections_agree_with_the_band_plus_its_involution():
@@ -154,11 +175,15 @@ def test_hermitian_band_sections_agree_with_the_band_plus_its_involution():
         {"group": "Z", "preset": "hermitian_band", "weight": 0.3, "z": 1, "radii": [4, 8]},
         {"group": "Z^2", "preset": "hermitian_band", "weight": 0.2, "z": 1, "radii": [6, 8, 10]},
         {"group": "H3(Z)", "preset": "hermitian_band", "weight": 0.2, "z": 1.5, "radii": [4, 6]},
+        # Finite groups that ball(max(radii)) does not fill; the shift's paths wrap around Z/20.
+        {"group": "Z/20", "preset": "shift", "weight": 0.5, "radii": [4, 8]},
+        {"group": "Z/100", "preset": "hermitian_band", "weight": 0.3, "radii": [4, 8]},
+        {"group": "Z/40", "profile": {"kind": "exponential", "rate": 0.5, "radius": 2}, "z": 3, "radii": [4, 8]},
     ],
-    ids=["Z", "Z^2", "H3(Z)"],
+    ids=["Z", "Z^2", "H3(Z)", "Z/20-shift", "Z/100-band", "Z/40-profile"],
 )
-def test_hermitian_band_passes_the_neumann_cross_check(tmp_path, capsys, config):
-    """The band's columns lie in ball(max(radii)), so Neumann paths stay inside the final section."""
+def test_presets_and_profiles_pass_the_neumann_cross_check(tmp_path, capsys, config):
+    """Every column lies in ball(max(radii)), on every group, so Neumann paths stay inside the final section."""
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     main(["decay", "--config", str(tmp_path / "cfg.json")])
     (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("neumann_cross_check")]

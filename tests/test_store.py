@@ -256,14 +256,23 @@ Z1 = IntegerLattice(1)
         (lambda: Envelope(Z1, {1: 0.5}), "key 1: Z: point 1 is not a sequence of integers"),
         (lambda: Envelope(Z2, {(1, 2.0): 0.5}), "key (1, 2.0)"),
         (lambda: Envelope(Z2, {(1, 2**64): 0.5}), f"key (1, {2**64}): Z^2: point (1, {2**64}) has a coordinate outside"),
+        (lambda: Kernel(Z1, 1, {((True,), (0,)): np.eye(1)}), "key ((True,), (0,)): Z: point (True,) is not a sequence"),
+        # numpy reads a boolean beside integers as an integer: the fast path of whole-array keys.
+        (lambda: Kernel(Z1, 1, {((1,), (True,)): np.eye(1)}), "key ((1,), (True,)): Z: point (True,) is not a sequence"),
+        (lambda: Kernel(Z1, 1, {((1,), (np.True_,)): np.eye(1)}), f"key ((1,), ({np.True_!r},)): Z: point"),
+        (lambda: Envelope(Z2, {(1, False): 0.5}), "key (1, False): Z^2: point (1, False) is not a sequence"),
     ],
     ids=[
         "kernel-int-points", "kernel-fraction", "kernel-triple", "covariance-float", "vector-int", "vector-fraction",
         "doubled-int-point", "envelope-int", "envelope-float", "envelope-past-int64",
+        "kernel-bool", "kernel-bool-beside-int", "kernel-numpy-bool", "envelope-bool",
     ],
 )
 def test_mapping_constructors_refuse_malformed_keys_naming_them(make, key):
-    """Not a point, or a coordinate that is not an integer: once a TypeError, or a key truncated to (1,)."""
+    """Not a point, or a coordinate that is not an integer: once a TypeError, or a key truncated to (1,).
+
+    A boolean is not an integer coordinate, though Python and numpy read it as 0 or 1.
+    """
     with pytest.raises(ValueError, match=re.escape(key)):
         make()
 
@@ -277,6 +286,11 @@ def test_integer_coordinates_of_any_integer_type_are_points():
         Z2.canonical((1.0, 2))
     with pytest.raises(ValueError, match="Z: point 3 is not a sequence of integers"):
         Z1.multiply(3, (1,))
+    # A boolean is not an integer coordinate, as in the file formats.
+    with pytest.raises(ValueError, match=re.escape("Z: point (True,) is not a sequence of integers")):
+        Z1.canonical((True,))
+    with pytest.raises(ValueError, match=re.escape("Z: point (True,) is not a sequence of integers")):
+        Z1.multiply((True,), (False,))
 
 
 def zero_producing_stores(kind):
