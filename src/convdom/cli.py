@@ -330,7 +330,7 @@ def task_kernel_io(params: dict, out: Path | None) -> tuple[int, list[str]]:
         # file can hold; refuse it here, before anything is written.
         points, values = kernel.min_envelope().arrays
         try:
-            _refuse_bad_values(list(map(tuple, points.tolist())), values)
+            _refuse_bad_values(points, values)
         except ValueError as exc:
             raise ConfigError(f"{params['input']}: {exc}") from None
     else:

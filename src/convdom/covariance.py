@@ -8,45 +8,38 @@ doubled test vectors, the unitary that intertwines it with the kernel action,
 an isometric embedding into a trivial-action convolution algebra of matrix
 functions (finite groups), and spectral tests for symmetry of the algebra.
 
-Elements and test vectors live in the block store of :mod:`convdom.kernels`,
-as kernels do.  The coordinate change and the intertwiner are remaps of its
-coordinate arrays.  The twisted product and the regular representation are
-joins of their own, not routed through kernel composition or action, so
-they remain independent checks of R and of the intertwiner.
+Elements derive from the block store of :mod:`convdom.kernels`, as kernels
+and test vectors do, and inherit its linear structure; their ``__init__``
+takes the arrays that ``arrays`` returns, checked as a kernel's are.  The
+coordinate change and the intertwiner are remaps of the coordinate arrays.
+The twisted product and the regular representation are joins of their own,
+not routed through kernel composition or action, so they remain independent
+checks of R and of the intertwiner.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from .groups import Group, Point
+from .groups import Group
 from .kernels import (
     Kernel,
     TestVector,
     _fibre_sups,
-    _from_arrays,
     _install,
     _join,
     _l1_sum,
-    _mapping_view,
-    _max_block_difference,
-    _parse_mapping,
     _ranks,
     _reduce_by_key,
     _require_compatible,
     _row_codes,
     _run_starts,
-    _scaled,
-    _set_store,
-    _stores_difference,
-    _stores_sum,
+    _Store,
     operator_norms,
 )
 
 
-class CovarianceElement:
+class CovarianceElement(_Store):
     """Finitely supported element f with f(x, y) a d x d complex matrix.
 
     The l1 norm sums, over x, the sup over y of the operator norm of
@@ -55,37 +48,25 @@ class CovarianceElement:
     (x, y).
     """
 
-    _mapping: Mapping | None = None
+    _names = ("x", "y")
 
-    def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
-        """Element from a mapping (x, y) -> d x d matrix.
+    def __init__(self, group: Group, dim: int, x, y, blocks) -> None:
+        """Element from the arrays :attr:`arrays` returns: x and y point arrays and an ``(n, d, d)`` block stack.
 
-        Every key is made canonical, and matrices whose keys coincide are
-        summed in the mapping's order, zero ones included; a sum that is zero
-        is dropped, as in every store.  The covariance file reader builds
+        The input is checked as a kernel's is, a refusal naming the first
+        offending point.  Every key is made canonical, and blocks whose keys
+        coincide are summed in row order, zero ones included; a sum that is
+        zero is dropped, as in every store.  The covariance file reader builds
         elements with it.
         """
-        _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)))
+        self._input(group, dim, (x, y), blocks, (dim, dim))
 
     @classmethod
     def unit(cls, group: Group, dim: int) -> "CovarianceElement":
         """Multiplicative unit u(x, y) = delta_{x=e} I; finite groups only."""
         y = group.window()
         eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(y), dim, dim))
-        return _from_arrays(cls, group, dim, (np.zeros_like(y), y), eye)
-
-    @property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The read-only store: x and y coordinates and the block stack, in (x, y) order."""
-        return (*self._coords, self._stack)
-
-    @property
-    def entries(self) -> Mapping[tuple[Point, Point], np.ndarray]:
-        """Read-only mapping (x, y) -> block in sorted key order, built on first use.
-
-        The package reads :attr:`arrays`; this view is kept for the benchmark's counters.
-        """
-        return _mapping_view(self)
+        return cls._from_arrays(group, dim, (np.zeros_like(y), y), eye)
 
     def l1_norm(self) -> float:
         best = _fibre_sups(self)[1]
@@ -122,22 +103,7 @@ class CovarianceElement:
         g, (x, y) = self.group, self._coords
         x_inv = g.inverse_many(x)
         coords = (x_inv, g.multiply_many(x_inv, y))
-        return _from_arrays(CovarianceElement, g, self.dim, coords, self._stack.conj().transpose(0, 2, 1))
-
-    def scale(self, c: complex) -> "CovarianceElement":
-        return _scaled(self, c)
-
-    def __add__(self, other: "CovarianceElement") -> "CovarianceElement":
-        return _stores_sum(self, other)
-
-    def __sub__(self, other: "CovarianceElement") -> "CovarianceElement":
-        return _stores_difference(self, other)
-
-    def max_block_difference(self, other: "CovarianceElement") -> float:
-        return _max_block_difference(self, other)
-
-    def __repr__(self) -> str:
-        return f"CovarianceElement({self.group.name}, dim={self.dim}, {len(self._stack)} entries)"
+        return CovarianceElement._from_arrays(g, self.dim, coords, self._stack.conj().transpose(0, 2, 1))
 
 
 # -- coordinate change to and from kernels --------------------------------------
@@ -150,13 +116,13 @@ def R_map(f: CovarianceElement) -> Kernel:
     isometric *-isomorphism onto kernels for discrete groups.
     """
     g, (x, y) = f.group, f._coords
-    return _from_arrays(Kernel, g, f.dim, (x, g.multiply_many(g.inverse_many(x), y)), f._stack)
+    return Kernel._from_arrays(g, f.dim, (x, g.multiply_many(g.inverse_many(x), y)), f._stack)
 
 
 def R_inverse(kernel: Kernel) -> CovarianceElement:
     """Inverse coordinate change: (R^-1 K)(x, y) = K(y, x^-1 y)."""
     g, (s, t) = kernel.group, kernel._coords
-    return _from_arrays(CovarianceElement, g, kernel.dim, (s, g.multiply_many(s, t)), kernel._stack)
+    return CovarianceElement._from_arrays(g, kernel.dim, (s, g.multiply_many(s, t)), kernel._stack)
 
 
 # -- regular representation and intertwiner --------------------------------------
@@ -177,7 +143,7 @@ def pi_regular(f: CovarianceElement, xi: TestVector) -> TestVector:
     left, right = _row_codes(g.multiply_many(g.inverse_many(y), w), g.multiply_many(x1, z))
     i, j = _join(left, right)
     terms = np.matmul(f._stack[i], xi._stack[j, :, None])[:, :, 0]
-    return _from_arrays(TestVector, g, f.dim, (g.multiply_many(y[i], x1[j]), z[j]), terms)
+    return TestVector._from_arrays(g, f.dim, (g.multiply_many(y[i], x1[j]), z[j]), terms)
 
 
 def W_intertwine(xi: TestVector) -> TestVector:
@@ -185,7 +151,7 @@ def W_intertwine(xi: TestVector) -> TestVector:
     if not xi.doubled:
         raise ValueError("W acts on doubled test vectors")
     g, (a, z) = xi.group, xi._coords
-    return _from_arrays(TestVector, g, xi.dim, (g.multiply_many(a, g.inverse_many(z)), z), xi._stack)
+    return TestVector._from_arrays(g, xi.dim, (g.multiply_many(a, g.inverse_many(z)), z), xi._stack)
 
 
 def W_inverse(eta: TestVector) -> TestVector:
@@ -193,7 +159,7 @@ def W_inverse(eta: TestVector) -> TestVector:
     if not eta.doubled:
         raise ValueError("W acts on doubled test vectors")
     g, (b, z) = eta.group, eta._coords
-    return _from_arrays(TestVector, g, eta.dim, (g.multiply_many(b, z), z), eta._stack)
+    return TestVector._from_arrays(g, eta.dim, (g.multiply_many(b, z), z), eta._stack)
 
 
 # -- trivial-action embedding (finite groups) -------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import CovarianceElement
 from .groups import Group, Point
-from .kernels import Envelope, Kernel, TestVector, _from_arrays, _l1_sum, _pairs, _row_codes, operator_norms
+from .kernels import Envelope, Kernel, TestVector, _l1_sum, _pairs, _row_codes, operator_norms
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def _scaled_kernel(
     columns = group.window(t_radius)
     keys = _pairs(points, columns)
     blocks = _random_disc(rng, len(keys[0]), (dim, dim))
-    return _from_arrays(Kernel, group, dim, keys, _scaled_to(blocks, np.repeat(values, len(columns))))
+    return Kernel._from_arrays(group, dim, keys, _scaled_to(blocks, np.repeat(values, len(columns))))
 
 
 def generate_kernel(
@@ -174,7 +174,7 @@ def random_covariance(group: Group, dim: int, seed, x_radius: int | None = None)
     xs = group.window(x_radius)
     keys = _pairs(xs, group.window() if group.is_finite else xs)
     blocks = _random_disc(np.random.default_rng(seed), len(keys[0]), (dim, dim))
-    return _from_arrays(CovarianceElement, group, dim, keys, blocks)
+    return CovarianceElement._from_arrays(group, dim, keys, blocks)
 
 
 def random_test_vector(group: Group, dim: int, seed, radius: int, doubled: bool = False) -> TestVector:
@@ -182,7 +182,7 @@ def random_test_vector(group: Group, dim: int, seed, radius: int, doubled: bool 
     points = group.window(radius)
     keys = _pairs(points, points) if doubled else (points,)
     values = _random_disc(np.random.default_rng(seed), len(keys[0]), (dim,))
-    return _from_arrays(TestVector, group, dim, keys, values)
+    return TestVector._from_arrays(group, dim, keys, values)
 
 
 def shift_symbol(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Envelope, Kernel, _join, _row_codes, _stores_sum, _subset
+from .kernels import Envelope, Kernel, _join, _row_codes
 
 
 class SectionInversionError(RuntimeError):
@@ -323,8 +323,8 @@ def inverse_residual(kernel: Kernel, z: complex, inverse_kernel: Kernel, window_
     the whole product, each summed over the same terms in the same order.
     """
     g = kernel.group
-    rows = _subset(kernel, kernel._ball_mask(window_radius, columns=False))
-    columns = _subset(inverse_kernel, g.word_length_many(inverse_kernel.arrays[1]) <= window_radius)
+    rows = kernel._subset(kernel._ball_mask(window_radius, columns=False))
+    columns = inverse_kernel._subset(g.word_length_many(inverse_kernel.arrays[1]) <= window_radius)
     product = rows.compose(columns)
     if z != 0:
         residual = (
@@ -358,7 +358,7 @@ def neumann_inverse(kernel: Kernel, z: complex, terms: int, window_radius: int |
     q = kernel.envelope_norm() / abs(z)
     if q >= 1.0:
         raise ValueError(f"Neumann series divergent: envelope norm ratio q = {q:.6g} >= 1")
-    power = kernel if window_radius is None else _subset(kernel, kernel._ball_mask(window_radius, columns=False))
+    power = kernel if window_radius is None else kernel._subset(kernel._ball_mask(window_radius, columns=False))
     coeff = -1.0 / (z * z)
     acc = power.scale(coeff)
     for _ in range(2, terms + 1):
@@ -398,7 +398,7 @@ def contour_inverse(kernel: Kernel, radius_eps: float, nodes: int, cfg: Inversio
             parts.append(_solve_section(kernel, alpha, cfg.radii[-1], cfg).kernel)
         except SectionInversionError as exc:
             raise ContourNodeError(j, alpha) from exc
-    return _stores_sum(*parts).scale(1.0 / nodes)
+    return Kernel._sum(*parts).scale(1.0 / nodes)
 
 
 def ideal_project(kernel: Kernel, bound: Envelope) -> Kernel:
@@ -424,7 +424,7 @@ def ideal_project(kernel: Kernel, bound: Envelope) -> Kernel:
     rows, k = _join(cosets, constrained)
     scale = np.zeros(len(s))
     scale[rows] = bound[k] / under[k]
-    return _subset(kernel, stack=scale[:, None, None] * blocks)
+    return kernel._subset(stack=scale[:, None, None] * blocks)
 
 
 def fit_decay(report: DecayReport) -> tuple[float, float]:

@@ -20,7 +20,7 @@ import numpy as np
 from .covariance import CovarianceElement
 from .groups import parse_group
 from .inversion import DecayReport
-from .kernels import Envelope, Kernel
+from .kernels import Envelope, Kernel, _key_text, _points, _ranks, _row_codes
 
 
 def _is(value, kind: type) -> bool:
@@ -94,36 +94,37 @@ def _parsed(path: str | Path, kind: str, parse):
         raise ValueError(f"{path}: malformed {kind} file: {what}") from None
 
 
-def _keyed(records, names: tuple[str, ...], value_of) -> dict:
-    """{key: value_of(record)} over a list of records; a key is the point at each of ``names``, or a pair of them.
+def _key_rows(group, records, names: tuple[str, ...]) -> list[np.ndarray]:
+    """The points at each of ``names`` over a list of records, as int64 arrays in record order.
 
-    A point is an array of integers.  A key written twice is refused: one of
-    its records would silently replace the other.  Keys that differ as
-    written but name one element are left to the constructor to combine.
+    A point is an array of integers, and one the group cannot hold is refused
+    as the constructors refuse it.  A key written twice is refused: one of its
+    records would silently replace the other.  Keys that differ as written
+    but name one element are left to the constructor to combine.
     """
     if not isinstance(records, list):
         raise ValueError(f"records must be an array, got {json.dumps(records)}")
-    out = {}
-    for rec in records:
-        points = []
-        for name in names:
-            point = rec[name]
+    coords = []
+    for name in names:
+        points = [rec[name] for rec in records]
+        for point in points:
             if not (isinstance(point, list) and all(_is(c, int) for c in point)):
                 raise ValueError(f"{name} must be an array of integers, got {json.dumps(point)}")
-            points.append(tuple(point))
-        key = tuple(points) if len(names) > 1 else points[0]
-        if key in out:
-            raise ValueError("two records at " + ", ".join(f"{n} = {list(p)}" for n, p in zip(names, points)))
-        out[key] = value_of(rec)
-    return out
+        coords.append(_points(group, points))
+    first, ranks = _ranks(_row_codes(tuple(coords))[0])
+    repeats = np.flatnonzero(first[ranks] != np.arange(len(records)))  # the records whose key an earlier one holds
+    if len(repeats):
+        raise ValueError("two records at " + _key_text(names, coords, repeats[0]))
+    return coords
 
 
-def _blocks_args(data: dict, first: str, second: str) -> tuple:
-    """(group, dim, entries) of a kernel file (keys s, t) or a covariance file (keys x, y)."""
+def _blocks_args(data: dict, names: tuple[str, str]) -> tuple:
+    """(group, dim, two point arrays, blocks) of a kernel file (keys s, t) or a covariance file (keys x, y)."""
     group, dim = parse_group(data["group"]), data["dim"]
     if not _is(dim, int) or dim < 1:
         raise ValueError(f"dim must be an integer of at least 1, got {json.dumps(dim)}")
-    return group, dim, _keyed(data["entries"], (first, second), lambda rec: _pairs_to_matrix(rec["matrix"], dim))
+    records = data["entries"]
+    return group, dim, *_key_rows(group, records, names), [_pairs_to_matrix(rec["matrix"], dim) for rec in records]
 
 
 def _value(rec: dict) -> float:
@@ -134,8 +135,9 @@ def _value(rec: dict) -> float:
 
 
 def _envelope_args(data: dict) -> tuple:
-    """(group, values) of an envelope file."""
-    return parse_group(data["group"]), _keyed(data["values"], ("s",), _value)
+    """(group, point array, values) of an envelope file."""
+    group, records = parse_group(data["group"]), data["values"]
+    return group, *_key_rows(group, records, ("s",)), [_value(rec) for rec in records]
 
 
 def write_kernel(path: str | Path, kernel: Kernel) -> None:
@@ -145,7 +147,7 @@ def write_kernel(path: str | Path, kernel: Kernel) -> None:
 
 
 def read_kernel(path: str | Path) -> Kernel:
-    return _parsed(path, "kernel", lambda data: Kernel(*_blocks_args(data, "s", "t")))
+    return _parsed(path, "kernel", lambda data: Kernel(*_blocks_args(data, ("s", "t"))))
 
 
 def write_envelope(path: str | Path, env: Envelope) -> None:
@@ -164,7 +166,7 @@ def write_covariance(path: str | Path, f: CovarianceElement) -> None:
 
 
 def read_covariance(path: str | Path) -> CovarianceElement:
-    return _parsed(path, "covariance", lambda data: CovarianceElement(*_blocks_args(data, "x", "y")))
+    return _parsed(path, "covariance", lambda data: CovarianceElement(*_blocks_args(data, ("x", "y"))))
 
 
 def write_decay_csv(path: str | Path, report: DecayReport) -> None:

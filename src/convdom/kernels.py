@@ -6,21 +6,23 @@ envelope (the dominating function of the off-diagonal decay) lives on the
 single variable s.  All supports are finite.
 
 :class:`Kernel`, :class:`TestVector` and
-:class:`~convdom.covariance.CovarianceElement` share one block store: an
-int64 ``(nnz, coord_len)`` coordinate array per point of a key, and a
-read-only stack of ``(nnz, d, d)`` blocks or ``(nnz, d)`` vectors, with rows
-in lexicographic key order; :class:`Envelope` keeps points and values the same
-way.  No store holds a zero value: ``_install``, through which every store
-is set, drops zero rows, so a sum that cancels is gone wherever it was
-formed.  Every store is read through its ``arrays`` property.  The one
-mapping view, ``entries`` of kernels and covariance elements, is kept for the
-benchmark's counters; nothing in the package reads it.  The Mapping
-constructors stay because the file readers build stores with them.
-``_set_store`` is the one normalisation; the other private helpers are the
-operations the classes share.  Derivations that keep the order
-(``restrict_to_ball``, ``scale``) take the parent's rows instead of
-normalising again.  Every operation runs on whole arrays through the batched
-group law: composition is a join on the row point s*t and a sum
+:class:`~convdom.covariance.CovarianceElement` derive from one block store,
+``_Store``: an int64 ``(nnz, coord_len)`` coordinate array per point of a
+key, and a read-only stack of ``(nnz, d, d)`` blocks or ``(nnz, d)`` vectors,
+with rows in lexicographic key order.  It holds once what the three share:
+``arrays``, ``entries``, the linear structure and ``max_block_difference``.
+:class:`Envelope` keeps points and values the same way.  Each class's
+``__init__`` takes arrays in the layout ``arrays`` returns, so
+``Kernel(g, d, *k.arrays)`` rebuilds ``k``; it is the one place where input
+from outside the program is checked (``_checked``), and the file readers
+build every store through it.  Derivations take ``_Store._from_arrays``,
+which sums the values of coinciding keys in row order, or, when they keep
+the order (``restrict_to_ball``, ``scale``), ``_Store._subset``.  No store
+holds a zero value: ``_install``, through which every store is set, drops
+zero rows, so a sum that cancels is gone wherever it was formed.  The one
+mapping view, ``entries``, is kept for the benchmark's counters; nothing in
+the package reads it.  Every operation runs on whole arrays through the
+batched group law: composition is a join on the row point s*t and a sum
 per key that forms its block products as it adds them, so it holds one term
 per key at a time; envelopes are a segment max of operator norms; dense
 sections are fancy indexing; translations and coordinate changes remap
@@ -142,51 +144,9 @@ def _reduce_by_key(codes: np.ndarray, values, op=np.add) -> tuple[np.ndarray, np
     return order[starts], acc[np.argsort(runs)]
 
 
-def _key_arrays(group: Group, keys: list, arity: int) -> list[np.ndarray]:
-    """Keys of ``arity`` points (a point, or a pair) as that many int64 arrays, not yet reduced.
-
-    A key that is not ``arity`` points of integer coordinates is a ValueError naming it;
-    numpy reads a boolean beside integers as one, so a key holding one takes the loop.
-    """
-    shape = (len(keys), arity, group.coord_len) if arity > 1 else (len(keys), group.coord_len)
-    try:
-        points = np.array(keys) if keys else np.zeros(shape, dtype=np.int64)
-    except (TypeError, ValueError):  # keys of ragged shapes
-        points = None
-    bools = (isinstance(c, (bool, np.bool_)) for key in keys for point in (key if arity > 1 else (key,)) for c in point)
-    if points is None or points.dtype.kind != "i" or points.shape != shape or any(bools):
-        rows = []
-        for key in keys:  # one at a time: coordinates of another integer type, or the offending key named
-            try:
-                if arity > 1 and not (isinstance(key, tuple) and len(key) == arity):
-                    raise ValueError("not a pair of points")
-                rows.append([group.canonical(point) for point in (key if arity > 1 else (key,))])
-            except ValueError as exc:
-                raise ValueError(f"key {key!r}: {exc}") from None
-        points = np.array(rows, dtype=np.int64)
-    return list(points.astype(np.int64, copy=False).reshape(len(keys), arity, group.coord_len).transpose(1, 0, 2))
-
-
 def _pairs(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of a point of ``xs`` and one of ``ys``, as two arrays in nested-loop order, ``xs`` outer."""
     return np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
-
-
-def _value_stack(keys: list, values: list, shape: tuple[int, ...]) -> np.ndarray:
-    """Mapping values as an ``(n, *shape)`` complex stack."""
-    if not values:
-        return np.zeros((0, *shape), dtype=complex)
-    try:
-        stack = np.array(values, dtype=complex)
-        if stack.shape == (len(values), *shape):
-            return stack
-    except ValueError:
-        pass
-    for key, value in zip(keys, values):  # name the offending entry
-        arr = np.asarray(value, dtype=complex)
-        if arr.shape != shape:
-            raise ValueError(f"entry at {key!r} has shape {arr.shape}, expected {shape}")
-    raise ValueError("entry values do not stack")
 
 
 def _nonzero(stack: np.ndarray) -> np.ndarray:
@@ -194,30 +154,59 @@ def _nonzero(stack: np.ndarray) -> np.ndarray:
     return stack.any(axis=tuple(range(1, stack.ndim)))
 
 
-# -- the block store shared by Kernel, TestVector and CovarianceElement ----------------
+# -- input checks and installation, for every store ------------------------------------
 
 
-def _parse_mapping(group: Group, mapping: Mapping, arity: int, shape: tuple[int, ...]):
-    """(canonical coordinate arrays, value stack) of a Mapping input, not yet sorted or summed."""
-    keys = list(mapping)
-    stack = _value_stack(keys, list(mapping.values()), shape)
-    return [group.canonical_many(c) for c in _key_arrays(group, keys, arity)], stack
+def _points(group: Group, coords) -> np.ndarray:
+    """``coords`` as an int64 ``(n, coord_len)`` array of points as written, not yet canonical.
 
-
-def _set_store(obj, group: Group, dim: int, coords, stack):
-    """Give ``obj`` a canonical, sorted, duplicate-free store and return it: the one normalisation.
-
-    ``coords`` holds one canonical (group-law or ``_parse_mapping`` output)
-    ``(n, coord_len)`` array per point of a key and ``stack`` the n values, in
-    any order, or a function that forms the values at an array of row indices
-    (see ``_reduce_by_key``).  Values whose keys coincide are summed in row
-    order, and ``_install`` drops the sums that are zero.
+    An array of an integer dtype and that shape passes as it is, and an empty
+    one of any dtype holds no points.  Otherwise the rows are checked one by
+    one with the group's scalar check, and the first that is not a point is a
+    ValueError naming it: a float or boolean coordinate, the wrong number of
+    coordinates, a coordinate outside int64.  An array whose every row is a
+    point but whose dtype is not an integer one (object) is refused at its
+    first row.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    (codes,) = _row_codes(tuple(coords))
-    rows, stack = _reduce_by_key(codes, stack if callable(stack) else np.asarray(stack, dtype=complex))
-    return _install(obj, group, dim, [c[rows] for c in coords], stack)
+    try:
+        arr = np.asarray(coords)
+    except ValueError:  # ragged rows
+        rows = coords
+    else:
+        if arr.shape[:1] == (0,):
+            return np.zeros((0, group.coord_len), dtype=np.int64)
+        fits = arr.dtype.kind == "i" or (arr.dtype.kind == "u" and arr.max() <= np.iinfo(np.int64).max)
+        if fits and arr.shape[1:] == (group.coord_len,):
+            return arr.astype(np.int64, copy=False)
+        rows = arr.tolist()
+    for row in rows:
+        group.canonical(row)
+    raise ValueError(f"{group.name}: point {rows[0]!r} is held in an array of dtype object, not of integers")
+
+
+def _key_text(names: Sequence[str], coords, i: int) -> str:
+    """Row ``i`` of a store's coordinate arrays, each point named: ``s = [1], t = [0]``."""
+    return ", ".join(f"{name} = {c[i].tolist()}" for name, c in zip(names, coords))
+
+
+def _checked(group: Group, names: Sequence[str], coords, values, shape: tuple[int, ...], dtype=complex):
+    """Input coordinate arrays, as written, and the value stack they key: the check of ``__init__``.
+
+    Returns the int64 arrays of :func:`_points` and ``values`` as an ``(n,
+    *shape)`` stack of ``dtype``.  Arrays that differ in their number of
+    rows, or values of another shape, are a ValueError; a shape refusal names
+    the first key.
+    """
+    coords = [_points(group, c) for c in coords]
+    stack = np.asarray(values, dtype=dtype)
+    if stack.shape[:1] == (0,):
+        stack = stack.reshape(0, *shape)
+    if len({len(a) for a in (*coords, stack)}) > 1:
+        counts = ", ".join(f"{n} {len(a)}" for n, a in zip((*names[: len(coords)], "values"), (*coords, stack)))
+        raise ValueError(f"rows differ in number: {counts}")
+    if stack.shape[1:] != shape:
+        raise ValueError(f"value at {_key_text(names, coords, 0)} has shape {stack.shape[1:]}, expected {shape}")
+    return coords, stack
 
 
 def _install(obj, group: Group, dim: int | None, coords, stack):
@@ -237,74 +226,10 @@ def _install(obj, group: Group, dim: int | None, coords, stack):
     return obj
 
 
-def _from_arrays(cls, group: Group, dim: int, coords, stack):
-    """A derived ``cls`` from store arrays in any order: equal keys summed in row order, zeros dropped.
-
-    ``stack`` may be a function that forms the values at row indices, as ``_set_store`` takes it.
-    """
-    return _set_store(cls.__new__(cls), group, dim, coords, stack)
-
-
-def _subset(obj, keep: np.ndarray | slice = slice(None), stack: np.ndarray | None = None):
-    """A store of ``obj``'s class with the rows of ``obj`` that ``keep`` selects, all by default.
-
-    The rows stay sorted and distinct, so nothing is normalised again.  With
-    ``stack``, its rows replace ``obj``'s values.
-    """
-    stack = obj._stack if stack is None else stack
-    return _install(type(obj).__new__(type(obj)), obj.group, obj.dim, [c[keep] for c in obj._coords], stack[keep])
-
-
-def _scaled(obj, c: complex):
-    """``c`` times every value of a store, zero results dropped."""
-    return _subset(obj, stack=c * obj._stack)
-
-
-def _mapping_view(obj) -> Mapping:
-    """Read-only mapping (point, point) -> block of a store in key order, built on first use.
-
-    Nothing in the package reads it: it backs the ``entries`` views, which the
-    benchmark's counters read.  Values are read-only views of the stack.
-    """
-    if obj._mapping is None:
-        keys = zip(*(map(tuple, c.tolist()) for c in obj._coords))
-        obj._mapping = MappingProxyType(dict(zip(keys, obj._stack)))
-    return obj._mapping
-
-
 def _require_compatible(a, b) -> None:
     """Refuse to combine stores over different groups, of different dims or key arities."""
     if (a.group, a.dim, len(a._coords)) != (b.group, b.dim, len(b._coords)):
         raise ValueError(f"operands live in different spaces: {a!r} vs {b!r}")
-
-
-def _stores_sum(first, *rest):
-    """Sum of stores of one class; the values at a common key are added front to back, as first + ... + last."""
-    for other in rest:
-        _require_compatible(first, other)
-    stores = (first, *rest)
-    coords = [np.concatenate(same) for same in zip(*(store._coords for store in stores))]
-    with np.errstate(invalid="ignore"):  # inf + (-inf) is NaN, as IEEE arithmetic defines it
-        return _from_arrays(type(first), first.group, first.dim, coords, np.concatenate([s._stack for s in stores]))
-
-
-def _stores_difference(a, b):
-    """Difference of two stores of one class: the store of a + (-b), which is a - b exactly."""
-    # np.negative, not a scale by -1.0: complex multiplication by -1.0 turns
-    # a block whose two parts are infinite into NaN.
-    return _stores_sum(a, _subset(b, stack=np.negative(b._stack)))
-
-
-def _max_block_difference(a, b) -> float:
-    """Max operator-norm difference between the blocks of two stores at matching keys.
-
-    The difference store drops zero blocks, which add nothing to a maximum
-    that starts at 0.
-    """
-    stack = _stores_difference(a, b)._stack
-    # One run of all blocks, none if there are none; fmax skips NaN: a NaN
-    # difference never sets the maximum.
-    return float(np.fmax.reduce(_run_sups(stack, np.arange(min(len(stack), 1))), initial=0.0))
 
 
 # Relative margin on the bounds of a block's operator norm.  It is far wider
@@ -362,35 +287,34 @@ def _l1_sum(values: np.ndarray) -> float:
         raise ValueError("l1 norm overflows: the sum exceeds the largest float") from None
 
 
-def _refuse_bad_values(keys, vals: np.ndarray) -> None:
-    """ValueError naming the first key whose envelope value is negative, NaN or infinite."""
+def _refuse_bad_values(points: np.ndarray, vals: np.ndarray) -> None:
+    """ValueError naming the first point whose envelope value is negative, NaN or infinite."""
     for bad, what in ((vals < 0, "negative"), (~np.isfinite(vals), "not finite")):
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"envelope value at {keys[i]!r} is {what}: {vals[i]}")
+            raise ValueError(f"envelope value at {tuple(points[i].tolist())!r} is {what}: {vals[i]}")
 
 
 class Envelope:
-    """Finitely supported nonnegative function on a group, stored as sorted int64 points and float64 values.
+    """Finitely supported nonnegative function on a group, stored as sorted int64 points and float64 values."""
 
-    The Mapping constructor refuses negative, NaN and infinite values, makes
-    every key canonical and max-merges the values of keys that coincide; a
-    zero value is dropped, as in every store.  The envelope file reader builds
-    envelopes with it.
-    """
+    def __init__(self, group: Group, s, values) -> None:
+        """Envelope from the arrays :attr:`arrays` returns: an ``(n, coord_len)`` point array and n values.
 
-    def __init__(self, group: Group, values: Mapping[Point, float]) -> None:
-        keys = list(values)
-        vals = np.fromiter(map(float, values.values()), dtype=float, count=len(keys))
-        _refuse_bad_values(keys, vals)
-        (points,) = _key_arrays(group, keys, 1)
+        Points are checked as every store's are, and a negative, NaN or
+        infinite value is refused, naming its point as written.  Every point
+        is made canonical, and the values of points that coincide are
+        max-merged; a zero value is dropped, as in every store.
+        """
+        (points,), vals = _checked(group, ("s",), (s,), values, (), float)
+        _refuse_bad_values(points, vals)
         points = group.canonical_many(points)
         rows, merged = _reduce_by_key(_row_codes(points)[0], vals, np.fmax)
         _install(self, group, None, (points[rows],), merged)
 
     @classmethod
     def _derived(cls, group: Group, points: np.ndarray, values: np.ndarray) -> "Envelope":
-        """An envelope of canonical, sorted, distinct points and their values, with no Mapping round trip."""
+        """An envelope of canonical, sorted, distinct points and their values, derived, so not checked again."""
         return _install(cls.__new__(cls), group, None, (points,), values)
 
     @property
@@ -451,7 +375,111 @@ class Envelope:
         return f"Envelope({self.group.name}, {len(self._stack)} points, l1={self.l1_norm():.6g})"
 
 
-class Kernel:
+class _Store:
+    """The block store :class:`Kernel`, :class:`TestVector` and :class:`~convdom.covariance.CovarianceElement` share.
+
+    A store holds ``group``, ``dim``, one canonical coordinate array per
+    point of a key (``_coords``, named by ``_names``) and the value stack
+    (``_stack``), rows sorted and distinct.  The public members here are
+    inherited; each class defines its own ``__init__``, which checks its
+    input through :meth:`_input`.  The benchmark's tracer wraps only the
+    members in a public class's own ``__dict__``, so the ones it reports
+    (each ``__init__``, ``Kernel.compose`` and ``CovarianceElement.product``
+    among them) stay on their classes.
+    """
+
+    _names: tuple[str, ...]  # the points of a key, as files and refusals name them
+    _mapping: Mapping | None = None
+
+    def _input(self, group: Group, dim: int, coords, values, shape: tuple[int, ...]) -> None:
+        """Set the store from the arrays given to ``__init__``: checked, canonical, coinciding keys summed in row order."""
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        coords, stack = _checked(group, self._names, coords, values, shape)
+        self._normalise(group, dim, [group.canonical_many(c) for c in coords], stack)
+
+    def _normalise(self, group: Group, dim: int, coords, stack):
+        """Give the store canonical ``coords`` in any order and their values, and return it: the one normalisation.
+
+        ``stack`` holds the n values, or is a function that forms the values
+        at an array of row indices (see ``_reduce_by_key``).  Values whose
+        keys coincide are summed in row order, and ``_install`` drops the sums
+        that are zero.
+        """
+        (codes,) = _row_codes(tuple(coords))
+        rows, stack = _reduce_by_key(codes, stack if callable(stack) else np.asarray(stack, dtype=complex))
+        return _install(self, group, dim, [c[rows] for c in coords], stack)
+
+    @classmethod
+    def _from_arrays(cls, group: Group, dim: int, coords, stack):
+        """A derived store of canonical arrays in any order, not checked: equal keys summed in row order, zeros dropped."""
+        return cls.__new__(cls)._normalise(group, dim, coords, stack)
+
+    def _subset(self, keep: np.ndarray | slice = slice(None), stack: np.ndarray | None = None):
+        """A store of this class with the rows that ``keep`` selects, all by default.
+
+        The rows stay sorted and distinct, so nothing is normalised again.  With
+        ``stack``, its rows replace the values.
+        """
+        stack = self._stack if stack is None else stack
+        return _install(type(self).__new__(type(self)), self.group, self.dim, [c[keep] for c in self._coords], stack[keep])
+
+    def _sum(self, *rest):
+        """Sum of stores of one class; the values at a common key are added front to back, as self + ... + last."""
+        for other in rest:
+            _require_compatible(self, other)
+        stores = (self, *rest)
+        coords = [np.concatenate(same) for same in zip(*(store._coords for store in stores))]
+        with np.errstate(invalid="ignore"):  # inf + (-inf) is NaN, as IEEE arithmetic defines it
+            return self._from_arrays(self.group, self.dim, coords, np.concatenate([s._stack for s in stores]))
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The read-only store: one coordinate array per point of a key, then the value stack, in key order."""
+        return (*self._coords, self._stack)
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only mapping key -> value in key order, built on first use; values are read-only views of the stack.
+
+        Keys are points, or tuples of points for keys of two.  The package
+        reads :attr:`arrays`; this view is kept for the benchmark's counters.
+        """
+        if self._mapping is None:
+            points = [map(tuple, c.tolist()) for c in self._coords]
+            self._mapping = MappingProxyType(dict(zip(zip(*points) if len(points) > 1 else points[0], self._stack)))
+        return self._mapping
+
+    def scale(self, c: complex):
+        """``c`` times every value, zero results dropped."""
+        return self._subset(stack=c * self._stack)
+
+    def __add__(self, other):
+        return self._sum(other)
+
+    def __sub__(self, other):
+        """The store of self + (-other), which is self - other exactly."""
+        # np.negative, not a scale by -1.0: complex multiplication by -1.0 turns
+        # a value whose two parts are infinite into NaN.
+        return self._sum(other._subset(stack=np.negative(other._stack)))
+
+    def max_block_difference(self, other) -> float:
+        """Max operator-norm difference between the values at matching keys; a vector is normed as a d x 1 block.
+
+        The difference store drops zero values, which add nothing to a maximum
+        that starts at 0.
+        """
+        stack = np.atleast_3d((self - other)._stack)
+        # One run of all blocks, none if there are none; fmax skips NaN: a NaN
+        # difference never sets the maximum.
+        return float(np.fmax.reduce(_run_sups(stack, np.arange(min(len(stack), 1))), initial=0.0))
+
+    def __repr__(self) -> str:
+        keyed = ", ".join(self._names[: len(self._coords)])
+        return f"{type(self).__name__}({self.group.name}, dim={self.dim}, {len(self._stack)} entries keyed ({keyed}))"
+
+
+class Kernel(_Store):
     """Finitely supported kernel (x, y) -> d x d matrix in (s, t) storage.
 
     The value at (x, y) is the block keyed (x*y^-1, y) in :attr:`arrays`;
@@ -459,24 +487,25 @@ class Kernel:
     and the block stack are read-only.
     """
 
+    _names = ("s", "t")
     _envelope: Envelope | None = None
-    _mapping: Mapping | None = None
 
-    def __init__(self, group: Group, dim: int, entries: Mapping[tuple[Point, Point], np.ndarray]) -> None:
-        """Kernel from a mapping (s, t) -> d x d matrix.
+    def __init__(self, group: Group, dim: int, s, t, blocks) -> None:
+        """Kernel from the arrays :attr:`arrays` returns: s and t point arrays and an ``(n, d, d)`` block stack.
 
-        Every key is made canonical, and matrices whose keys coincide are
-        summed in the mapping's order, zero ones included; a sum that is zero
-        is dropped, as in every store.  The kernel file reader builds kernels
-        with it.
+        The input is checked: integer coordinates of the group's length, and
+        blocks of shape ``(d, d)``, a refusal naming the first offending point.
+        Every key is made canonical, and blocks whose keys coincide are summed
+        in row order, zero ones included; a sum that is zero is dropped, as in
+        every store.  The kernel file reader builds kernels with it.
         """
-        _set_store(self, group, dim, *_parse_mapping(group, entries, 2, (dim, dim)))
+        self._input(group, dim, (s, t), blocks, (dim, dim))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, group: Group, dim: int) -> "Kernel":
-        return cls(group, dim, {})
+        return cls(group, dim, [], [], [])
 
     @classmethod
     def invariant(cls, group: Group, symbol: tuple, window_radius: int | None = None) -> "Kernel":
@@ -493,27 +522,14 @@ class Kernel:
         if blocks.shape != (len(points), *blocks.shape[-1:] * 2):
             raise ValueError(f"symbol of {len(points)} points has blocks of shape {blocks.shape}")
         t = group.window(window_radius)
-        return _from_arrays(cls, group, blocks.shape[-1], _pairs(points, t), lambda at: blocks[at // len(t)])
+        return cls._from_arrays(group, blocks.shape[-1], _pairs(points, t), lambda at: blocks[at // len(t)])
 
     @classmethod
     def identity(cls, group: Group, dim: int, window_radius: int | None = None) -> "Kernel":
         """Identity kernel delta_{x=y} I: the symbol I at the identity, on the window of :meth:`invariant`."""
         return cls.invariant(group, ([group.identity], np.eye(dim, dtype=complex)[None]), window_radius)
 
-    # -- basic access -----------------------------------------------------------
-
-    @property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The read-only store: s and t coordinates and the block stack, in (s, t) order."""
-        return (*self._coords, self._stack)
-
-    @property
-    def entries(self) -> Mapping[tuple[Point, Point], np.ndarray]:
-        """Read-only mapping (s, t) -> block in sorted key order, built on first use.
-
-        The package reads :attr:`arrays`; this view is kept for the benchmark's counters.
-        """
-        return _mapping_view(self)
+    # -- envelopes ----------------------------------------------------------------
 
     def min_envelope(self) -> Envelope:
         """Smallest dominating envelope: beta(s) = max_t of the operator norm of the block at (s, t)."""
@@ -540,13 +556,13 @@ class Kernel:
         g, (s1, t1), (s2, t2) = self.group, self._coords, other._coords
         i, j = _join(*_row_codes(t1, g.multiply_many(s2, t2)))
         coords = (g.multiply_many(s1[i], s2[j]), t2[j])
-        return _from_arrays(Kernel, g, self.dim, coords, lambda at: np.matmul(self._stack[i[at]], other._stack[j[at]]))
+        return Kernel._from_arrays(g, self.dim, coords, lambda at: np.matmul(self._stack[i[at]], other._stack[j[at]]))
 
     def involution(self) -> "Kernel":
         """Adjoint kernel K*(x, y) = K(y, x)^H."""
         g, (s, t) = self.group, self._coords
         coords = (g.inverse_many(s), g.multiply_many(s, t))
-        return _from_arrays(Kernel, g, self.dim, coords, self._stack.conj().transpose(0, 2, 1))
+        return Kernel._from_arrays(g, self.dim, coords, self._stack.conj().transpose(0, 2, 1))
 
     def apply(self, vec: "TestVector") -> "TestVector":
         """Integral operator action in the first variable: T_K on single vectors, T_K x id on doubled ones.
@@ -560,7 +576,7 @@ class Kernel:
         i, j = _join(*_row_codes(t, y))
         terms = np.matmul(self._stack[i], vec._stack[j, :, None])[:, :, 0]
         coords = (g.multiply_many(s[i], t[i]), *(r[j] for r in rest))
-        return _from_arrays(TestVector, g, self.dim, coords, terms)
+        return TestVector._from_arrays(g, self.dim, coords, terms)
 
     def conjugate_by_translation(self, a: Point, side: str) -> "Kernel":
         """Translate both kernel arguments by a group element.
@@ -576,7 +592,7 @@ class Kernel:
             s, t = g.multiply_many(g.multiply_many(a, s), g.inverse_many(a)), g.multiply_many(a, t)
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return _from_arrays(Kernel, g, self.dim, (s, t), self._stack)
+        return Kernel._from_arrays(g, self.dim, (s, t), self._stack)
 
     def _require_vector(self, vec: "TestVector") -> None:
         if vec.group != self.group:
@@ -584,22 +600,11 @@ class Kernel:
         if vec.dim != self.dim:
             raise ValueError("test vector dim differs from kernel dim")
 
-    # -- linear structure ---------------------------------------------------------
-
-    def scale(self, c: complex) -> "Kernel":
-        return _scaled(self, c)
-
-    def __add__(self, other: "Kernel") -> "Kernel":
-        return _stores_sum(self, other)
-
-    def __sub__(self, other: "Kernel") -> "Kernel":
-        return _stores_difference(self, other)
-
     # -- windows and dense sections -------------------------------------------------
 
     def restrict_to_ball(self, radius: int) -> "Kernel":
         """Keep entries whose pair (x, y) lies in the ball of the given radius."""
-        return _subset(self, self._ball_mask(radius))
+        return self._subset(self._ball_mask(radius))
 
     def _ball_mask(self, radius: int, columns: bool = True) -> np.ndarray:
         """Mask of the entries whose row x = s*t, and with ``columns`` their column t, lie in the ball."""
@@ -643,14 +648,7 @@ class Kernel:
         blocks = mat.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
         i, j = np.nonzero(blocks.any(axis=(2, 3)))
         s = group.multiply_many(pts[i], group.inverse_many(pts[j]))
-        return _from_arrays(cls, group, dim, (s, pts[j]), blocks[i, j])
-
-    def max_block_difference(self, other: "Kernel") -> float:
-        """Max operator-norm difference between matching entries."""
-        return _max_block_difference(self, other)
-
-    def __repr__(self) -> str:
-        return f"Kernel({self.group.name}, dim={self.dim}, {len(self._stack)} entries)"
+        return cls._from_arrays(group, dim, (s, pts[j]), blocks[i, j])
 
 
 def section_operator_norm(kernel: Kernel, radius: int) -> float:
@@ -659,7 +657,7 @@ def section_operator_norm(kernel: Kernel, radius: int) -> float:
     return float(np.linalg.norm(kernel.to_dense(kernel.group.window(radius)), 2))
 
 
-class TestVector:
+class TestVector(_Store):
     """Finitely supported vector-valued function on the group.
 
     Single-variable vectors map points to C^d; doubled vectors map point pairs
@@ -669,25 +667,24 @@ class TestVector:
     """
 
     __test__ = False  # not a pytest class, despite the name
+    _names = ("x", "z")
 
-    def __init__(self, group: Group, dim: int, values: Mapping, doubled: bool = False) -> None:
-        """Vector from a mapping key -> C^d value, keys points or (doubled) point pairs.
+    def __init__(self, group: Group, dim: int, *arrays) -> None:
+        """Vector from the arrays :attr:`arrays` returns: x, for a doubled vector z, and an ``(n, d)`` vector stack.
 
-        Every key is made canonical, and values whose keys coincide are
-        summed in the mapping's order, zero ones included; a sum that is zero
-        is dropped, as in every store.  The package derives vectors from
-        arrays; the tests build them with this constructor.
+        A vector is doubled when it gets two coordinate arrays.  The input is
+        checked as a kernel's is; every key is made canonical, and vectors
+        whose keys coincide are summed in row order, zero ones included; a sum
+        that is zero is dropped, as in every store.
         """
-        _set_store(self, group, dim, *_parse_mapping(group, values, 2 if doubled else 1, (dim,)))
+        *coords, vectors = arrays
+        if len(coords) not in (1, 2):
+            raise ValueError(f"a test vector takes one or two coordinate arrays, got {len(coords)}")
+        self._input(group, dim, coords, vectors, (dim,))
 
     @property
     def doubled(self) -> bool:
         return len(self._coords) == 2
-
-    @property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """The read-only store: x (and for doubled vectors z) coordinates and the vector stack, in key order."""
-        return (*self._coords, self._stack)
 
     def l2_norm(self) -> float:
         # Exactly rounded accumulation keeps the norm invariant under the
@@ -722,17 +719,4 @@ class TestVector:
             x = g.multiply_many(x, g.inverse_many(a))
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return _from_arrays(TestVector, g, self.dim, (x,), self._stack)
-
-    def scale(self, c: complex) -> "TestVector":
-        return _scaled(self, c)
-
-    def __add__(self, other: "TestVector") -> "TestVector":
-        return _stores_sum(self, other)
-
-    def __sub__(self, other: "TestVector") -> "TestVector":
-        return _stores_difference(self, other)
-
-    def __repr__(self) -> str:
-        kind = "doubled" if self.doubled else "single"
-        return f"TestVector({self.group.name}, dim={self.dim}, {kind}, {len(self._stack)} points)"
+        return TestVector._from_arrays(g, self.dim, (x,), self._stack)

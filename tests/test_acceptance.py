@@ -35,7 +35,7 @@ from convdom import (
 from convdom.generate import Profile
 from convdom.suites import conjugation_suite, kernel_axiom_suite, symmetry_suite
 
-from views import as_mapping, basis, kernel_at
+from views import as_mapping, basis, from_mapping, kernel_at
 
 Z = IntegerLattice(1)
 Z2 = IntegerLattice(2)
@@ -92,7 +92,7 @@ def test_criterion_03_R_isomorphism_exhaustive():
                 for j in range(dim):
                     mat = np.zeros((dim, dim), dtype=complex)
                     mat[i, j] = 1.0
-                    basis.append(CovarianceElement(group, dim, {(x, y): mat}))
+                    basis.append(from_mapping(CovarianceElement, group, dim, {(x, y): mat}))
     images = [R_map(e) for e in basis]
     for e, image in zip(basis, images):
         if R_inverse(image).max_block_difference(e) != 0.0:
@@ -261,7 +261,7 @@ def test_criterion_09_contour_functional_calculus():
 def test_criterion_10_ideal_approximation():
     failures = []
     entries = {((s,), (0,)): np.array([[2.0 ** -abs(s)]]) for s in range(-30, 31)}
-    kernel = Kernel(Z, 1, entries)
+    kernel = from_mapping(Kernel, Z, 1, entries)
     beta = kernel.min_envelope()
     for n in range(2, 11):
         support = beta.restrict(n)

@@ -549,9 +549,8 @@ def test_round_trip_that_reads_nan_back_as_zero_fails(tmp_path, capsys, monkeypa
         read = original(path)
         if Path(path).parent != tmp_path / "io":
             return read
-        s, t, blocks = read.arrays
-        entries = {(tuple(x), tuple(y)): b for x, y, b in zip(s.tolist(), t.tolist(), np.nan_to_num(blocks, nan=0.0))}
-        return type(read)(read.group, read.dim, entries)
+        *keys, blocks = read.arrays
+        return type(read)(read.group, read.dim, *keys, np.nan_to_num(blocks, nan=0.0))
 
     monkeypatch.setattr(formats, reader, nan_to_zero)
     assert run(["kernel-io", "--input", tmp_path / "kernel.json", "--out", tmp_path / "io"]) == 1

@@ -22,7 +22,7 @@ from convdom import (
 )
 from convdom.covariance import matrix_function_convolve, matrix_function_norm
 
-from views import as_mapping, basis
+from views import as_mapping, basis, from_mapping
 
 Z3 = Cyclic(3)
 Z4 = Cyclic(4)
@@ -43,7 +43,7 @@ def cov_product_oracle(f, h):
                     (g.multiply(g.inverse(y), x), g.multiply(g.inverse(y), z)), zero
                 )
             entries[(x, z)] = total
-    return CovarianceElement(g, f.dim, entries)
+    return from_mapping(CovarianceElement, g, f.dim, entries)
 
 
 def full_doubled_basis(group, dim):
@@ -117,7 +117,7 @@ def test_unit_is_neutral():
 def test_indicator_product_on_z2():
     group = Cyclic(2)
     ones = {(x, y): np.array([[1.0]]) for x in group.ball() for y in group.ball()}
-    f = CovarianceElement(group, 1, ones)
+    f = from_mapping(CovarianceElement, group, 1, ones)
     product = as_mapping(f.product(f))
     for x in group.ball():
         for y in group.ball():
@@ -180,7 +180,7 @@ def test_R_on_rank_one_element():
     rng = np.random.default_rng(5)
     phi = {x: rng.normal() + 1j * rng.normal() for x in group.ball()}
     psi = {y: rng.normal() + 1j * rng.normal() for y in group.ball()}
-    f = CovarianceElement(
+    f = from_mapping(CovarianceElement, 
         group, 1, {(x, y): np.array([[phi[x] * psi[y]]]) for x in group.ball() for y in group.ball()}
     )
     back = as_mapping(R_inverse(R_map(f)))
@@ -254,7 +254,7 @@ def test_theta_of_unit():
 
 
 def test_theta_of_zero_is_empty_and_has_norm_zero():
-    theta = theta_embed(CovarianceElement(Z3, 2, {}))
+    theta = theta_embed(from_mapping(CovarianceElement, Z3, 2, {}))
     assert as_mapping(theta) == {}
     assert matrix_function_norm(theta) == 0.0
 
@@ -273,7 +273,7 @@ def test_theta_homomorphism_and_isometry():
 
 
 Z = IntegerLattice(1)
-ON_Z = CovarianceElement(Z, 1, {((0,), (0,)): np.array([[1.0]])})
+ON_Z = from_mapping(CovarianceElement, Z, 1, {((0,), (0,)): np.array([[1.0]])})
 
 
 @pytest.mark.parametrize(
@@ -335,7 +335,7 @@ def test_left_multiplication_matrix_against_products():
         i, j = int(rng.integers(d)), int(rng.integers(d))
         basis_mat = np.zeros((d, d), dtype=complex)
         basis_mat[i, j] = 1.0
-        e = CovarianceElement(group, dim, {(a, b): basis_mat})
+        e = from_mapping(CovarianceElement, group, dim, {(a, b): basis_mat})
         product = f.product(e)
         col = ((pts.index(a) * n) + pts.index(b)) * d * d + i * d + j
         vec = mat[:, col]
@@ -346,7 +346,7 @@ def test_left_multiplication_matrix_against_products():
                 block = vec[base : base + d * d].reshape(d, d)
                 if np.count_nonzero(block):
                     rebuilt[(x, y)] = block
-        assert product.max_block_difference(CovarianceElement(group, dim, rebuilt)) < 1e-13
+        assert product.max_block_difference(from_mapping(CovarianceElement, group, dim, rebuilt)) < 1e-13
 
 
 def test_pi_spectrum_inside_algebra_spectrum():

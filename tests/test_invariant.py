@@ -13,7 +13,7 @@ from convdom import Cyclic, DiscreteHeisenberg, HeisenbergMod, IntegerLattice, K
 from convdom.cli import TASK_DEFAULTS, _preset_kernel, main
 from convdom.covariance import matrix_function_convolve, matrix_function_norm
 from convdom.generate import shift_symbol
-from convdom.kernels import _from_arrays, _pairs
+from convdom.kernels import _pairs
 
 INFINITE = [IntegerLattice(1), IntegerLattice(2), DiscreteHeisenberg()]
 FINITE = [Cyclic(1), Cyclic(2), Cyclic(8), HeisenbergMod(3)]
@@ -22,14 +22,14 @@ FINITE = [Cyclic(1), Cyclic(2), Cyclic(8), HeisenbergMod(3)]
 def identity_reference(group, dim, window_radius=None):
     t = group.window(window_radius)
     eye = np.broadcast_to(np.eye(dim, dtype=complex), (len(t), dim, dim))
-    return _from_arrays(Kernel, group, dim, (np.zeros_like(t), t), eye)
+    return Kernel(group, dim, np.zeros_like(t), t, eye)
 
 
 def shift_reference(group, dim, weight, step=None, t_radius=10):
     s = group.canonical(step) if step is not None else group.canonical((1,) + (0,) * (group.coord_len - 1))
     t = group.window(None if group.is_finite else t_radius)
     blocks = np.broadcast_to(complex(weight) * np.eye(dim, dtype=complex), (len(t), dim, dim))
-    return _from_arrays(Kernel, group, dim, _pairs(group.canonical_many([s]), t), blocks)
+    return Kernel(group, dim, *_pairs(group.canonical_many([s]), t), blocks)
 
 
 def contour_reference(group, dim, scalar, weight):

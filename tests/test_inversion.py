@@ -31,7 +31,7 @@ from convdom import (
 from convdom import inversion
 from convdom.generate import Profile
 
-from views import as_mapping, kernel_at
+from views import as_mapping, from_mapping, kernel_at
 
 Z = IntegerLattice(1)
 Z8 = Cyclic(8)
@@ -80,7 +80,7 @@ def test_finite_group_section_matches_direct_inverse():
     for s in group.ball():
         for t in group.ball():
             entries[(s, t)] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    kernel = Kernel.identity(group, 2).scale(8.0) + Kernel(group, 2, entries).scale(0.05)
+    kernel = Kernel.identity(group, 2).scale(8.0) + from_mapping(Kernel, group, 2, entries).scale(0.05)
     inverse, report = finite_section_inverse(kernel, InversionConfig(z=0.0, radii=(3,)))
     assert report.stabilized and report.final.full_group
     pts = group.ball()
@@ -219,7 +219,7 @@ def test_singular_uncoupled_part_is_not_solved():
     # meets the window ball(2).  The inverse on the window is that of the
     # coupled part, the lines |b| <= 2.
     z2, z = IntegerLattice(2), 1.5
-    kernel = shift_kernel(z2, 1, 0.5, step=(1, 0), t_radius=4) + Kernel(z2, 1, {((0, 0), (0, 4)): [[-z]]})
+    kernel = shift_kernel(z2, 1, 0.5, step=(1, 0), t_radius=4) + from_mapping(Kernel, z2, 1, {((0, 0), (0, 4)): [[-z]]})
     points = z2.ball(4)
     section = kernel.to_dense(points) + z * np.eye(len(points))
     assert not section[points.index((0, 4))].any()
@@ -243,7 +243,7 @@ def test_truncated_section_with_ill_conditioned_pivot_raises():
     # diag(1e-14, 1).  The cap holds for every pivot, even where the whole
     # section (condition 34 here) would pass it.
     band = shift_kernel(Z, 1, 0.5, t_radius=4)
-    kernel = band + band.involution() + Kernel(Z, 1, {((0,), (-4,)): [[1e-14 - 1.0]]})
+    kernel = band + band.involution() + from_mapping(Kernel, Z, 1, {((0,), (-4,)): [[1e-14 - 1.0]]})
     assert np.linalg.cond(kernel.to_dense(Z.ball(4)) + np.eye(9), 1) < 100
     with pytest.raises(SectionInversionError) as info:
         finite_section_inverse(kernel, InversionConfig(z=1.0, radii=(4,)))
@@ -287,7 +287,7 @@ def test_section_singular_raises_at_scale_error():
 
 def test_condition_cap_exceeded():
     group = Cyclic(2)
-    kernel = Kernel(group, 1, {((0,), (0,)): [[1.0]], ((0,), (1,)): [[1e-15]]})
+    kernel = from_mapping(Kernel, group, 1, {((0,), (0,)): [[1.0]], ((0,), (1,)): [[1e-15]]})
     with pytest.raises(SectionInversionError) as info:
         finite_section_inverse(kernel, InversionConfig(z=0.0, radii=(1,), condition_cap=1e12))
     assert info.value.condition > 1e12
@@ -403,7 +403,7 @@ def test_neumann_on_a_window_equals_the_whole_series_on_its_rows(group, radius):
     z = 2.0 * kernel.envelope_norm() + 0.5j
     whole, bound = neumann_inverse(kernel, z, terms=4)
     window, window_bound = neumann_inverse(kernel, z, terms=4, window_radius=radius)
-    rows = inversion._subset(whole, whole._ball_mask(radius, columns=False))
+    rows = whole._subset(whole._ball_mask(radius, columns=False))
     assert 0 < len(window.entries) < len(whole.entries) and window_bound == bound
     assert list(window.entries) == list(rows.entries)
     assert all(window.entries[k].tobytes() == v.tobytes() for k, v in rows.entries.items())
@@ -438,9 +438,9 @@ def test_contour_scalar_case():
 
 def test_contour_diagonal_case():
     entries = {((0,), t): np.diag([2.0, 3.0]) for t in Z8.ball()}
-    kernel = Kernel(Z8, 2, entries)
+    kernel = from_mapping(Kernel, Z8, 2, entries)
     inverse = contour_inverse(kernel, radius_eps=1.0, nodes=64, cfg=InversionConfig(radii=(4,)))
-    expected = Kernel(Z8, 2, {((0,), t): np.diag([0.5, 1.0 / 3.0]) for t in Z8.ball()})
+    expected = from_mapping(Kernel, Z8, 2, {((0,), t): np.diag([0.5, 1.0 / 3.0]) for t in Z8.ball()})
     assert inverse.max_block_difference(expected) <= 1e-8
 
 
@@ -524,9 +524,9 @@ def test_contour_sum_of_a_key_that_cancels_at_a_node(monkeypatch):
     # the two agree in every key and value, and a bit differs only where both
     # coefficients are zero: here the real part at (1, 0).
     nodes = 8
-    parts = [Kernel(Z8, 1, {((2,), (j,)): [[1.0 + j]]}) for j in range(nodes)]
+    parts = [from_mapping(Kernel, Z8, 1, {((2,), (j,)): [[1.0 + j]]}) for j in range(nodes)]
     for j, v in enumerate([1.0, -1.0, complex(-0.0, 0.5)]):
-        parts[j] = parts[j] + Kernel(Z8, 1, {((1,), (0,)): [[v]]})
+        parts[j] = parts[j] + from_mapping(Kernel, Z8, 1, {((1,), (0,)): [[v]]})
 
     def crafted(kernel, z, radius, _cfg):
         j = round(cmath.phase(z) / (2 * math.pi / nodes)) % nodes
@@ -602,7 +602,7 @@ def test_section_solve_returns_the_finite_section_kernel(kernel, cfg):
 
 def exact_dyadic_kernel(radius=30):
     entries = {((s,), (0,)): np.array([[2.0 ** -abs(s)]]) for s in range(-radius, radius + 1)}
-    return Kernel(Z, 1, entries)
+    return from_mapping(Kernel, Z, 1, entries)
 
 
 def test_compact_support_covering_is_noop():

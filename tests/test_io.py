@@ -26,7 +26,7 @@ from convdom.cli import main
 from convdom.generate import Profile
 from convdom import io as formats
 
-from views import as_mapping
+from views import as_mapping, from_mapping
 
 Z = IntegerLattice(1)
 Z2 = IntegerLattice(2)
@@ -44,7 +44,7 @@ def test_kernel_round_trip_exact(tmp_path):
 
 
 def test_envelope_round_trip_exact(tmp_path):
-    env = Envelope(Z, {(s,): 2.0 ** -abs(s) for s in range(-8, 9)})
+    env = from_mapping(Envelope, Z, {(s,): 2.0 ** -abs(s) for s in range(-8, 9)})
     path = tmp_path / "env.json"
     formats.write_envelope(path, env)
     assert as_mapping(formats.read_envelope(path)) == as_mapping(env)
@@ -154,13 +154,13 @@ FAR = 2**40
 
 def special_kernel():
     entries = {((1, 0), (0, 0)): SPECIAL, ((0, -1), (FAR, -FAR + 3)): SPECIAL.T, ((-FAR, 7), (3, FAR)): -SPECIAL}
-    return Kernel(Z2, 2, entries)
+    return from_mapping(Kernel, Z2, 2, entries)
 
 
 def special_line_kernel(count):
     """A d = 1 kernel on Z of ``count`` entries, cycling through signed zeros and non-finite values."""
     values = [complex(-0.0, 1.5), complex(np.nan, -0.0), complex(np.inf, -np.inf), complex(0.1, 5e-324)]
-    return Kernel(Z, 1, {((s,), (0,)): np.array([[values[s % 4]]]) for s in range(count)})
+    return from_mapping(Kernel, Z, 1, {((s,), (0,)): np.array([[values[s % 4]]]) for s in range(count)})
 
 
 @pytest.mark.parametrize("group", WRITER_GROUPS, ids=str)
@@ -175,7 +175,7 @@ def test_kernel_writer_equals_json_dumps(tmp_path, group, dim):
     [
         special_kernel,
         lambda: Kernel.zero(Z, 2),
-        lambda: Kernel(Z2, 1, {((FAR, -FAR), (-1, FAR - 1)): np.array([[complex(-0.0, 2.0)]])}),
+        lambda: from_mapping(Kernel, Z2, 1, {((FAR, -FAR), (-1, FAR - 1)): np.array([[complex(-0.0, 2.0)]])}),
         # Record counts on both sides of the writer's chunk boundaries.
         lambda: special_line_kernel(1),
         lambda: special_line_kernel(formats._CHUNK_RECORDS - 1),
@@ -204,10 +204,10 @@ def test_kernel_writer_memory_is_bounded_by_the_chunk(tmp_path):
 @pytest.mark.parametrize(
     "env",
     [
-        Envelope(Z, {(s,): 2.0 ** -abs(s) for s in range(-8, 9)}),
-        Envelope(Z2, {(FAR, -FAR): 5e-324, (0, 1): 1e300, (-FAR, 3): 0.1}),
-        Envelope(HeisenbergMod(3), {(1, 2, 0): 0.25, (0, 0, 1): 1.0}),
-        Envelope(Z, {}),
+        from_mapping(Envelope, Z, {(s,): 2.0 ** -abs(s) for s in range(-8, 9)}),
+        from_mapping(Envelope, Z2, {(FAR, -FAR): 5e-324, (0, 1): 1e300, (-FAR, 3): 0.1}),
+        from_mapping(Envelope, HeisenbergMod(3), {(1, 2, 0): 0.25, (0, 0, 1): 1.0}),
+        from_mapping(Envelope, Z, {}),
     ],
     ids=["Z", "Z^2-far", "H3(Z/3)", "empty"],
 )

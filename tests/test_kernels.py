@@ -17,7 +17,7 @@ from convdom import (
 )
 from convdom.generate import Profile
 
-from views import as_mapping, basis, kernel_at
+from views import as_mapping, basis, from_mapping, kernel_at
 
 Z = IntegerLattice(1)
 Z2 = IntegerLattice(2)
@@ -55,7 +55,7 @@ def test_kernel_at_identity_window():
 
 def test_kernel_at_shift_coordinates():
     mat = np.array([[2.0 + 1.0j]])
-    kernel = Kernel(Z, 1, {((1,), (0,)): mat})
+    kernel = from_mapping(Kernel, Z, 1, {((1,), (0,)): mat})
     assert kernel_at(kernel, (1,), (0,)) == pytest.approx(mat)
     assert kernel_at(kernel, (0,), (0,)) == pytest.approx(np.zeros((1, 1)))
 
@@ -70,7 +70,7 @@ def test_min_envelope_delta_kernel():
 
 def test_min_envelope_sup_over_columns():
     entries = {((1,), (t,)): np.array([[1.0 / (1.0 + t * t)]]) for t in range(-10, 11)}
-    kernel = Kernel(Z, 1, entries)
+    kernel = from_mapping(Kernel, Z, 1, entries)
     env = kernel.min_envelope()
     assert list(as_mapping(env)) == [(1,)]
     assert as_mapping(env).get((1,), 0.0) == 1.0
@@ -81,20 +81,20 @@ def test_min_envelope_sums_cosets():
     entries = {}
     for s in (-1, 0, 1):
         entries[((s,), (0,))] = np.array([[0.5]])
-    kernel = Kernel(Z, 1, entries)
+    kernel = from_mapping(Kernel, Z, 1, entries)
     assert kernel.envelope_norm() == pytest.approx(1.5)
 
 
 def test_envelope_rejects_negative_and_prunes_zero():
-    env = Envelope(Z, {(0,): 1.0, (1,): 0.0})
+    env = from_mapping(Envelope, Z, {(0,): 1.0, (1,): 0.0})
     assert list(as_mapping(env)) == [(0,)]
     with pytest.raises(ValueError):
-        Envelope(Z, {(0,): -0.5})
+        from_mapping(Envelope, Z, {(0,): -0.5})
 
 
 def test_envelope_convolution():
-    a = Envelope(Z, {(0,): 1.0, (1,): 0.5})
-    b = Envelope(Z, {(2,): 2.0})
+    a = from_mapping(Envelope, Z, {(0,): 1.0, (1,): 0.5})
+    b = from_mapping(Envelope, Z, {(2,): 2.0})
     conv = a.convolve(b)
     assert as_mapping(conv).get((2,), 0.0) == 2.0
     assert as_mapping(conv).get((3,), 0.0) == 1.0
@@ -113,8 +113,8 @@ def test_compose_with_identity_window():
 
 def test_compose_shift_ranges():
     c1, c2 = 0.7, -0.3j
-    k1 = Kernel(Z, 1, {((1,), (t,)): np.array([[c1]]) for t in range(-10, 11)})
-    k2 = Kernel(Z, 1, {((2,), (t,)): np.array([[c2]]) for t in range(-10, 11)})
+    k1 = from_mapping(Kernel, Z, 1, {((1,), (t,)): np.array([[c1]]) for t in range(-10, 11)})
+    k2 = from_mapping(Kernel, Z, 1, {((2,), (t,)): np.array([[c2]]) for t in range(-10, 11)})
     product = k1.compose(k2)
     expected_keys = {((3,), (t,)) for t in range(-10, 9)}
     assert set(as_mapping(product)) == expected_keys
@@ -159,7 +159,7 @@ def test_compose_dense_cross_check_finite():
 
 def test_involution_hermitian_diagonal_fixed():
     mat = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]])
-    kernel = Kernel(Cyclic(5), 2, {((0,), t): mat for t in Cyclic(5).ball()})
+    kernel = from_mapping(Kernel, Cyclic(5), 2, {((0,), t): mat for t in Cyclic(5).ball()})
     assert kernel.involution().max_block_difference(kernel) == 0.0
 
 
@@ -190,7 +190,7 @@ def test_apply_identity_window():
 
 def test_apply_shift_delta():
     c = 0.5 - 0.25j
-    kernel = Kernel(Z, 1, {((1,), (t,)): np.array([[c]]) for t in range(-3, 4)})
+    kernel = from_mapping(Kernel, Z, 1, {((1,), (t,)): np.array([[c]]) for t in range(-3, 4)})
     delta = basis(Z, 1, (0,))
     image = kernel.apply(delta)
     assert list(as_mapping(image)) == [(1,)]
@@ -320,7 +320,7 @@ def test_group_and_dim_mismatch_rejected():
 
 def test_zero_dim_is_refused():
     with pytest.raises(ValueError, match="dim must be >= 1"):
-        Kernel(Z, 0, {})
+        Kernel(Z, 0, [], [], [])
 
 
 def test_kernel_entries_are_read_only():

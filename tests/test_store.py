@@ -44,7 +44,7 @@ from convdom.generate import (
 )
 from convdom.suites import covariance_suite, kernel_axiom_suite
 
-from views import as_mapping
+from views import as_mapping, from_mapping
 
 Z2 = IntegerLattice(2)
 Z7 = Cyclic(7)
@@ -170,7 +170,7 @@ def test_fibre_maxima_equal_per_entry_operator_norm_max_bit_for_bit(data, dim):
     fibres = adversarial_fibres(data, dim)
     group = Cyclic(1000)
     entries = {((s,), (t,)): block for s, blocks in enumerate(fibres) for t, block in enumerate(blocks)}
-    kernel = Kernel(group, dim, entries)
+    kernel = from_mapping(Kernel, group, dim, entries)
     assert len(as_mapping(kernel)) == sum(map(len, fibres))
     best = {}
     for (s, _t), mat in kernel.entries.items():
@@ -186,7 +186,7 @@ def test_fibre_maxima_below_the_range_of_safe_squares():
     a = np.array([[2.5e-162, 0.0], [0.0, 0.0]])
     b = np.array([[1.6e-162, 0.0], [1.6e-162, 0.0]])
     assert operator_norm(a) > operator_norm(b)
-    kernel = Kernel(IntegerLattice(1), 2, {((0,), (0,)): a, ((0,), (1,)): b})
+    kernel = from_mapping(Kernel, IntegerLattice(1), 2, {((0,), (0,)): a, ((0,), (1,)): b})
     assert as_mapping(kernel.min_envelope()) == {(0,): operator_norm(a)}
 
 
@@ -209,11 +209,11 @@ def test_duplicate_keys_sum_in_input_order():
     a, b, c = (np.array([[v]]) for v in (1e16, -1e16, 1.0))
     assert (a + b) + c != a + (b + c)
     # (1,), (8,) and (15,) are one point of Z/7.
-    kernel = Kernel(Z7, 1, {((1,), (0,)): a, ((8,), (0,)): b, ((15,), (7,)): c})
+    kernel = from_mapping(Kernel, Z7, 1, {((1,), (0,)): a, ((8,), (0,)): b, ((15,), (7,)): c})
     assert_entries_equal(kernel, {((1,), (0,)): (a + b) + c})
     # In this order the sum cancels: (c + a) + b is 0.0, and a zero sum is dropped.
     assert ((c + a) + b).item() == 0.0
-    reordered = Kernel(Z7, 1, {((15,), (7,)): c, ((1,), (0,)): a, ((8,), (0,)): b})
+    reordered = from_mapping(Kernel, Z7, 1, {((15,), (7,)): c, ((1,), (0,)): a, ((8,), (0,)): b})
     assert_entries_equal(reordered, {})
 
 
@@ -221,66 +221,67 @@ def test_zero_blocks_dropped_where_they_were():
     one = np.array([[1.0 + 2.0j]])
     zero = np.zeros((1, 1))
     # A zero input is summed like any other, and its zero sum is dropped.
-    kernel = Kernel(Z7, 1, {((2,), (1,)): one, ((3,), (1,)): zero})
+    kernel = from_mapping(Kernel, Z7, 1, {((2,), (1,)): one, ((3,), (1,)): zero})
     assert list(as_mapping(kernel)) == [((2,), (1,))]
     # Its key is read like any other: a malformed one is refused.
     with pytest.raises(ValueError):
-        Kernel(Z7, 1, {((2,), (1,)): one, ("not", "a point"): zero})
+        from_mapping(Kernel, Z7, 1, {((2,), (1,)): one, ("not", "a point"): zero})
     # A sum of inputs that cancels is dropped by the constructor, as derived kernels drop theirs.
-    cancelled = Kernel(Z7, 1, {((2,), (1,)): one, ((9,), (1,)): -one})
+    cancelled = from_mapping(Kernel, Z7, 1, {((2,), (1,)): one, ((9,), (1,)): -one})
     assert list(as_mapping(cancelled)) == []
     assert list(as_mapping(kernel - kernel)) == []
     assert list(as_mapping(kernel.scale(0.0))) == []
 
 
-def test_constructor_rejects_bad_keys_and_shapes():
-    with pytest.raises(ValueError, match="coordinates"):
-        Kernel(Z2, 1, {((1,), (0, 0)): np.ones((1, 1))})
-    with pytest.raises(ValueError, match="shape"):
-        Kernel(Z2, 2, {((1, 0), (0, 0)): np.ones((2, 2)), ((0, 0), (0, 0)): np.ones((1, 2))})
-
-
 Z1 = IntegerLattice(1)
+ONE = [np.eye(1)]
 
 
 @pytest.mark.parametrize(
-    "make,key",
+    "make,message",
     [
-        (lambda: Kernel(Z1, 1, {(1, 2): np.eye(1)}), "key (1, 2): Z: point 1 is not a sequence of integers"),
-        (lambda: Kernel(Z1, 1, {((1.7,), (0,)): np.eye(1)}), "key ((1.7,), (0,)): Z: point (1.7,) is not"),
-        (lambda: Kernel(Z1, 1, {((1,), (0,), (0,)): np.eye(1)}), "key ((1,), (0,), (0,)): not a pair of points"),
-        (lambda: CovarianceElement(Z7, 1, {((0,), (2.0,)): np.eye(1)}), "key ((0,), (2.0,))"),
-        (lambda: TestVector(Z1, 1, {1: [1.0]}), "key 1: Z: point 1 is not a sequence of integers"),
-        (lambda: TestVector(Z1, 1, {(2.5,): [1.0]}), "key (2.5,)"),
-        (lambda: TestVector(Z1, 1, {((1,), 2): [1.0]}, doubled=True), "key ((1,), 2)"),
-        (lambda: Envelope(Z1, {1: 0.5}), "key 1: Z: point 1 is not a sequence of integers"),
-        (lambda: Envelope(Z2, {(1, 2.0): 0.5}), "key (1, 2.0)"),
-        (lambda: Envelope(Z2, {(1, 2**64): 0.5}), f"key (1, {2**64}): Z^2: point (1, {2**64}) has a coordinate outside"),
-        (lambda: Kernel(Z1, 1, {((True,), (0,)): np.eye(1)}), "key ((True,), (0,)): Z: point (True,) is not a sequence"),
-        # numpy reads a boolean beside integers as an integer: the fast path of whole-array keys.
-        (lambda: Kernel(Z1, 1, {((1,), (True,)): np.eye(1)}), "key ((1,), (True,)): Z: point (True,) is not a sequence"),
-        (lambda: Kernel(Z1, 1, {((1,), (np.True_,)): np.eye(1)}), f"key ((1,), ({np.True_!r},)): Z: point"),
-        (lambda: Envelope(Z2, {(1, False): 0.5}), "key (1, False): Z^2: point (1, False) is not a sequence"),
+        (lambda: Kernel(Z1, 1, [[1.7]], [[0]], ONE), "Z: point [1.7] is not a sequence of integers"),
+        (lambda: CovarianceElement(Z7, 1, [[0]], np.array([[2.0]]), ONE), "Z/7: point [2.0] is not a sequence of integers"),
+        (lambda: TestVector(Z1, 1, [[2.5]], [[1.0]]), "Z: point [2.5] is not a sequence of integers"),
+        (lambda: Kernel(Z1, 1, np.array([[True]]), [[0]], ONE), "Z: point [True] is not a sequence of integers"),
+        (lambda: Envelope(Z2, np.array([[1, 0]], dtype=bool), [0.5]), "Z^2: point [True, False] is not a sequence"),
+        (lambda: Kernel(Z1, 1, [[1], [2, 3]], [[0], [0]], np.ones((2, 1, 1))), "Z: point (2, 3) has 2 coordinates, expected 1"),
+        (lambda: TestVector(Z1, 1, np.array([(1,), (2, 3)], dtype=object), [[1.0], [2.0]]), "Z: point (2, 3) has 2 coordinates"),
+        (lambda: Envelope(Z1, np.array([[1], [2]], dtype=object), [0.5, 0.5]), "Z: point [1] is held in an array of dtype object"),
+        (lambda: Kernel(Z1, 1, [1], [[0]], ONE), "Z: point 1 is not a sequence of integers"),
+        (lambda: Kernel(Z2, 1, [[1, 0]], [[0]], ONE), "Z^2: point (0,) has 1 coordinates, expected 2"),
+        (lambda: TestVector(Z1, 1, [[1]], [[1, 2]], [[1.0]]), "Z: point (1, 2) has 2 coordinates, expected 1"),
+        (lambda: Envelope(Z2, [[1, 2**64]], [0.5]), f"Z^2: point (1, {2**64}) has a coordinate outside the int64 range"),
+        (lambda: Envelope(Z7, np.array([[2**63]], dtype=np.uint64), [0.5]), f"Z/7: point ({2**63},) has a coordinate outside"),
+        (lambda: Kernel(Z2, 2, [[1, 0], [0, 0]], [[0, 0], [0, 0]], np.ones((2, 1, 2))),
+         "value at s = [1, 0], t = [0, 0] has shape (1, 2), expected (2, 2)"),
+        (lambda: TestVector(Z7, 2, [[3]], [[1.0]]), "value at x = [3] has shape (1,), expected (2,)"),
+        (lambda: Envelope(Z7, [[3]], [[0.5]]), "value at s = [3] has shape (1,), expected ()"),
+        (lambda: CovarianceElement(Z7, 1, [[1], [2]], [[0], [0]], ONE), "rows differ in number: x 2, y 2, values 1"),
+        (lambda: Kernel(Z1, 0, [[1]], [[0]], np.zeros((1, 0, 0))), "dim must be >= 1, got 0"),
+        (lambda: TestVector(Z1, 1, [[1]], [[2]], [[3]], [[1.0]]), "a test vector takes one or two coordinate arrays, got 3"),
+        (lambda: Envelope(Z7, [[8]], [-0.5]), "envelope value at (8,) is negative: -0.5"),
     ],
     ids=[
-        "kernel-int-points", "kernel-fraction", "kernel-triple", "covariance-float", "vector-int", "vector-fraction",
-        "doubled-int-point", "envelope-int", "envelope-float", "envelope-past-int64",
-        "kernel-bool", "kernel-bool-beside-int", "kernel-numpy-bool", "envelope-bool",
+        "kernel-fraction", "covariance-float", "vector-fraction", "kernel-bool", "envelope-bool", "kernel-ragged",
+        "vector-ragged-object", "envelope-object", "kernel-int-points", "kernel-short-point", "doubled-long-point",
+        "envelope-past-int64", "envelope-uint64-past-int64", "kernel-block-shape", "vector-shape", "envelope-shape",
+        "covariance-row-counts", "kernel-dim-0", "vector-three-arrays", "envelope-negative",
     ],
 )
-def test_mapping_constructors_refuse_malformed_keys_naming_them(make, key):
-    """Not a point, or a coordinate that is not an integer: once a TypeError, or a key truncated to (1,).
+def test_array_constructors_refuse_malformed_input_naming_it(make, message):
+    """Not a point, a coordinate that is not an integer, or values that do not fit their keys: named, not truncated.
 
-    A boolean is not an integer coordinate, though Python and numpy read it as 0 or 1.
+    A boolean is not an integer coordinate, though numpy reads it as 0 or 1.
     """
-    with pytest.raises(ValueError, match=re.escape(key)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         make()
 
 
 def test_integer_coordinates_of_any_integer_type_are_points():
-    assert Envelope(Z1, {(np.int32(3),): 0.5}).arrays[0].tolist() == [[3]]
-    assert Kernel(Z2, 1, {((np.int64(1), 0), (0, 0)): np.eye(1)}).arrays[0].tolist() == [[1, 0]]
-    assert Kernel(Z7, 1, {((np.uint64(9),), (0,)): np.eye(1)}).arrays[0].tolist() == [[2]]
+    assert Envelope(Z1, np.array([[3]], dtype=np.int32), [0.5]).arrays[0].tolist() == [[3]]
+    assert Kernel(Z2, 1, np.array([[1, 0]], dtype=np.int16), [[0, 0]], ONE).arrays[0].tolist() == [[1, 0]]
+    assert Kernel(Z7, 1, np.array([[9]], dtype=np.uint64), [[0]], ONE).arrays[0].tolist() == [[2]]
     assert Z2.canonical((np.uint8(1), 2)) == (1, 2)
     with pytest.raises(ValueError, match=re.escape("Z^2: point (1.0, 2) is not a sequence of integers")):
         Z2.canonical((1.0, 2))
@@ -293,6 +294,23 @@ def test_integer_coordinates_of_any_integer_type_are_points():
         Z1.multiply((True,), (False,))
 
 
+def test_array_constructor_rebuilds_every_store_from_its_arrays():
+    kernel = seeded_kernel(Z2, 2, seed=4)
+    stores = [
+        (kernel, (2,)),
+        (random_covariance(Cyclic(5), 2, seed=4), (2,)),
+        (random_test_vector(Z2, 3, 4, radius=2), (3,)),
+        (random_test_vector(HeisenbergMod(3), 2, 4, radius=1, doubled=True), (2,)),
+        (kernel.min_envelope(), ()),
+    ]
+    for store, dim in stores:
+        rebuilt = type(store)(store.group, *dim, *store.arrays)
+        assert [a.tobytes() for a in rebuilt.arrays] == [a.tobytes() for a in store.arrays], store
+    s, t, blocks = (a.copy() for a in kernel.arrays)
+    Kernel(Z2, 2, s, t, blocks)
+    assert s.flags.writeable and t.flags.writeable and blocks.flags.writeable  # the input is never frozen
+
+
 def zero_producing_stores(kind):
     """Stores of one class from every path that can form a zero value, each with a live row beside it.
 
@@ -302,29 +320,29 @@ def zero_producing_stores(kind):
     m = np.array([[1 + 2j, -3j], [0.5, 2 - 1j]])
     zero, eye = np.zeros((2, 2)), np.eye(2)
     if kind == "Envelope":
-        tiny = Envelope(Z7, {(1,): 1e-200})
+        tiny = from_mapping(Envelope, Z7, {(1,): 1e-200})
         return [
-            Envelope(Z7, {(2,): 0.5, (9,): 0.0, (3,): 0.0}),
-            Envelope(Z7, {(2,): 0.5}).cap(0.0),
+            from_mapping(Envelope, Z7, {(2,): 0.5, (9,): 0.0, (3,): 0.0}),
+            from_mapping(Envelope, Z7, {(2,): 0.5}).cap(0.0),
             tiny.convolve(tiny),  # 1e-400 underflows to 0.0
         ]
     if kind == "TestVector":
         v = m[0]
-        vec = TestVector(Z7, 2, {(2,): v, (9,): -v, (3,): v, (10,): zero[0]})
+        vec = from_mapping(TestVector, Z7, 2, {(2,): v, (9,): -v, (3,): v, (10,): zero[0]})
         return [vec, vec.scale(0.0), vec - vec]
     cls = Kernel if kind == "Kernel" else CovarianceElement
-    store = cls(Z7, 2, {((2,), (1,)): m, ((9,), (1,)): -m, ((3,), (0,)): m, ((10,), (7,)): zero})
+    store = from_mapping(cls, Z7, 2, {((2,), (1,)): m, ((9,), (1,)): -m, ((3,), (0,)): m, ((10,), (7,)): zero})
     stores = [store, store.scale(0.0), store - store]
     if cls is Kernel:
         # (1, 0) gets m from the left entry at t = 0 and -m from the one at t = 1.
-        left = Kernel(Z7, 2, {((1,), (0,)): m, ((0,), (1,)): -m, ((2,), (3,)): m})
-        right = Kernel(Z7, 2, {((0,), (0,)): eye, ((1,), (0,)): eye, ((0,), (3,)): eye})
-        kernel = Kernel(Z7, 2, {((0,), (0,)): m, ((2,), (1,)): m})
+        left = from_mapping(Kernel, Z7, 2, {((1,), (0,)): m, ((0,), (1,)): -m, ((2,), (3,)): m})
+        right = from_mapping(Kernel, Z7, 2, {((0,), (0,)): eye, ((1,), (0,)): eye, ((0,), (3,)): eye})
+        kernel = from_mapping(Kernel, Z7, 2, {((0,), (0,)): m, ((2,), (1,)): m})
         stores += [left.compose(right), ideal_project(kernel, kernel.min_envelope().restrict(0))]
     else:
         # (3, 0) gets m from y = 0 and -m from y = 1.
-        f = CovarianceElement(Z7, 2, {((0,), (0,)): eye, ((1,), (0,)): eye})
-        h = CovarianceElement(Z7, 2, {((3,), (0,)): m, ((2,), (6,)): -m, ((1,), (0,)): 2 * m})
+        f = from_mapping(CovarianceElement, Z7, 2, {((0,), (0,)): eye, ((1,), (0,)): eye})
+        h = from_mapping(CovarianceElement, Z7, 2, {((3,), (0,)): m, ((2,), (6,)): -m, ((1,), (0,)): 2 * m})
         stores.append(f.product(h))
     return stores
 
@@ -339,10 +357,10 @@ def test_no_store_holds_a_zero_value(kind):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: Kernel(Z7, 1, {((1,), (0,)): np.ones((1, 1)), ((2, 3), (0,)): np.zeros((1, 1))}),
-        lambda: CovarianceElement(Z7, 1, {((1,), (0,)): np.ones((1, 1)), ((2, 3), (0,)): np.zeros((1, 1))}),
-        lambda: TestVector(Z7, 1, {(1,): np.ones(1), (2, 3): np.zeros(1)}),
-        lambda: Envelope(Z7, {(1,): 0.5, (2, 3): 0.0}),
+        lambda: from_mapping(Kernel, Z7, 1, {((1,), (0,)): np.ones((1, 1)), ((2, 3), (0,)): np.zeros((1, 1))}),
+        lambda: from_mapping(CovarianceElement, Z7, 1, {((1,), (0,)): np.ones((1, 1)), ((2, 3), (0,)): np.zeros((1, 1))}),
+        lambda: from_mapping(TestVector, Z7, 1, {(1,): np.ones(1), (2, 3): np.zeros(1)}),
+        lambda: from_mapping(Envelope, Z7, {(1,): 0.5, (2, 3): 0.0}),
     ],
     ids=["Kernel", "CovarianceElement", "TestVector", "Envelope"],
 )
@@ -354,7 +372,7 @@ def test_zero_input_at_a_malformed_point_is_refused(make):
 def test_rows_sort_like_tuples_at_any_coordinate_range():
     big = 2**40
     keys = [((big, -big), (0, 1)), ((-big, big), (5, 5)), ((-big, big), (-5, 5)), ((0, 0), (big, 0))]
-    kernel = Kernel(Z2, 1, {key: np.array([[k + 1.0]]) for k, key in enumerate(keys)})
+    kernel = from_mapping(Kernel, Z2, 1, {key: np.array([[k + 1.0]]) for k, key in enumerate(keys)})
     assert list(as_mapping(kernel)) == sorted(keys)
     twice = kernel.involution().involution()
     assert list(as_mapping(twice)) == sorted(keys)
@@ -364,10 +382,10 @@ def test_rows_sort_like_tuples_at_any_coordinate_range():
 def test_rows_sort_like_tuples_when_a_column_spans_past_int64():
     one = np.eye(1)
     keys = [((2**62, 0), (0, 0)), ((-(2**62), 1), (0, 0)), ((-(2**62), 0), (0, 0))]
-    kernel = Kernel(Z2, 1, {key: one * (k + 1) for k, key in enumerate(keys)})
+    kernel = from_mapping(Kernel, Z2, 1, {key: one * (k + 1) for k, key in enumerate(keys)})
     assert list(as_mapping(kernel)) == sorted(keys)
     assert [kernel.entries[key][0, 0] for key in keys] == [1, 2, 3]
-    line = Kernel(IntegerLattice(1), 1, {((p,), (0,)): one for p in (2**62, -(2**62), 0)})
+    line = from_mapping(Kernel, IntegerLattice(1), 1, {((p,), (0,)): one for p in (2**62, -(2**62), 0)})
     assert list(as_mapping(line)) == [((-(2**62),), (0,)), ((0,), (0,)), ((2**62,), (0,))]
 
 
@@ -457,7 +475,7 @@ def test_compose_equals_per_entry_loop_on_skewed_and_non_finite_terms():
     m = np.array([[1.0 + 2j, -3j], [0.5, 2.0 - 1j]])
     meet(500, 30, np.eye(2), m)
     meet(500, 31, np.eye(2), -m)
-    k1, k2 = Kernel(line, 2, left), Kernel(line, 2, right)
+    k1, k2 = from_mapping(Kernel, line, 2, left), from_mapping(Kernel, line, 2, right)
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN on purpose
         expected, got = compose_loop(k1, k2), k1.compose(k2)
     assert ((0,), (0,)) in expected and ((400,), (0,)) in expected and ((500,), (0,)) not in expected
@@ -514,7 +532,7 @@ def line_kernel(values, dim=1):
     for s, v in values.items():
         blocks[(s,), (0,)] = np.full((dim, dim), 0.25, dtype=complex)
         blocks[(s,), (0,)][0, 0] = v
-    return Kernel(IntegerLattice(1), dim, blocks)
+    return from_mapping(Kernel, IntegerLattice(1), dim, blocks)
 
 
 def reference_norm(mat):
@@ -570,9 +588,9 @@ def test_min_envelope_of_non_finite_blocks_follows_the_hypot_rule(name, dim):
 # (store from {s: value}, its norm) for each of the three store classes.
 STORE_CLASSES = {
     "Kernel": (line_kernel, Kernel.envelope_norm),
-    "TestVector": (lambda values: TestVector(IntegerLattice(1), 1, {(s,): [v] for s, v in values.items()}), TestVector.l2_norm),
+    "TestVector": (lambda values: from_mapping(TestVector, IntegerLattice(1), 1, {(s,): [v] for s, v in values.items()}), TestVector.l2_norm),
     "CovarianceElement": (
-        lambda values: CovarianceElement(Cyclic(3), 1, {((s,), (0,)): [[v]] for s, v in values.items()}),
+        lambda values: from_mapping(CovarianceElement, Cyclic(3), 1, {((s,), (0,)): [[v]] for s, v in values.items()}),
         CovarianceElement.l1_norm,
     ),
 }
@@ -801,10 +819,10 @@ def test_product_far_out_on_Z_equals_per_entry_loop_bit_for_bit():
     them would leave the int64 range.
     """
     z1, rng, far = IntegerLattice(1), np.random.default_rng(5), 2**61
-    f = CovarianceElement(z1, 2, {((far + a,), (b,)): disc_draw(rng, (2, 2)) for a in range(-2, 3) for b in range(3)})
+    f = from_mapping(CovarianceElement, z1, 2, {((far + a,), (b,)): disc_draw(rng, (2, 2)) for a in range(-2, 3) for b in range(3)})
     seconds = sorted({z1.multiply(z1.inverse(y), z) for y, z in f.entries})
     near = {((a,), y2): disc_draw(rng, (2, 2)) for a in range(-2, 3) for y2 in seconds[::2]}
-    h = CovarianceElement(z1, 2, {**near, **{((far + a,), (a,)): disc_draw(rng, (2, 2)) for a in range(3)}})
+    h = from_mapping(CovarianceElement, z1, 2, {**near, **{((far + a,), (a,)): disc_draw(rng, (2, 2)) for a in range(3)}})
     with pytest.raises(ValueError, match="int64"):
         z1.multiply((far,), (far,))
     expected = product_loop(f, h)
@@ -816,7 +834,7 @@ def test_product_far_out_on_Z_equals_per_entry_loop_bit_for_bit():
 @pytest.mark.parametrize("group", [Z7, H3_3, Z2], ids=str)
 def test_product_with_an_empty_operand_is_empty(group):
     f = random_covariance(group, 2, 3, x_radius=None if group.is_finite else 1)
-    zero = CovarianceElement(group, 2, {})
+    zero = from_mapping(CovarianceElement, group, 2, {})
     for a, b in ((f, zero), (zero, f), (zero, zero)):
         x, y, blocks = a.product(b).arrays
         assert x.shape == y.shape == (0, group.coord_len) and blocks.shape == (0, 2, 2)
@@ -827,8 +845,8 @@ def test_product_drops_sums_that_cancel():
     """Over Z/5, the key (3, 0) gets M from y = 0 and -M from y = 1; (1, 0) gets one term."""
     z5, eye = Cyclic(5), np.eye(2, dtype=complex)
     m = np.array([[1 + 2j, -3j], [0.5, 2 - 1j]])
-    f = CovarianceElement(z5, 2, {((0,), (0,)): eye, ((1,), (0,)): eye})
-    h = CovarianceElement(z5, 2, {((3,), (0,)): m, ((2,), (4,)): -m, ((1,), (0,)): 2 * m})
+    f = from_mapping(CovarianceElement, z5, 2, {((0,), (0,)): eye, ((1,), (0,)): eye})
+    h = from_mapping(CovarianceElement, z5, 2, {((3,), (0,)): m, ((2,), (4,)): -m, ((1,), (0,)): 2 * m})
     expected = product_loop(f, h)
     assert list(expected) == [((1,), (0,))]
     assert_mapping_equal(f.product(h).entries, expected)
@@ -925,7 +943,7 @@ def test_matrix_function_convolve_equals_pair_loop_bit_for_bit(group, dim, x_rad
 @pytest.mark.parametrize("group,dim", [(Z7, 2), (H3_3, 2)], ids=str)
 def test_matrix_function_convolve_of_the_empty_element_and_the_unit(group, dim):
     th = theta_embed(random_covariance(group, dim, 43))
-    zero, unit = theta_embed(CovarianceElement(group, dim, {})), theta_embed(CovarianceElement.unit(group, dim))
+    zero, unit = theta_embed(from_mapping(CovarianceElement, group, dim, {})), theta_embed(CovarianceElement.unit(group, dim))
     for a, b in ((zero, th), (th, zero), (zero, zero)):
         points, blocks = matrix_function_convolve(a, b, group)
         assert points.shape == (0, group.coord_len) and blocks.shape == (0, *th[1].shape[1:])
@@ -961,25 +979,25 @@ def test_covariance_suite_embedding_checks_equal_the_mapping_loops(group, dim):
 def test_test_vector_constructor_sums_in_input_order_and_drops_zero_inputs():
     a, b, c = (np.array([v]) for v in (1e16, -1e16, 1.0))
     # (1,), (8,) and (15,) are one point of Z/7.
-    vec = TestVector(Z7, 1, {(1,): a, (8,): b, (15,): c})
+    vec = from_mapping(TestVector, Z7, 1, {(1,): a, (8,): b, (15,): c})
     assert_mapping_equal(as_mapping(vec), {(1,): (a + b) + c})
     # In these orders the sum cancels to 0.0, and a zero sum is dropped.
-    reordered = TestVector(Z7, 1, {(15,): c, (1,): a, (8,): b})
+    reordered = from_mapping(TestVector, Z7, 1, {(15,): c, (1,): a, (8,): b})
     assert ((c + a) + b).item() == 0.0 and list(as_mapping(reordered)) == []
-    doubled = TestVector(Z7, 1, {((8,), (0,)): b, ((1,), (7,)): c, ((1,), (0,)): a}, doubled=True)
+    doubled = from_mapping(TestVector, Z7, 1, {((8,), (0,)): b, ((1,), (7,)): c, ((1,), (0,)): a}, doubled=True)
     assert ((b + c) + a).item() == 0.0 and list(as_mapping(doubled)) == []
-    doubled = TestVector(Z7, 1, {((8,), (0,)): b, ((1,), (0,)): a, ((1,), (7,)): c}, doubled=True)
+    doubled = from_mapping(TestVector, Z7, 1, {((8,), (0,)): b, ((1,), (0,)): a, ((1,), (7,)): c}, doubled=True)
     assert_mapping_equal(as_mapping(doubled), {((1,), (0,)): (b + a) + c})
     # Zero inputs are summed like any other, and their keys read: cancelled sums and zero inputs are dropped.
     zero = np.zeros(1)
-    assert list(as_mapping(TestVector(Z7, 1, {(2,): a, (9,): -a, (3,): zero}))) == []
+    assert list(as_mapping(from_mapping(TestVector, Z7, 1, {(2,): a, (9,): -a, (3,): zero}))) == []
     with pytest.raises(ValueError):
-        TestVector(Z7, 1, {(2,): a, ("not", "a point"): zero})
+        from_mapping(TestVector, Z7, 1, {(2,): a, ("not", "a point"): zero})
     assert list(as_mapping(vec - vec)) == []
     with pytest.raises(ValueError, match="coordinates"):
-        TestVector(Z2, 1, {(1,): a})
+        from_mapping(TestVector, Z2, 1, {(1,): a})
     with pytest.raises(ValueError, match="shape"):
-        TestVector(Z2, 2, {(1, 0): np.ones(2), (0, 0): np.ones(3)})
+        from_mapping(TestVector, Z2, 2, {(1, 0): np.ones(2), (0, 0): np.ones(3)})
 
 
 @pytest.mark.parametrize("group,dim", [(Z7, 1), (H3_3, 2), (Z2, 3)], ids=str)
@@ -1002,6 +1020,8 @@ def test_test_vector_operations_equal_per_entry_loops_bit_for_bit(group, dim):
     assert u.inner(v) == inner
     squares = [float(c) for val in as_mapping(u).values() for c in np.abs(val) ** 2]
     assert u.l2_norm() == math.sqrt(math.fsum(squares))
+    gaps = [np.linalg.norm(um.get(k, 0) - vm.get(k, 0)) for k in set(um) | set(vm)]
+    assert math.isclose(u.max_block_difference(v), max(gaps), rel_tol=1e-13)  # a vector's norm is its Euclidean norm
     for x in (u, v):
         xi = random_test_vector(group, dim, 33, radius=1, doubled=True)
         eta = random_test_vector(group, dim, 34, radius=2, doubled=True)
@@ -1059,18 +1079,18 @@ def test_envelope_constructor_max_merges_coinciding_keys(group):
         for i in rng.permutation(len(values)):
             point = list(values)[i]
             mapping[aliases(group, point, k)] = float(rng.uniform())
-    env = Envelope(group, mapping)
+    env = from_mapping(Envelope, group, mapping)
     assert_envelope_equal(env, envelope_loop(group, mapping))
     bad = aliases(group, group.identity, 3)
     with pytest.raises(ValueError, match=re.escape(f"envelope value at {bad!r} is negative: -0.5")):
-        Envelope(group, {**mapping, bad: -0.5})
+        from_mapping(Envelope, group, {**mapping, bad: -0.5})
 
 
 @pytest.mark.parametrize("group", ENVELOPE_GROUPS, ids=str)
 def test_envelope_operations_equal_per_point_loops_bit_for_bit(group):
     g = group
     a, b = seeded_values(g, 3), seeded_values(g, 4, radius=1)
-    ea, eb = Envelope(g, a), Envelope(g, b)
+    ea, eb = from_mapping(Envelope, g, a), from_mapping(Envelope, g, b)
     a, b = envelope_loop(g, a), envelope_loop(g, b)
 
     out = {}
@@ -1092,7 +1112,7 @@ def test_envelope_operations_equal_per_point_loops_bit_for_bit(group):
 def test_envelope_by_word_length_equals_bucketing_loops(group):
     g = group
     values = envelope_loop(g, seeded_values(g, 5, radius=3))
-    env = Envelope(g, values)
+    env = from_mapping(Envelope, g, values)
     # The bucketing loops the decay CSV, the decay fit and the shell sums ran.
     maxima, sums = {}, {}
     for s, v in values.items():
@@ -1109,7 +1129,7 @@ def test_envelope_by_word_length_equals_bucketing_loops(group):
         running += sums.get(ell, 0.0)
         partial.append(running)
     assert env.shell_partial_sums() == partial
-    assert Envelope(g, {}).shell_partial_sums() == []
+    assert from_mapping(Envelope, g, {}).shell_partial_sums() == []
 
 
 @pytest.mark.parametrize("group", ENVELOPE_GROUPS, ids=str)
@@ -1159,7 +1179,7 @@ def generate_loop(group, dim, seed, targets, columns):
     for s, target in targets.items():
         for t in columns:
             entries[(s, t)] = scaled_to_loop(disc_draw(rng, (dim, dim)), target)
-    return Kernel(group, dim, entries)
+    return from_mapping(Kernel, group, dim, entries)
 
 
 GENERATE_CASES = [(Z2, 1), (Z2, 2), (Z2, 3), (Z7, 1), (Z7, 2), (Z7, 3), (H3_3, 1), (H3_3, 2), (H3_3, 3)]
@@ -1173,7 +1193,7 @@ def test_generated_kernels_equal_per_entry_rescale_bit_for_bit(group, dim):
     targets = {s: target for s, target in in_ball_order.items() if target > 0.0}
     expected = generate_loop(group, dim, 11, targets, group.ball(profile.t_radius))
     assert_entries_equal(kernel, expected.entries)
-    envelope = Envelope(group, {s: 0.3 ** (1 + i) for i, s in enumerate(group.ball(1))})
+    envelope = from_mapping(Envelope, group, {s: 0.3 ** (1 + i) for i, s in enumerate(group.ball(1))})
     kernel, _ = generate_kernel_from_envelope(group, dim, 12, envelope, t_radius=1)
     assert_entries_equal(kernel, generate_loop(group, dim, 12, as_mapping(envelope), group.ball(1)).entries)
 
@@ -1187,7 +1207,7 @@ def test_generated_kernels_equal_per_entry_rescale_bit_for_bit(group, dim):
 def test_intended_envelope_equals_the_mapping_constructor(group, profile):
     # The generator builds its envelope from arrays, which must be in point order, not ball order.
     _, intended = generate_kernel(group, 1, 3, profile)
-    expected = Envelope(group, {s: profile.value(group.word_length(s)) for s in group.ball(profile.radius)})
+    expected = from_mapping(Envelope, group, {s: profile.value(group.word_length(s)) for s in group.ball(profile.radius)})
     for got, want in zip(intended.arrays, expected.arrays):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
